@@ -34,8 +34,16 @@ from .airlink import (
     synthesize_radar_rx_symbol_rate,
 )
 from .dsp import RrcSpec, pulse_shape
-from .frame import PREAMBLE_LEN, STF_LEN, CpiConfig, FrameLayout, assemble_cpi, assemble_frame, build_preamble
-from .golay import GolayPair, generate_golay_pair, golay_pair_correlate
+from .frame import (
+    DEFAULT_PREAMBLE,
+    PREAMBLE_LEN,
+    STF_LEN,
+    CpiConfig,
+    FrameLayout,
+    assemble_cpi,
+    assemble_frame,
+)
+from .golay import GolayPair, golay_pair_correlate
 from .radar import (
     build_delay_doppler_map,
     cfar_threshold,
@@ -305,32 +313,16 @@ def _rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, point, trial])
 
 
-def _shaped_preamble(scen: Scenario):
-    return _shaped_preamble_cached(
-        scen.symbol_rate, scen.rolloff, scen.rrc_span, scen.oversample
-    )
-
-
-_template_cache: dict = {}
-
-
-def _shaped_preamble_cached(symbol_rate, rolloff, span, oversample):
-    key = (symbol_rate, rolloff, span, oversample)
-    if key not in _template_cache:
-        spec = RrcSpec(rolloff, span, oversample)
-        _template_cache[key] = pulse_shape(build_preamble(), spec, symbol_rate)
-    return _template_cache[key]
-
-
 def _detection_trial(args) -> float:
     """One end-to-end detection trial; returns 1.0 when the target is declared.
 
     The statistic is the oversampled matched-filter correlation of the raw
     received stream with the shaped preamble, searched over the scenario's
     delay-uncertainty window around the expected echo lag; threshold set for
-    the per-cell false-alarm rate from the known noise variance.
+    the per-cell false-alarm rate from the known noise variance.  ``template``
+    is the preamble shaped at the scenario's oversampled rate.
     """
-    scen, scnr_db, pfa, point, trial, seed = args
+    scen, scnr_db, pfa, point, trial, seed, template = args
     rng = _rng(seed, point, trial)
     target = scen.targets[0]
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
@@ -340,11 +332,10 @@ def _detection_trial(args) -> float:
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
     rx = synthesize_radar_rx(tx, [target], nc, scen.array, None, rng, unit_gains=True)
 
-    template = _shaped_preamble(scen)
     lag0 = int(np.round(target.delay() * rx.rate))
     w = scen.detection_window_symbols * scen.oversample
     lags = lag0 + np.arange(-w, w + 1)
-    stat, _ = matched_preamble_statistic(rx, template.samples, lags)
+    stat, _ = matched_preamble_statistic(rx, template, lags)
     return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
 
 
@@ -404,7 +395,7 @@ def _velocity_trial(args) -> float:
 
     expect = int(np.round(target.delay() / scen.ts))
     fine, _ = fine_timing_preamble(y, (expect - 32, expect + 33))
-    template = np.conj(build_preamble().astype(complex))
+    template = np.conj(DEFAULT_PREAMBLE.symbols.astype(complex))
     q = np.array([
         np.dot(y[fine + i * k : fine + i * k + PREAMBLE_LEN], template)
         for i in range(m)
@@ -463,9 +454,10 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    _shaped_preamble(scen)  # warm the template cache before forking workers
+    template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate).samples
     for i, scnr_db in enumerate(spec.sweep):
-        args = [(scen, scnr_db, spec.pfa, i, j, spec.seed) for j in range(spec.trials)]
+        args = [(scen, scnr_db, spec.pfa, i, j, spec.seed, template)
+                for j in range(spec.trials)]
         hits = np.array(_map_trials(_detection_trial, args, workers))
         pd = float(np.mean(hits))
         table.add(scnr_db, "pd", pd, spec.trials, _binomial_halfwidth(pd, spec.trials))
@@ -666,7 +658,7 @@ def _run_crlb(spec: ExperimentSpec) -> ResultTable:
 def _run_ambiguity(spec: ExperimentSpec) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    pair = generate_golay_pair(512)
+    pair = DEFAULT_PREAMBLE.pair512
     waveform = np.concatenate([pair.a, pair.b]).astype(complex)
     lags = np.arange(-64, 65)
     dopplers = np.asarray(spec.doppler_grid or (0.0,), dtype=float)

@@ -115,8 +115,11 @@ def _crlb_command(args) -> int:
         return 0
     if args.eq == "resolution":
         scen = Scenario()
-        tint = args.tint if args.tint else scen.n_frames * scen.frame_k * scen.ts
-        dr, dv = resolutions(scen.symbol_rate, tint, scen.wavelength)
+        tint = args.tint if args.tint is not None else scen.n_frames * scen.frame_k * scen.ts
+        try:
+            dr, dv = resolutions(scen.symbol_rate, tint, scen.wavelength)
+        except ValueError as e:
+            raise SystemExit(f"error: {e}")
         print(f"range resolution {dr:.9g} m, velocity resolution {dv:.9g} m/s")
         return 0
     return _run_and_emit(args, "crlb")
@@ -160,9 +163,9 @@ def _run_and_emit(args, kind: str) -> int:
             kind=kind,
             scenario=scen,
             sweep=sweep,
-            trials=args.trials or exp_cfg.get("trials", 1000),
+            trials=args.trials if args.trials is not None else exp_cfg.get("trials", 1000),
             seed=args.seed if args.seed is not None else exp_cfg.get("seed", 0),
-            pfa=args.pfa or exp_cfg.get("pfa", 1e-6),
+            pfa=args.pfa if args.pfa is not None else exp_cfg.get("pfa", 1e-6),
             tradeoff_scnr_db=exp_cfg.get("tradeoff_scnr_db", 10.0),
             doppler_grid=tuple(exp_cfg.get("doppler_grid", ())),
         )

@@ -15,12 +15,11 @@ are drawn fresh per frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .golay import generate_golay_pair, pi2_rotate
+from .golay import GolayPair, generate_golay_pair
 
 __all__ = [
     "STF_LEN",
@@ -28,15 +27,12 @@ __all__ = [
     "PREAMBLE_LEN",
     "N_CP",
     "CEF_PEAK_BIN",
+    "Preamble",
+    "DEFAULT_PREAMBLE",
     "FrameLayout",
     "CpiConfig",
-    "build_stf",
-    "build_cef",
-    "build_preamble",
     "assemble_frame",
     "assemble_cpi",
-    "use_golay_override",
-    "clear_golay_overrides",
 ]
 
 STF_LEN = 17 * 128          # 16 x a_128 then -a_128
@@ -46,32 +42,40 @@ N_CP = 128                  # cyclic-prefix span honoured by CEF processing
 CEF_PEAK_BIN = 256          # on-target channel-estimate bin when synchronized
 
 
-_overrides: dict = {}
+@dataclass(frozen=True, eq=False)
+class Preamble:
+    """The STF and CEF symbols built from one 128 and one 512 Golay pair.
+
+    Transmitter and receiver must correlate against the same pairs, so a
+    caller substituting a pair (e.g. one loaded with ``load_golay_pair``)
+    passes the same value to frame assembly and to the sync functions that
+    correlate against the sequences.  ``stf``, ``cef`` and ``symbols`` (STF
+    then CEF) are read-only.  Equality is identity: the fields are arrays.
+    """
+
+    pair128: GolayPair = field(default_factory=lambda: generate_golay_pair(128))
+    pair512: GolayPair = field(default_factory=lambda: generate_golay_pair(512))
+    stf: np.ndarray = field(init=False, repr=False)
+    cef: np.ndarray = field(init=False, repr=False)
+    symbols: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for n, pair in ((128, self.pair128), (512, self.pair512)):
+            if len(pair) != n:
+                raise ValueError(f"pair has length {len(pair)}, expected {n}")
+            if not pair.is_complementary():
+                raise ValueError(f"length-{n} pair fails the complementarity check")
+        a128, b128 = self.pair128.a, self.pair128.b
+        symbols = np.concatenate(
+            [np.tile(a128, 16), -a128, self.pair512.a, self.pair512.b, -b128]
+        ).astype(float)
+        symbols.flags.writeable = False
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "stf", symbols[:STF_LEN])
+        object.__setattr__(self, "cef", symbols[STF_LEN:])
 
 
-def use_golay_override(length: int, pair) -> None:
-    """Substitute a specific complementary pair (e.g. loaded from files) for
-    one length; affects every subsequently built STF/CEF/preamble."""
-    if len(pair) != length:
-        raise ValueError(f"override pair has length {len(pair)}, expected {length}")
-    if not pair.is_complementary():
-        raise ValueError("override pair fails the complementarity check")
-    _overrides[length] = pair
-    _cached_pair.cache_clear()
-
-
-def clear_golay_overrides() -> None:
-    _overrides.clear()
-    _cached_pair.cache_clear()
-
-
-@lru_cache(maxsize=None)
-def _cached_pair(length: int, _generation: int):
-    return _overrides.get(length) or generate_golay_pair(length)
-
-
-def _pair(length: int):
-    return _cached_pair(length, id(_overrides.get(length)))
+DEFAULT_PREAMBLE = Preamble()
 
 
 @dataclass(frozen=True)
@@ -127,52 +131,19 @@ class CpiConfig:
         return self.m * self.k * self.ts
 
 
-def build_stf(rotated: bool = False) -> np.ndarray:
-    """Short Training Field: [a_128 x16, -a_128], 2176 +-1 symbols."""
-    a128 = _pair(128).a
-    stf = np.concatenate([np.tile(a128, 16), -a128]).astype(float)
-    return pi2_rotate(stf) if rotated else stf
-
-
-def build_cef(rotated: bool = False) -> np.ndarray:
-    """Channel Estimation Field: [a_512, b_512, -b_128], 1152 +-1 symbols."""
-    p512 = _pair(512)
-    b128 = _pair(128).b
-    cef = np.concatenate([p512.a, p512.b, -b128]).astype(float)
-    return pi2_rotate(cef) if rotated else cef
-
-
-def build_preamble(rotated: bool = False) -> np.ndarray:
-    if rotated:
-        # rotation phase continues across the STF/CEF boundary
-        return pi2_rotate(np.concatenate([build_stf(), build_cef()]))
-    return np.concatenate([build_stf(), build_cef()])
-
-
-def _random_symbols(n: int, rng: np.random.Generator, modulation: str) -> np.ndarray:
-    if modulation == "bpsk":
-        return rng.integers(0, 2, n) * 2.0 - 1.0
-    if modulation == "qpsk":
-        re = rng.integers(0, 2, n) * 2.0 - 1.0
-        im = rng.integers(0, 2, n) * 2.0 - 1.0
-        return (re + 1j * im) / np.sqrt(2.0)
-    raise ValueError(f"unknown modulation {modulation!r}")
-
-
 def assemble_frame(
     layout: FrameLayout,
     seed=None,
-    modulation: str = "bpsk",
-    rotated: bool = False,
+    preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
-    """One frame of K unit-energy symbols: preamble, then random header/payload.
+    """One frame of K unit-energy symbols: preamble, then random BPSK header/payload.
 
     ``seed`` may be an int or a numpy Generator; the same seed reproduces the
     same frame exactly.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    data = _random_symbols(layout.header_len + layout.payload_len, rng, modulation)
-    frame = np.concatenate([build_preamble(rotated=rotated), data])
+    data = rng.integers(0, 2, layout.header_len + layout.payload_len) * 2.0 - 1.0
+    frame = np.concatenate([preamble.symbols, data])
     if frame.ndim != 1 or len(frame) != layout.k:
         raise AssertionError("frame bookkeeping error")
     return frame
@@ -182,15 +153,14 @@ def assemble_cpi(
     cfg: CpiConfig,
     layout: FrameLayout,
     seed=None,
-    modulation: str = "bpsk",
-    rotated: bool = False,
+    preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
     """M concatenated frames; identical preambles, per-frame fresh payloads."""
     if cfg.k != layout.k:
         raise ValueError(f"CpiConfig.k={cfg.k} disagrees with FrameLayout.k={layout.k}")
     streams = np.random.SeedSequence(seed).spawn(cfg.m)
     frames = [
-        assemble_frame(layout, np.random.default_rng(s), modulation, rotated)
+        assemble_frame(layout, np.random.default_rng(s), preamble)
         for s in streams
     ]
     return np.concatenate(frames)

@@ -20,7 +20,6 @@ __all__ = [
     "generate_golay_pair",
     "aperiodic_autocorr",
     "golay_pair_correlate",
-    "pi2_rotate",
     "load_golay_pair",
 ]
 
@@ -82,17 +81,6 @@ def aperiodic_autocorr(seq) -> np.ndarray:
     # np.correlate conjugates its second argument, so 'full' mode yields
     # out[lag] = sum_n x[n] conj(x[n-lag]) over lags -(N-1)..(N-1).
     return np.correlate(x, x, mode="full")
-
-
-def pi2_rotate(symbols) -> np.ndarray:
-    """Apply the pi/2-BPSK rotation e^{j pi n / 2} used by the real standard.
-
-    Off by default everywhere; correlators must use identically rotated
-    references, which keeps all radar math rotation-invariant.
-    """
-    s = np.asarray(symbols)
-    n = np.arange(len(s))
-    return s * np.exp(1j * np.pi / 2 * n)
 
 
 def golay_pair_correlate(

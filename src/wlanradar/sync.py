@@ -15,13 +15,12 @@ the samples (it is the radar observable, estimated downstream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dsp import IqStream, RrcSpec, matched_filter, symbol_sample
-from .frame import CEF_PEAK_BIN, build_preamble
-from .golay import generate_golay_pair, golay_pair_correlate
+from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
+from .golay import golay_pair_correlate
 
 __all__ = [
     "DEFAULT_CHI2_STF",
@@ -32,7 +31,6 @@ __all__ = [
     "fine_timing_stf",
     "fine_timing_preamble",
     "estimate_channel_cef",
-    "fine_timing_cef_phase",
     "preamble_sync",
 ]
 
@@ -150,17 +148,6 @@ def detect_frame_start(
     return None
 
 
-@lru_cache(maxsize=None)
-def _stf_template() -> np.ndarray:
-    a128 = generate_golay_pair(128).a.astype(float)
-    return np.tile(a128, 16)
-
-
-@lru_cache(maxsize=None)
-def _preamble_template() -> np.ndarray:
-    return build_preamble()
-
-
 def _xcorr_peak(y: np.ndarray, template: np.ndarray,
                 window: tuple[int, int]) -> tuple[int, complex]:
     """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins."""
@@ -175,26 +162,29 @@ def _xcorr_peak(y: np.ndarray, template: np.ndarray,
     return lo + peak, c[peak]
 
 
-def fine_timing_stf(y, window: tuple[int, int]) -> int:
+def fine_timing_stf(y, window: tuple[int, int],
+                    preamble: Preamble = DEFAULT_PREAMBLE) -> int:
     """Fine frame start: peak of the 16-fold a_128 cross-correlation."""
     y = np.asarray(y, dtype=complex)
-    idx, _ = _xcorr_peak(y, _stf_template().astype(complex), window)
+    idx, _ = _xcorr_peak(y, preamble.stf[: 16 * 128].astype(complex), window)
     return idx
 
 
-def fine_timing_preamble(y, window: tuple[int, int]) -> tuple[int, complex]:
+def fine_timing_preamble(y, window: tuple[int, int],
+                         preamble: Preamble = DEFAULT_PREAMBLE) -> tuple[int, complex]:
     """Fine timing against the full 3328-symbol preamble (STF and CEF jointly).
 
     Returns (peak index, correlation value normalized by the preamble length),
     which doubles as the input to preamble-based detection.
     """
     y = np.asarray(y, dtype=complex)
-    template = _preamble_template().astype(complex)
+    template = preamble.symbols.astype(complex)
     idx, val = _xcorr_peak(y, template, window)
     return idx, val / len(template)
 
 
-def estimate_channel_cef(y, start: int, gated: bool = True) -> np.ndarray:
+def estimate_channel_cef(y, start: int, gated: bool = True,
+                         preamble: Preamble = DEFAULT_PREAMBLE) -> np.ndarray:
     """512-bin channel estimate from the CEF Golay pair correlation.
 
     ``start`` is the expected position of a_512 in ``y``; bin 256 is the
@@ -210,34 +200,9 @@ def estimate_channel_cef(y, start: int, gated: bool = True) -> np.ndarray:
     preamble symbols.
     """
     y = np.asarray(y, dtype=complex)
-    pair = generate_golay_pair(512)
     lags = start - CEF_PEAK_BIN + np.arange(512)
     gate = start if gated else None
-    return golay_pair_correlate(y, pair, lags=lags, gate=gate)
-
-
-def fine_timing_cef_phase(y, start: int, spec_rolloff: float = 0.25) -> float:
-    """Phase-based CEF timing refinement (documented alternative, non-default).
-
-    Estimates the residual fractional delay from the group delay of the
-    received CEF relative to the reference: a least-squares fit of the phase
-    slope of the cross-spectrum over in-band bins.  Known to degrade under
-    Doppler at low SNR, which is why the default pipelines use the
-    amplitude peaks instead.
-    """
-    from .frame import CEF_LEN, build_cef
-
-    y = np.asarray(y, dtype=complex)
-    seg = y[start : start + CEF_LEN]
-    if len(seg) < CEF_LEN:
-        raise ValueError("stream too short for CEF phase timing")
-    ref = build_cef().astype(complex)
-    cross = np.fft.fft(seg) * np.conj(np.fft.fft(ref))
-    freqs = np.fft.fftfreq(CEF_LEN)
-    band = np.abs(freqs) < (1 - spec_rolloff) / 2 * 0.9
-    phase = np.unwrap(np.angle(cross[band]))
-    slope = np.polyfit(2 * np.pi * freqs[band], phase, 1)[0]
-    return -slope  # delay in symbol periods
+    return golay_pair_correlate(y, preamble.pair512, lags=lags, gate=gate)
 
 
 def preamble_sync(
@@ -247,6 +212,7 @@ def preamble_sync(
     chi2_stf: float = DEFAULT_CHI2_STF,
     fine_template: str = "stf",
     search: tuple[int, int] | None = None,
+    preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> tuple[TimingEstimate | None, np.ndarray]:
     """Full receiver front end: matched filter, symbol sync, coarse+fine timing.
 
@@ -265,9 +231,9 @@ def preamble_sync(
         search = (coarse - COARSE_FINE_SPAN, coarse + COARSE_FINE_SPAN)
 
     if fine_template == "stf":
-        fine = fine_timing_stf(sym, search)
+        fine = fine_timing_stf(sym, search, preamble)
     elif fine_template == "preamble":
-        fine, _ = fine_timing_preamble(sym, search)
+        fine, _ = fine_timing_preamble(sym, search, preamble)
     else:
         raise ValueError(f"unknown fine-timing template {fine_template!r}")
     return TimingEstimate(coarse, fine, st), sym

@@ -20,7 +20,7 @@ from wlanradar.airlink import (
     upa_steering,
 )
 from wlanradar.dsp import RrcSpec, matched_filter, pulse_shape, symbol_sample
-from wlanradar.frame import FrameLayout, assemble_frame, build_preamble
+from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 
 W = 1.76e9
 TS = 1 / W
@@ -171,7 +171,7 @@ class TestSynthesis:
         rx = synthesize_radar_rx(tx, [t], NoiseClutterSpec(0.0), CFG, None,
                                  seed=4, unit_gains=True)
         sym = symbol_sample(matched_filter(rx, RRC, W), W, 0)
-        c = np.correlate(sym[:4500], build_preamble().astype(complex), mode="valid")
+        c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
         assert np.argmax(np.abs(c)) == 587
 
     def test_echo_energy_tracks_path_gain(self):

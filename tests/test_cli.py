@@ -45,6 +45,18 @@ class TestErrors:
         assert r.returncode != 0
         assert "config" in (r.stderr + r.stdout).lower()
 
+    def test_zero_pfa_rejected(self):
+        r = run_cli("crlb", "--eq", "table", "--pfa", "0")
+        assert r.returncode != 0
+
+    def test_zero_trials_rejected(self):
+        r = run_cli("crlb", "--eq", "table", "--trials", "0")
+        assert r.returncode != 0
+
+    def test_zero_tint_rejected(self):
+        r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
+        assert r.returncode != 0
+
     def test_bad_scenario_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"frame_k": 100}}))

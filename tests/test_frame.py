@@ -3,51 +3,50 @@ import pytest
 
 from wlanradar.frame import (
     CEF_LEN,
+    DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
     STF_LEN,
     CpiConfig,
     FrameLayout,
+    Preamble,
     assemble_cpi,
     assemble_frame,
-    build_cef,
-    build_preamble,
-    build_stf,
 )
-from wlanradar.golay import generate_golay_pair, golay_pair_correlate
+from wlanradar.golay import GolayPair, generate_golay_pair, golay_pair_correlate
 
 TS = 1 / 1.76e9
 
 
 class TestStf:
     def test_length(self):
-        assert len(build_stf()) == 2176 == STF_LEN
+        assert len(DEFAULT_PREAMBLE.stf) == 2176 == STF_LEN
 
     def test_repetition(self):
-        stf = build_stf()
+        stf = DEFAULT_PREAMBLE.stf
         assert np.array_equal(stf[0:128], stf[128:256])
         for i in range(16):
             assert np.array_equal(stf[i * 128 : (i + 1) * 128], stf[:128])
 
     def test_final_block_is_complement(self):
-        stf = build_stf()
+        stf = DEFAULT_PREAMBLE.stf
         assert np.array_equal(stf[2048:2176], -stf[0:128])
 
     def test_symbols_pm1(self):
-        assert set(np.unique(build_stf())) <= {-1.0, 1.0}
+        assert set(np.unique(DEFAULT_PREAMBLE.stf)) <= {-1.0, 1.0}
 
     def test_lag128_autocorrelation_over_repeats(self):
         # 15 aligned repetitions inside the first 2048 samples
-        stf = build_stf()
+        stf = DEFAULT_PREAMBLE.stf
         val = np.dot(stf[128:2048], stf[0:1920])
         assert abs(val) == 15 * 128
 
 
 class TestCef:
     def test_length(self):
-        assert len(build_cef()) == 512 + 512 + 128 == CEF_LEN
+        assert len(DEFAULT_PREAMBLE.cef) == 512 + 512 + 128 == CEF_LEN
 
     def test_structure(self):
-        cef = build_cef()
+        cef = DEFAULT_PREAMBLE.cef
         pair = generate_golay_pair(512)
         b128 = generate_golay_pair(128).b
         assert np.array_equal(cef[:512], pair.a)
@@ -55,13 +54,13 @@ class TestCef:
         assert np.array_equal(cef[1024:], -b128)
 
     def test_symbols_pm1(self):
-        assert set(np.unique(build_cef())) <= {-1.0, 1.0}
+        assert set(np.unique(DEFAULT_PREAMBLE.cef)) <= {-1.0, 1.0}
 
     def test_correlator_peak_at_cp_offset(self):
         # CEF preceded by its cyclic-prefix context (-a_128): peak lands at
         # lag l_CEF - N_CP = 128 from the record start
         a128 = generate_golay_pair(128).a.astype(float)
-        rx = np.concatenate([-a128, build_cef(), np.zeros(64)]).astype(complex)
+        rx = np.concatenate([-a128, DEFAULT_PREAMBLE.cef, np.zeros(64)]).astype(complex)
         pair = generate_golay_pair(512)
         g = golay_pair_correlate(rx, pair, lags=np.arange(0, 256))
         assert np.argmax(np.abs(g)) == 256 - 128
@@ -97,7 +96,7 @@ class TestAssembly:
         layout = FrameLayout(k=3328, header_len=0)
         frame = assemble_frame(layout, seed=0)
         assert len(frame) == 3328
-        assert np.array_equal(frame, build_preamble())
+        assert np.array_equal(frame, DEFAULT_PREAMBLE.symbols)
 
     def test_determinism(self):
         layout = FrameLayout(k=6656)
@@ -111,35 +110,36 @@ class TestAssembly:
         frame = assemble_frame(FrameLayout(k=12800), seed=7)
         assert np.mean(np.abs(frame) ** 2) == 1.0
 
-    def test_unit_symbol_energy_qpsk(self):
-        frame = assemble_frame(FrameLayout(k=12800), seed=7, modulation="qpsk")
-        assert abs(np.mean(np.abs(frame) ** 2) - 1.0) < 1e-12
 
-    def test_unknown_modulation(self):
+class TestPreamble:
+    def test_arrays_read_only(self):
+        for arr in (DEFAULT_PREAMBLE.stf, DEFAULT_PREAMBLE.cef, DEFAULT_PREAMBLE.symbols):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    def test_wrong_length_pair_rejected(self):
         with pytest.raises(ValueError):
-            assemble_frame(FrameLayout(k=6656), seed=0, modulation="64qam")
+            Preamble(pair512=generate_golay_pair(256))
+        with pytest.raises(ValueError):
+            Preamble(pair128=generate_golay_pair(512))
 
-    def test_rotated_preamble_unit_modulus(self):
-        pre = build_preamble(rotated=True)
-        assert np.allclose(np.abs(pre), 1.0)
+    def test_noncomplementary_pair_rejected(self):
+        base = generate_golay_pair(512)
+        bad_b = base.b.copy()
+        bad_b[3] *= -1
+        with pytest.raises(ValueError):
+            Preamble(pair512=GolayPair(base.a, bad_b))
 
-    def test_golay_override_hook(self, tmp_path):
-        # a file-loaded pair substitutes into frame construction
-        from wlanradar.frame import clear_golay_overrides, use_golay_override
-        from wlanradar.golay import load_golay_pair
-
-        base = generate_golay_pair(128)
-        swapped_a, swapped_b = base.b.copy(), base.a.copy()  # still complementary
-        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
-        pa.write_text("\n".join(str(v) for v in swapped_a))
-        pb.write_text("\n".join(str(v) for v in swapped_b))
-        try:
-            use_golay_override(128, load_golay_pair(pa, pb))
-            stf = build_stf()
-            assert np.array_equal(stf[:128], swapped_a)
-        finally:
-            clear_golay_overrides()
-        assert np.array_equal(build_stf()[:128], base.a)
+    def test_pairs_feed_stf_and_cef(self):
+        p128, p512 = generate_golay_pair(128), generate_golay_pair(512)
+        swapped = Preamble(pair128=GolayPair(p128.b, p128.a),
+                           pair512=GolayPair(p512.b, p512.a))
+        assert np.array_equal(swapped.stf[:128], p128.b)
+        assert np.array_equal(swapped.cef[:512], p512.b)
+        assert np.array_equal(swapped.cef[1024:], -p128.a)
+        frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0,
+                               preamble=swapped)
+        assert np.array_equal(frame, swapped.symbols)
 
 
 class TestCpi:
@@ -147,7 +147,7 @@ class TestCpi:
         layout = FrameLayout(k=6656)
         cpi = assemble_cpi(CpiConfig(1, 6656, TS), layout, seed=5)
         assert len(cpi) == 6656
-        assert np.array_equal(cpi[:PREAMBLE_LEN], build_preamble())
+        assert np.array_equal(cpi[:PREAMBLE_LEN], DEFAULT_PREAMBLE.symbols)
 
     def test_total_length_and_duration(self):
         layout = FrameLayout(k=12800)

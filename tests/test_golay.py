@@ -7,7 +7,6 @@ from wlanradar.golay import (
     generate_golay_pair,
     golay_pair_correlate,
     load_golay_pair,
-    pi2_rotate,
 )
 
 
@@ -121,13 +120,6 @@ class TestPairCorrelator:
 
 
 class TestOverrides:
-    def test_pi2_rotation_unit_modulus(self):
-        a = generate_golay_pair(128).a
-        r = pi2_rotate(a)
-        assert np.allclose(np.abs(r), 1.0)
-        # every 4th sample returns to the real axis
-        assert np.allclose(r[::4], a[::4])
-
     def test_load_pair_roundtrip(self, tmp_path):
         pair = generate_golay_pair(128)
         pa = tmp_path / "a.txt"

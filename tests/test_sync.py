@@ -3,13 +3,13 @@ import pytest
 
 from wlanradar.airlink import NoiseClutterSpec, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
-from wlanradar.dsp import IqStream, RrcSpec, matched_filter, pulse_shape, symbol_sample
-from wlanradar.frame import FrameLayout, assemble_frame, build_preamble
+from wlanradar.dsp import IqStream, RrcSpec, matched_filter, pulse_shape
+from wlanradar.frame import DEFAULT_PREAMBLE, STF_LEN, FrameLayout, Preamble, assemble_frame
+from wlanradar.golay import generate_golay_pair, load_golay_pair
 from wlanradar.sync import (
     detect_frame_start,
     estimate_channel_cef,
     estimate_symbol_timing,
-    fine_timing_cef_phase,
     fine_timing_preamble,
     fine_timing_stf,
     preamble_sync,
@@ -31,6 +31,16 @@ def _noisy_frame_symbols(delay: int, scnr_db: float, rng, k: int = 4352,
     y = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     y[delay : delay + k] += h0 * frame
     return y
+
+
+@pytest.fixture
+def reversed_preamble(tmp_path):
+    """Preamble whose 512 pair is the time-reversed standard pair, loaded from files."""
+    base = generate_golay_pair(512)
+    pa, pb = tmp_path / "a512.txt", tmp_path / "b512.txt"
+    pa.write_text("\n".join(str(v) for v in base.a[::-1]))
+    pb.write_text("\n".join(str(v) for v in base.b[::-1]))
+    return Preamble(pair512=load_golay_pair(pa, pb))
 
 
 class TestSymbolTiming:
@@ -145,9 +155,20 @@ class TestChannelEstimate:
         assert off.max() < 1e-10
 
     def test_delayed_three_samples(self):
-        y = np.concatenate([np.zeros(3), build_preamble(), np.zeros(64)]).astype(complex)
+        y = np.concatenate([np.zeros(3), DEFAULT_PREAMBLE.symbols, np.zeros(64)]).astype(complex)
         h = estimate_channel_cef(y, 2176)
         assert np.argmax(np.abs(h)) == 259
+
+    def test_override_pair_exact_delta(self, reversed_preamble):
+        # transmitter and receiver share the substituted pair
+        p = reversed_preamble
+        y = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0,
+                           preamble=p).astype(complex)
+        h = estimate_channel_cef(y, STF_LEN, preamble=p)
+        assert h[256] == 1.0
+        assert np.abs(np.delete(h, 256)).max() == 0.0
+        # the standard receiver does not see the substituted CEF
+        assert abs(estimate_channel_cef(y, STF_LEN)[256]) < 0.5
 
     def test_noise_only_bin_variance(self):
         # background variance sigma^2/(2*512) at the synchronized bin
@@ -216,6 +237,15 @@ class TestPipeline:
             hits += err <= 1 + 1 / (2 * Q)
         assert hits >= int(np.ceil(trials * 0.99))
 
+    def test_override_pair_full_chain(self, reversed_preamble):
+        p = reversed_preamble
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=17, preamble=p)
+        tx = pulse_shape(frame, RRC, W, delay=587 * TS)
+        timing, sym = preamble_sync(tx, RRC, W, fine_template="preamble", preamble=p)
+        h = estimate_channel_cef(sym, timing.fine_start + STF_LEN, preamble=p)
+        assert np.argmax(np.abs(h)) == 256
+        assert abs(h[256]) == pytest.approx(1.0, abs=1e-3)
+
     def test_coarse_then_fine_consistency(self):
         rng = np.random.default_rng(15)
         y = _noisy_frame_symbols(600, 20.0, rng)
@@ -226,14 +256,3 @@ class TestPipeline:
         assert timing.coarse_start is not None
         assert abs(timing.fine_start - 600) <= 1
         assert abs(timing.fine_start - timing.coarse_start) <= 3 * 128
-
-
-class TestCefPhaseTiming:
-    def test_recovers_fractional_delay(self):
-        # documented alternative path: phase-slope timing on the CEF
-        frac = 0.3
-        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=16)
-        tx = pulse_shape(frame, RRC, W, delay=frac * TS)
-        sym = symbol_sample(matched_filter(tx, RRC, W), W, 0)
-        est = fine_timing_cef_phase(sym, 2176)
-        assert est == pytest.approx(frac, abs=0.05)

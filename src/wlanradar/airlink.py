@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqStream, apply_delay_doppler
+from .dsp import IqStream, RrcSpec, apply_delay_doppler
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -98,21 +98,6 @@ class NoiseClutterSpec:
     @property
     def sigma_cn2(self) -> float:
         return self.noise_power + self.clutter_power
-
-    @classmethod
-    def from_scnr(cls, scnr_db: float, echo_power: float,
-                  clutter_to_noise_db: float | None = None) -> "NoiseClutterSpec":
-        """Back out sigma_cn^2 so that echo_power / sigma_cn^2 hits the target SCNR.
-
-        ``echo_power`` is Es |h_0|^2 of the reference target.  By default all
-        of sigma_cn^2 is thermal noise; a clutter-to-noise ratio splits it.
-        """
-        total = echo_power / 10 ** (scnr_db / 10)
-        if clutter_to_noise_db is None:
-            return cls(noise_power=total, clutter_power=0.0)
-        cnr = 10 ** (clutter_to_noise_db / 10)
-        noise = total / (1 + cnr)
-        return cls(noise_power=noise, clutter_power=total - noise)
 
 
 @dataclass(frozen=True)
@@ -258,7 +243,9 @@ def radar_coupling(target: Target, cfg: ArrayConfig, beams: BeamPair,
 
 
 def synthesize_radar_rx(
-    tx: IqStream,
+    symbols,
+    spec: RrcSpec,
+    symbol_rate: float,
     targets,
     nc: NoiseClutterSpec,
     cfg: ArrayConfig,
@@ -266,19 +253,27 @@ def synthesize_radar_rx(
     seed=None,
     unit_gains: bool = False,
 ) -> IqStream:
-    """Superpose delayed/Doppler-shifted echoes of tx plus clutter-and-noise.
+    """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
 
-    ``tx`` must already carry sqrt(Es).  Each target contributes
-    apply_delay_doppler(tx, tau_p, nu_p, h_p) with h_p from the path gain,
-    beam coupling and a per-CPI random unit-magnitude phase beta_p.  With
+    The symbols carry the amplitude (sqrt(Es) included).  Each target
+    contributes apply_delay_doppler(symbols, spec, symbol_rate, tau_p, nu_p,
+    h_p), shaped directly at its own delay, with h_p from the path gain, beam
+    coupling and a per-CPI random unit-magnitude phase beta_p.  With
     ``unit_gains`` the couplings collapse to beta_p alone, which is handy
     when an experiment pins the SCNR directly.
 
-    An empty target list yields pure clutter-plus-noise of the tx duration.
+    The output starts at t0 = -half / rate, the start of the undelayed shaped
+    stream (half = the RRC half-length in samples), and runs for
+    max_p round(tau_p rate) + len(symbols) Q + span Q samples; each echo is
+    added at its start-time offset.  An empty target list yields pure
+    clutter-plus-noise of the undelayed shaped duration.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     targets = list(targets)
     beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
+    q = spec.oversample
+    rate = symbol_rate * q
+    t0 = -(spec.span * q // 2) / rate
 
     echoes = []
     for target, phase in zip(targets, beta_phases):
@@ -286,18 +281,19 @@ def synthesize_radar_rx(
             h_p = np.exp(1j * phase)
         else:
             h_p = radar_coupling(target, cfg, beams, phase)
-        echoes.append(
-            apply_delay_doppler(tx, target.delay(), target.doppler(cfg.wavelength), h_p)
-        )
+        echoes.append(apply_delay_doppler(
+            symbols, spec, symbol_rate, target.delay(), target.doppler(cfg.wavelength), h_p,
+        ))
 
-    n_out = max([len(e) for e in echoes], default=len(tx))
+    offsets = [int(round((e.t0 - t0) * rate)) for e in echoes]
+    n_out = max(offsets, default=0) + len(symbols) * q + spec.span * q
     out = np.zeros(n_out, dtype=complex)
-    for e in echoes:
-        out[: len(e)] += e.samples
+    for off, e in zip(offsets, echoes):
+        out[off : off + len(e)] += e.samples
 
     sigma = np.sqrt(nc.sigma_cn2 / 2)
     out += sigma * (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out))
-    return IqStream(out, tx.rate, tx.t0)
+    return IqStream(out, rate, t0)
 
 
 def synthesize_radar_rx_symbol_rate(

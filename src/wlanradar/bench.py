@@ -104,6 +104,12 @@ class Scenario:
     cpi_duration_s: float = 6e-5       # trade-off bench CPI
     zero_pad: int = 16
 
+    def __post_init__(self):
+        if self.n_frames < 1 or self.frame_k < 1:
+            raise ValueError("n_frames and frame_k must be >= 1")
+        if self.cpi_duration_s <= 0:
+            raise ValueError("cpi_duration_s must be positive")
+
     @property
     def ts(self) -> float:
         return 1.0 / self.symbol_rate
@@ -190,6 +196,8 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
         if not (0 < self.pfa <= 1):
             raise ValueError("pfa must lie in (0, 1]")
+        if self.kind == "tradeoff" and min(self.sweep) < 1:
+            raise ValueError("tradeoff frame counts must be >= 1")
 
 
 @dataclass
@@ -327,10 +335,10 @@ def _detection_trial(args) -> float:
     target = scen.targets[0]
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
     symbols = assemble_frame(layout, rng)
-    tx = pulse_shape(symbols, scen.rrc, scen.symbol_rate)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
-    rx = synthesize_radar_rx(tx, [target], nc, scen.array, None, rng, unit_gains=True)
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], nc,
+                             scen.array, None, rng, unit_gains=True)
 
     lag0 = int(np.round(target.delay() * rx.rate))
     w = scen.detection_window_symbols * scen.oversample
@@ -354,10 +362,10 @@ def _range_trial(args) -> float:
 
     layout = scen.layout(k=max(PREAMBLE_LEN + scen.header_len + 512, 5376))
     symbols = assemble_frame(layout, rng)
-    tx = pulse_shape(symbols, scen.rrc, scen.symbol_rate)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
-    rx = synthesize_radar_rx(tx, [target], nc, scen.array, None, rng, unit_gains=True)
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], nc,
+                             scen.array, None, rng, unit_gains=True)
 
     expect = int(np.round(target.delay() / scen.ts))
     timing, _ = preamble_sync(

@@ -130,11 +130,11 @@ def _run_and_emit(args, kind: str) -> int:
     exp_cfg = cfg.get("experiment", {})
 
     sweep = None
-    if getattr(args, "scnr", None):
+    if getattr(args, "scnr", None) is not None:
         sweep = tuple(args.scnr)
-    elif getattr(args, "distances", None):
+    elif getattr(args, "distances", None) is not None:
         sweep = tuple(args.distances)
-    elif kind == "tradeoff" and getattr(args, "frames", None):
+    elif kind == "tradeoff" and getattr(args, "frames", None) is not None:
         sweep = tuple(args.frames)
     elif "sweep" in exp_cfg:
         sweep = tuple(exp_cfg["sweep"])
@@ -151,14 +151,13 @@ def _run_and_emit(args, kind: str) -> int:
         }
         sweep = defaults[kind]
 
-    if kind == "velocity-mse" and getattr(args, "frames", None):
-        scen = Scenario.from_dict({**scen.to_dict(), "n_frames": args.frames})
-    if kind == "tradeoff" and getattr(args, "cpi", None):
-        scen = Scenario.from_dict({**scen.to_dict(), "cpi_duration_s": args.cpi})
-    if kind == "ddmap" and not getattr(args, "config", None):
-        scen = two_vehicle_scenario()
-
     try:
+        if kind == "velocity-mse" and getattr(args, "frames", None) is not None:
+            scen = Scenario.from_dict({**scen.to_dict(), "n_frames": args.frames})
+        if kind == "tradeoff" and getattr(args, "cpi", None) is not None:
+            scen = Scenario.from_dict({**scen.to_dict(), "cpi_duration_s": args.cpi})
+        if kind == "ddmap" and not getattr(args, "config", None):
+            scen = two_vehicle_scenario()
         spec = ExperimentSpec(
             kind=kind,
             scenario=scen,

@@ -5,9 +5,9 @@ TX and RX use the same unit-energy root-raised-cosine filter, so the
 cascade is a Nyquist raised cosine: symbol-spaced samples of the cascade
 vanish away from the peak up to the truncation floor of the finite span.
 
-Fractional delays are applied in the frequency domain, which evaluates the
-band-limited interpolant exactly for signals confined inside the sampling
-band (true for RRC-shaped streams at any oversampling >= 2).
+A delayed echo is shaped directly at its delay: the integer-sample part
+moves the stream's start time and the fractional part evaluates the
+analytic RRC on a shifted grid, so no stream is ever resampled.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "RrcSpec",
     "rrc_taps",
     "rc_pulse",
-    "occupied_bandwidth",
     "pulse_shape",
     "matched_filter",
     "apply_delay_doppler",
@@ -123,11 +122,6 @@ def rc_pulse(t_symbols, rolloff: float) -> np.ndarray:
     return out
 
 
-def occupied_bandwidth(spec: RrcSpec, symbol_rate: float) -> float:
-    """Two-sided occupied bandwidth of the shaped signal, (1 + rolloff) * W."""
-    return (1 + spec.rolloff) * symbol_rate
-
-
 def pulse_shape(
     symbols,
     spec: RrcSpec,
@@ -137,28 +131,36 @@ def pulse_shape(
 ) -> IqStream:
     """Shape symbols with the TX RRC at rate Q * symbol_rate, scaled by sqrt(Es).
 
-    ``delay`` (seconds) shifts the whole waveform; its fractional-sample part
-    is realized by evaluating the analytically known RRC on a shifted grid,
-    so synthesis is exact within the band-limited model.
+    ``delay`` (seconds) shifts the whole waveform: its nearest whole number
+    of samples moves t0, and the remainder (at most half a sample either
+    way) is realized by evaluating the analytic RRC on a shifted grid, so
+    synthesis is exact within the band-limited model.  Real symbols take one
+    real convolution; complex ones are shaped as real part plus j times
+    imaginary part.
 
     The returned stream's time axis places symbol n's peak at t = n Ts + delay.
     """
-    s = np.asarray(symbols, dtype=complex)
+    s = np.asarray(symbols)
     if s.size == 0:
         raise ValueError("no symbols to shape")
     q = spec.oversample
     rate = symbol_rate * q
     dly_samples = delay * rate
-    int_shift = int(np.floor(dly_samples))
-    frac = dly_samples - int_shift
+    int_shift = int(np.round(dly_samples))
+    taps = rrc_taps(spec, frac_shift=(dly_samples - int_shift) / q)
 
-    taps = rrc_taps(spec, frac_shift=frac / q)
-    up = np.zeros(len(s) * q, dtype=complex)
-    up[::q] = s
-    shaped = fftconvolve(up, taps) * np.sqrt(es)
+    def shape(x):
+        up = np.zeros(len(x) * q)
+        up[::q] = x
+        return fftconvolve(up, taps)
+
+    if np.iscomplexobj(s):
+        shaped = shape(s.real) + 1j * shape(s.imag)
+    else:
+        shaped = shape(s)
     half = (len(taps) - 1) // 2
     t0 = (int_shift - half) / rate
-    return IqStream(shaped, rate, t0)
+    return IqStream(shaped * np.sqrt(es), rate, t0)
 
 
 def matched_filter(y: IqStream, spec: RrcSpec, symbol_rate: float | None = None) -> IqStream:
@@ -176,39 +178,27 @@ def matched_filter(y: IqStream, spec: RrcSpec, symbol_rate: float | None = None)
 
 
 def apply_delay_doppler(
-    y: IqStream,
+    symbols,
+    spec: RrcSpec,
+    symbol_rate: float,
     delay: float,
     doppler: float,
     gain: complex = 1.0,
 ) -> IqStream:
-    """Delay, Doppler-shift and scale a stream (stop-and-hop echo model).
+    """One echo of the shaped symbols (stop-and-hop echo model).
 
-    out(t) = gain * y(t - delay) * exp(j 2 pi doppler t), with the fractional
-    part of the delay evaluated through the band-limited interpolant and the
-    integer part as an exact sample shift.
+    out(t) = gain * x(t - delay) * exp(j 2 pi doppler t), where x is the
+    RRC-shaped symbol stream; the echo is shaped directly at its delay by
+    pulse_shape and carries its own time axis.  The symbols carry the
+    amplitude (sqrt(Es) included).
     """
     if delay < 0:
         raise ValueError("radar delays are nonnegative")
-    if abs(doppler) >= y.rate / 2:
+    rate = symbol_rate * spec.oversample
+    if abs(doppler) >= rate / 2:
         raise ValueError("doppler exceeds the representable band")
-
-    dly_samples = delay * y.rate
-    int_shift = int(np.round(dly_samples))
-    frac = dly_samples - int_shift
-
-    x = y.samples
-    if abs(frac) > 1e-12:
-        # frequency-domain fractional shift; pad to bury circular wrap
-        pad = 64
-        xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
-        freqs = np.fft.fftfreq(len(xp))
-        xp = np.fft.ifft(np.fft.fft(xp) * np.exp(-2j * np.pi * freqs * frac))
-        x = xp[pad:-pad]
-
-    samples = np.concatenate([np.zeros(int_shift, dtype=complex), x])
-    out = IqStream(samples, y.rate, y.t0)
-    t = out.times()
-    out.samples = gain * out.samples * np.exp(2j * np.pi * doppler * t)
+    out = pulse_shape(symbols, spec, symbol_rate, delay=delay)
+    out.samples = gain * out.samples * np.exp(2j * np.pi * doppler * out.times())
     return out
 
 

@@ -145,16 +145,16 @@ class TestCommChannel:
 class TestSynthesis:
     def test_noise_only_variance(self):
         frame = assemble_frame(FrameLayout(k=12800), seed=0)
-        tx = pulse_shape(frame, RrcSpec(span=16, oversample=8), W)
         nc = NoiseClutterSpec(noise_power=1.0)
-        rx = synthesize_radar_rx(tx, [], nc, CFG, None, seed=1)
+        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], nc, CFG, None,
+                                 seed=1)
         assert len(rx) >= 100_000
         assert np.mean(np.abs(rx.samples) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_noise_circularity(self):
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0)
-        tx = pulse_shape(frame, RrcSpec(span=16, oversample=4), W)
-        rx = synthesize_radar_rx(tx, [], NoiseClutterSpec(1.0), CFG, None, seed=2)
+        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=4), W, [],
+                                 NoiseClutterSpec(1.0), CFG, None, seed=2)
         re, im = rx.samples.real, rx.samples.imag
         assert np.var(re) == pytest.approx(np.var(im), rel=0.02)
         cross = np.mean(re * im) / np.sqrt(np.var(re) * np.var(im))
@@ -167,8 +167,7 @@ class TestSynthesis:
         assert t.doppler(CFG.wavelength) == pytest.approx(8005.5, abs=1.0)
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
-        tx = pulse_shape(frame, RRC, W)
-        rx = synthesize_radar_rx(tx, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(frame, RRC, W, [t], NoiseClutterSpec(0.0), CFG, None,
                                  seed=4, unit_gains=True)
         sym = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
@@ -178,11 +177,12 @@ class TestSynthesis:
         # log-log slope of echo energy vs G_p = 1 over three decades of range
         beams = select_beams(CFG, 90.0, 90.0)
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=5)
-        tx = pulse_shape(frame, RrcSpec(span=16, oversample=2), W)
+        spec = RrcSpec(span=16, oversample=2)
         energies, gains = [], []
         for rho in (3.0, 9.5, 30.0, 95.0, 300.0):
             t = Target(range_m=rho, velocity_mps=0.0)
-            rx = synthesize_radar_rx(tx, [t], NoiseClutterSpec(0.0), CFG, beams, seed=6)
+            rx = synthesize_radar_rx(frame, spec, W, [t], NoiseClutterSpec(0.0), CFG, beams,
+                                     seed=6)
             energies.append(np.sum(np.abs(rx.samples) ** 2))
             gains.append(radar_path_gain(t, CFG.wavelength))
         slope = np.polyfit(np.log10(gains), np.log10(energies), 1)[0]
@@ -196,8 +196,7 @@ class TestSynthesis:
         cpi = assemble_cpi(CpiConfig(2, k, TS), FrameLayout(k=k, header_len=0), seed=7)
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
-        tx = pulse_shape(cpi, spec, W)
-        rx = synthesize_radar_rx(tx, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(cpi, spec, W, [t], NoiseClutterSpec(0.0), CFG, None,
                                  seed=8, unit_gains=True)
         sym = symbol_sample(matched_filter(rx, spec, W), W, 0)
         d = round(t.delay() / TS)
@@ -208,11 +207,35 @@ class TestSynthesis:
         wrapped = (expected + np.pi) % (2 * np.pi) - np.pi
         assert abs(measured - wrapped) < 1e-6
 
+    def test_half_sample_delay_keeps_length_and_placement(self):
+        # a delay 100.7 samples long: the stream runs round(100.7) samples past
+        # the undelayed shaped length, and the echo sits where a band-limited
+        # shift of the undelayed stream puts it
+        spec = RrcSpec(oversample=4)
+        rate = W * spec.oversample
+        d = 100.7
+        t = Target(range_m=d / rate * SPEED_OF_LIGHT / 2, velocity_mps=25.0)
+        frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=12)
+        rx = synthesize_radar_rx(frame, spec, W, [t], NoiseClutterSpec(0.0), CFG, None,
+                                 seed=13, unit_gains=True)
+        n_tx = len(frame) * spec.oversample + spec.span * spec.oversample
+        assert len(rx) == n_tx + 101
+        assert rx.t0 == pytest.approx(-(spec.span * spec.oversample // 2) / rate)
+
+        tx = pulse_shape(frame, spec, W)
+        pad = 256
+        x = np.concatenate([np.zeros(pad), tx.samples, np.zeros(pad)])
+        f = np.fft.fftfreq(len(x))
+        shifted = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * (d - 101)))[pad:-pad]
+        gain = np.exp(1j * np.random.default_rng(13).uniform(0, 2 * np.pi, size=1)[0])
+        ref = np.concatenate([np.zeros(101), shifted])
+        ref = gain * ref * np.exp(2j * np.pi * t.doppler(CFG.wavelength) * rx.times())
+        assert np.abs(rx.samples - ref).max() < 1e-3
+
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        tx = pulse_shape(frame, RRC, W)
-        rx = synthesize_radar_rx(tx, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(frame, RRC, W, [t], NoiseClutterSpec(0.0), CFG, None,
                                  seed=10, unit_gains=True)
         sym_full = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         sym_fast = synthesize_radar_rx_symbol_rate(
@@ -228,16 +251,6 @@ class TestNoiseClutterSpec:
     def test_total_is_sum(self):
         nc = NoiseClutterSpec(noise_power=0.3, clutter_power=0.2)
         assert nc.sigma_cn2 == pytest.approx(0.5)
-
-    def test_from_scnr(self):
-        nc = NoiseClutterSpec.from_scnr(10.0, echo_power=2.0)
-        assert nc.sigma_cn2 == pytest.approx(0.2)
-        assert nc.clutter_power == 0.0
-
-    def test_from_scnr_with_clutter_split(self):
-        nc = NoiseClutterSpec.from_scnr(0.0, echo_power=1.0, clutter_to_noise_db=0.0)
-        assert nc.noise_power == pytest.approx(0.5)
-        assert nc.clutter_power == pytest.approx(0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="ddmap", trials=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0),
+    ])
+    def test_bad_scenario_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            Scenario(**kwargs)
+
+    def test_tradeoff_frame_count_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentSpec(kind="tradeoff", sweep=(2, 0))
+
     def test_scenario_roundtrip(self):
         scen = two_vehicle_scenario()
         again = Scenario.from_dict(scen.to_dict())
@@ -118,6 +129,21 @@ class TestDeterminism:
         b = run_experiment(spec, workers=2).to_csv_text()
         c = run_experiment(spec, workers=8).to_csv_text()
         assert a == b == c
+
+    @pytest.mark.parametrize("spec, digest", [
+        (ExperimentSpec(kind="detection", sweep=(-24.0, -22.0), trials=40, seed=7,
+                        pfa=1e-4),
+         "5119f39c90918fe397f2381c361152b7986534dd47028e97ad39104a28938876"),
+        (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
+         "3537c9d3b61890e1eeb51b7f098bdfae260a043ee7f99ee1fa35e734caa2b9b9"),
+    ], ids=["detection", "range-mse"])
+    def test_golden_csv_bytes(self, spec, digest):
+        # CSV bytes are a published result: a numerics change that moves a
+        # decision or a digit has to change these digests on purpose
+        import hashlib
+
+        text = run_experiment(spec, workers=1).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_manifest_contains_versions_and_seed(self):
         import json

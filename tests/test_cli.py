@@ -57,6 +57,21 @@ class TestErrors:
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
 
+    def test_zero_frames_rejected(self):
+        r = run_cli("velocity", "--frames", "0", "--trials", "2", "--scnr", "10")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+
+    def test_zero_cpi_rejected(self):
+        r = run_cli("tradeoff", "--cpi", "0", "--trials", "1")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+
+    def test_zero_tradeoff_frames_rejected(self):
+        r = run_cli("tradeoff", "--frames", "0", "--trials", "1")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+
     def test_bad_scenario_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"frame_k": 100}}))

@@ -6,7 +6,6 @@ from wlanradar.dsp import (
     RrcSpec,
     apply_delay_doppler,
     matched_filter,
-    occupied_bandwidth,
     pulse_shape,
     rc_pulse,
     rrc_taps,
@@ -36,9 +35,6 @@ class TestRrcTaps:
         sym = np.concatenate([g[mid + q :: q], g[mid - q :: -q]])
         assert np.abs(sym).max() < 1e-3
         assert abs(g[mid] - 1.0) < 1e-6
-
-    def test_occupied_bandwidth(self):
-        assert occupied_bandwidth(SPEC, W) == pytest.approx(2.2e9)
 
     @pytest.mark.parametrize("kwargs", [
         dict(rolloff=0.0), dict(rolloff=1.5), dict(span=3), dict(span=0),
@@ -139,45 +135,69 @@ class TestSymbolSample:
 
 class TestDelayDoppler:
     def setup_method(self):
-        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=6)
-        self.tx = pulse_shape(frame, SPEC, W)
+        self.frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=6)
+        self.tx = pulse_shape(self.frame, SPEC, W)
+
+    def echo(self, delay, doppler=0.0, gain=1.0):
+        return apply_delay_doppler(self.frame, SPEC, W, delay, doppler, gain)
 
     def test_identity(self):
-        out = apply_delay_doppler(self.tx, 0.0, 0.0, 1.0)
+        out = self.echo(0.0)
+        assert out.t0 == self.tx.t0
         assert np.allclose(out.samples, self.tx.samples)
 
     def test_integer_shift_exact(self):
-        d = 7 / self.tx.rate
-        out = apply_delay_doppler(self.tx, d, 0.0, 1.0)
-        assert np.array_equal(out.samples[7 : len(self.tx)], self.tx.samples[: len(self.tx) - 7])
+        out = self.echo(7 / self.tx.rate)
+        assert out.t0 == pytest.approx(self.tx.t0 + 7 / self.tx.rate, abs=1e-6 / self.tx.rate)
+        assert np.allclose(out.samples, self.tx.samples, rtol=0, atol=1e-12)
 
     def test_doppler_phase_slope(self):
         nu = 8e3
-        out = apply_delay_doppler(self.tx, 0.0, nu, 1.0)
+        out = self.echo(0.0, nu)
         ratio = out.samples[1000:5000] / self.tx.samples[1000:5000]
         slope = np.polyfit(np.arange(4000), np.unwrap(np.angle(ratio)), 1)[0]
         assert slope * self.tx.rate / (2 * np.pi) == pytest.approx(nu, rel=1e-9)
 
-    def test_composability(self):
-        t1, t2 = 0.37 / self.tx.rate, 1.41 / self.tx.rate
-        once = apply_delay_doppler(self.tx, t1 + t2, 0.0, 1.0)
-        twice = apply_delay_doppler(apply_delay_doppler(self.tx, t1, 0.0, 1.0), t2, 0.0, 1.0)
-        n = min(len(once), len(twice))
-        err = np.abs(once.samples[300 : n - 300] - twice.samples[300 : n - 300])
-        assert err.max() < 1e-3
+    def test_fractional_delay_matches_band_limited_shift(self):
+        # reference: the undelayed stream shifted through its band-limited
+        # interpolant (an FFT phase ramp), on the echo's own time axis
+        rate = self.tx.rate
+        pad = 512
+        x = np.concatenate([np.zeros(pad), self.tx.samples, np.zeros(pad)])
+        f = np.fft.fftfreq(len(x))
+        for d in (12.37, 12.5, 12.81):
+            out = self.echo(d / rate)
+            ref = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * d))
+            start = pad + int(round((out.t0 - self.tx.t0) * rate))
+            err = np.abs(out.samples - ref[start : start + len(out)])
+            assert err.max() < 1e-3
+
+    def test_real_symbols_match_complex_shaping(self):
+        # reference: one complex convolution of the zero-stuffed symbols
+        from scipy.signal import fftconvolve
+
+        q = SPEC.oversample
+        taps = rrc_taps(SPEC)
+        quad = np.roll(self.frame, 5)
+        for s in (self.frame, self.frame + 1j * quad):
+            up = np.zeros(len(s) * q, dtype=complex)
+            up[::q] = s
+            ref = fftconvolve(up, taps.astype(complex))
+            out = pulse_shape(s, SPEC, W)
+            assert np.abs(out.samples - ref).max() < 1e-12
 
     def test_gain_applied(self):
         g = 0.3 - 0.4j
-        out = apply_delay_doppler(self.tx, 0.0, 0.0, g)
+        out = self.echo(0.0, gain=g)
         assert np.allclose(out.samples, g * self.tx.samples)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            apply_delay_doppler(self.tx, -1e-9, 0.0, 1.0)
+            self.echo(-1e-9)
 
     def test_excess_doppler_rejected(self):
         with pytest.raises(ValueError):
-            apply_delay_doppler(self.tx, 0.0, self.tx.rate, 1.0)
+            self.echo(0.0, self.tx.rate)
 
 
 class TestIqStream:

@@ -135,15 +135,14 @@ class TestRangeEstimate:
         # quantization of the fractional-delay search, c*Ts/(2*2Q) ~ 0.5 cm
         from wlanradar.airlink import NoiseClutterSpec, Target, synthesize_radar_rx
         from wlanradar.bench import Scenario
-        from wlanradar.dsp import RrcSpec, pulse_shape
+        from wlanradar.dsp import RrcSpec
         from wlanradar.frame import FrameLayout, assemble_frame
         from wlanradar.sync import preamble_sync
 
         rrc = RrcSpec()
         target = Target(range_m=50.0, velocity_mps=0.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        tx = pulse_shape(frame, rrc, W)
-        rx = synthesize_radar_rx(tx, [target], NoiseClutterSpec(0.0),
+        rx = synthesize_radar_rx(frame, rrc, W, [target], NoiseClutterSpec(0.0),
                                  Scenario().array, None, seed=1, unit_gains=True)
         timing, _ = preamble_sync(rx, rrc, W, fine_template="preamble",
                                   search=(587 - 384, 587 + 384))

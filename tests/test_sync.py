@@ -227,9 +227,8 @@ class TestPipeline:
             d_symbols = 587 + rng.uniform(0, 1)
             target = Target(range_m=d_symbols * TS * SPEED_OF_LIGHT / 2)
             frame = assemble_frame(FrameLayout(k=4352, header_len=0), rng)
-            tx = pulse_shape(frame, RRC, W)
             nc = NoiseClutterSpec(noise_power=1.0)  # SCNR = 0 dB with unit gain
-            rx = synthesize_radar_rx(tx, [target], nc, scen.array, None,
+            rx = synthesize_radar_rx(frame, RRC, W, [target], nc, scen.array, None,
                                      seed=rng, unit_gains=True)
             timing, _ = preamble_sync(rx, RRC, W, fine_template="preamble",
                                       search=(587 - 384, 587 + 384))

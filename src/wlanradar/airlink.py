@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqStream, RrcSpec, apply_delay_doppler
+from .dsp import IqStream, RrcSpec, apply_delay_doppler, rc_pulse
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -305,36 +305,47 @@ def synthesize_radar_rx_symbol_rate(
     ts: float,
     seed=None,
     unit_gains: bool = False,
-    es: float = 1.0,
     rolloff: float = 0.25,
     span: int = 16,
-    n_out: int | None = None,
+    starts=None,
+    length: int | None = None,
 ) -> np.ndarray:
     """Discrete symbol-rate received signal, the post-matched-filter model.
 
     Evaluates, per target,
 
-        y[k] += sqrt(Es) h_p exp(j 2 pi nu_p k Ts) * x_g(k Ts - tau_p)
+        y[k] += h_p exp(j 2 pi nu_p k Ts) * x_g(k Ts - tau_p)
 
     with x_g the symbol stream interpolated through the analytic TX*RX
     raised-cosine cascade, then adds white clutter-plus-noise of per-sample
-    variance sigma_cn^2.  This is the exact limit of the oversampled chain
-    (shaping, delay, matched filter, synchronized symbol sampling) and is
-    used by the long-CPI benches where the full chain would be wasteful.
+    variance sigma_cn^2.  The symbols carry the amplitude.  This is the exact
+    limit of the oversampled chain (shaping, delay, matched filter,
+    synchronized symbol sampling) and is used by the long-CPI benches where
+    the full chain would be wasteful.
+
+    With ``starts`` and ``length`` only the windows a receiver reads are
+    synthesized: the result is the len(starts) x length matrix whose row r
+    is y[starts[r] : starts[r] + length].  The model holds at every k, so a
+    window may start below 0 or run past the end of the stream.  Noise is
+    drawn per row, so windows must not overlap.  Without them the full
+    stream, the single window [0, len(symbols) + ceil(max delay) + span), is
+    returned as a 1-D array.
     """
-    from scipy.signal import fftconvolve
-
-    from .dsp import rc_pulse
-
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    s = np.asarray(symbols, dtype=complex)
+    s = np.asarray(symbols)
     targets = list(targets)
     beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
 
-    max_delay = max((t.delay() / ts for t in targets), default=0.0)
-    if n_out is None:
-        n_out = len(s) + int(np.ceil(max_delay)) + span
-    out = np.zeros(n_out, dtype=complex)
+    full = starts is None
+    if full != (length is None):
+        raise ValueError("starts and length go together")
+    if full:
+        max_delay = max((t.delay() / ts for t in targets), default=0.0)
+        starts, length = [0], len(s) + int(np.ceil(max_delay)) + span
+    starts = np.asarray(starts, dtype=int)
+    if length < 1 or np.any(np.diff(np.sort(starts)) < length):
+        raise ValueError("read windows must be nonempty and must not overlap")
+    out = np.zeros((len(starts), length), dtype=complex)
 
     half = span // 2
     for target, phase in zip(targets, beta_phases):
@@ -344,24 +355,31 @@ def synthesize_radar_rx_symbol_rate(
             h_p = radar_coupling(target, cfg, beams, phase)
         d = target.delay() / ts
         int_d = int(np.floor(d))
-        frac = d - int_d
-        kernel = rc_pulse(np.arange(-half, half + 1) - frac, rolloff)
-        shifted = fftconvolve(s, kernel)  # sample j ~ x_g((j - half - frac) Ts)
+        kernel = rc_pulse(np.arange(-half, half + 1) - (d - int_d), rolloff)
+        # symbol i peaks at k0 + i + half and reaches samples k0 + i .. k0 + i + span
         k0 = int_d - half
-        lo = max(k0, 0)
-        hi = min(k0 + len(shifted), n_out)
-        if hi > lo:
-            seg = shifted[lo - k0 : hi - k0]
-            k = np.arange(lo, hi)
-            out[lo:hi] += (
-                np.sqrt(es)
-                * h_p
-                * seg
-                * np.exp(2j * np.pi * target.doppler(cfg.wavelength) * k * ts)
-            )
+        echo = np.array([
+            np.convolve(_zero_extended(s, lo - k0 - span, lo + length - k0), kernel, "valid")
+            for lo in starts
+        ])
+        # Doppler ramp at k = start + j, factored into per-row and per-column terms
+        w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
+        ramp = np.outer(h_p * np.exp(w * starts), np.exp(w * np.arange(length)))
+        out += ramp * echo
 
-    sigma = np.sqrt(nc.sigma_cn2 / 2)
-    out += sigma * (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out))
+    # every real part, then every imaginary part: the full stream's draw order
+    noise = np.sqrt(nc.sigma_cn2 / 2) * rng.standard_normal((2, *out.shape))
+    out.real += noise[0]
+    out.imag += noise[1]
+    return out[0] if full else out
+
+
+def _zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi], with zeros wherever the index falls outside x."""
+    out = np.zeros(hi - lo, dtype=x.dtype)
+    a, b = max(lo, 0), min(hi, len(x))
+    if b > a:
+        out[a - lo : b - lo] = x[a:b]
     return out
 
 

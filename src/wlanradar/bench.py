@@ -35,6 +35,7 @@ from .airlink import (
 )
 from .dsp import RrcSpec, pulse_shape
 from .frame import (
+    CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
     STF_LEN,
@@ -396,18 +397,18 @@ def _velocity_trial(args) -> float:
                        seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
-    y = synthesize_radar_rx_symbol_rate(
+    # one read window per frame: the fine-timing search span plus the preamble
+    expect = int(np.round(target.delay() / scen.ts))
+    lo = max(expect - 32, 0)
+    rows = synthesize_radar_rx_symbol_rate(
         cpi, [target], nc, scen.array, None, scen.ts, rng,
         unit_gains=True, rolloff=scen.rolloff, span=scen.rrc_span,
+        starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
     )
 
-    expect = int(np.round(target.delay() / scen.ts))
-    fine, _ = fine_timing_preamble(y, (expect - 32, expect + 33))
-    template = np.conj(DEFAULT_PREAMBLE.symbols.astype(complex))
-    q = np.array([
-        np.dot(y[fine + i * k : fine + i * k + PREAMBLE_LEN], template)
-        for i in range(m)
-    ])
+    fine, _ = fine_timing_preamble(rows[0], (expect - 32 - lo, expect + 33 - lo))
+    # an elementwise sum, not a matrix product: OpenBLAS threads a gemv this size
+    q = np.sum(rows[:, fine : fine + PREAMBLE_LEN] * DEFAULT_PREAMBLE.symbols, axis=1)
     est = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
                                   ts=scen.ts, wavelength=scen.wavelength)
     return float((est.velocity_mps - target.velocity_mps) ** 2)
@@ -557,20 +558,6 @@ def _run_linkbudget(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _cef_start_for_frame(m: int, k: int, base_delay_symbols: int = 0) -> int:
-    """Stream index where a zero-delay echo's a_512 would begin in frame m."""
-    return m * k + STF_LEN + base_delay_symbols
-
-
-def _channel_matrix(y: np.ndarray, m: int, k: int) -> np.ndarray:
-    """M x 512 matrix of sliding-mode CEF estimates referenced to TX time."""
-    rows = []
-    for mm in range(m):
-        start = _cef_start_for_frame(mm, k) + 256
-        rows.append(estimate_channel_cef(y, start, gated=False))
-    return np.array(rows)
-
-
 def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     """Multi-target delay-Doppler bench: peaks, widths, and back-mapped physics.
 
@@ -595,13 +582,13 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
 
-    scaled = np.asarray(cpi, dtype=complex) / h_ref
-    y = synthesize_radar_rx_symbol_rate(
-        scaled, scen.targets, nc, scen.array, beams, scen.ts, rng,
+    # each frame's sliding CEF read: 512 lags of the 1024-symbol a|b pair
+    rows = synthesize_radar_rx_symbol_rate(
+        cpi / h_ref, scen.targets, nc, scen.array, beams, scen.ts, rng,
         unit_gains=False, rolloff=scen.rolloff, span=scen.rrc_span,
+        starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
     )
-
-    h = _channel_matrix(y, m, k)
+    h = np.array([estimate_channel_cef(row, CEF_PEAK_BIN, gated=False) for row in rows])
     ddm = build_delay_doppler_map(h, zero_pad=scen.zero_pad, ts=scen.ts,
                                   frame_len=k, wavelength=scen.wavelength)
     bin_noise_var = sigma_cn2 / (2 * 512)

@@ -126,10 +126,9 @@ def pulse_shape(
     symbols,
     spec: RrcSpec,
     symbol_rate: float,
-    es: float = 1.0,
     delay: float = 0.0,
 ) -> IqStream:
-    """Shape symbols with the TX RRC at rate Q * symbol_rate, scaled by sqrt(Es).
+    """Shape symbols with the TX RRC at rate Q * symbol_rate; they carry the amplitude.
 
     ``delay`` (seconds) shifts the whole waveform: its nearest whole number
     of samples moves t0, and the remainder (at most half a sample either
@@ -160,7 +159,7 @@ def pulse_shape(
         shaped = shape(s)
     half = (len(taps) - 1) // 2
     t0 = (int_shift - half) / rate
-    return IqStream(shaped * np.sqrt(es), rate, t0)
+    return IqStream(shaped, rate, t0)
 
 
 def matched_filter(y: IqStream, spec: RrcSpec, symbol_rate: float | None = None) -> IqStream:

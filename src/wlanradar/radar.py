@@ -32,7 +32,6 @@ __all__ = [
     "cfar_threshold",
     "detect_target",
     "matched_preamble_statistic",
-    "cef_peak_statistic",
     "estimate_range",
     "estimate_velocity_moose",
     "moose_ambiguity_limit",
@@ -118,11 +117,6 @@ def matched_preamble_statistic(
     return float(best_val), best_lag
 
 
-def cef_peak_statistic(h_hat: np.ndarray, bin_index: int = 256) -> float:
-    """CEF detection statistic |h_hat[l_CEF]|^2."""
-    return float(np.abs(h_hat[bin_index]) ** 2)
-
-
 def estimate_range(
     delay_symbols: float,
     ts: float,
@@ -202,14 +196,6 @@ class DelayDopplerMap:
 
     def range_axis_m(self) -> np.ndarray:
         return np.arange(self.grid.shape[0]) * self.ts * SPEED_OF_LIGHT / 2.0
-
-    def magnitude_db(self) -> np.ndarray:
-        mag = np.abs(self.grid)
-        peak = mag.max()
-        if peak == 0:
-            return np.full_like(mag, -np.inf)
-        with np.errstate(divide="ignore"):
-            return 20 * np.log10(mag / peak)
 
 
 def build_delay_doppler_map(

@@ -246,6 +246,38 @@ class TestSynthesis:
         err = np.abs(sym_full[:n] - sym_fast[:n])
         assert err.max() < 2e-3
 
+    def test_symbol_rate_windows_are_full_stream_slices(self):
+        # noise off, two targets: each read window is a slice of the full
+        # stream, also where it starts below 0 or runs past the stream end,
+        # and the part past the end holds no echo
+        targets = [Target(range_m=12.71, velocity_mps=33.0),
+                   Target(range_m=30.2, velocity_mps=-12.0)]
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
+        args = (frame, targets, NoiseClutterSpec(0.0), CFG, None, TS)
+        full = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True)
+        length = 300
+        starts = np.array([-40, 1000, len(full) - 100])
+        rows = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True,
+                                               starts=starts, length=length)
+        assert rows.shape == (len(starts), length)
+        for row, lo in zip(rows, starts):
+            a, b = max(lo, 0), min(lo + length, len(full))
+            assert np.abs(row[a - lo : b - lo] - full[a:b]).max() < 1e-12
+        assert np.abs(rows[1]).max() > 0.5
+        assert np.all(rows[2, 100:] == 0)
+
+    def test_symbol_rate_windows_carry_the_noise_power(self):
+        nc = NoiseClutterSpec(noise_power=0.3, clutter_power=0.2)
+        rows = synthesize_radar_rx_symbol_rate(np.ones(64), [], nc, CFG, None, TS,
+                                               seed=5, starts=np.arange(8) * 5000,
+                                               length=2000)
+        assert np.mean(np.abs(rows) ** 2) == pytest.approx(nc.sigma_cn2, rel=0.05)
+
+    def test_symbol_rate_overlapping_windows_rejected(self):
+        with pytest.raises(ValueError):
+            synthesize_radar_rx_symbol_rate(np.ones(64), [], NoiseClutterSpec(), CFG,
+                                            None, TS, starts=[0, 10], length=20)
+
 
 class TestNoiseClutterSpec:
     def test_total_is_sum(self):

@@ -136,7 +136,13 @@ class TestDeterminism:
          "5119f39c90918fe397f2381c361152b7986534dd47028e97ad39104a28938876"),
         (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
          "3537c9d3b61890e1eeb51b7f098bdfae260a043ee7f99ee1fa35e734caa2b9b9"),
-    ], ids=["detection", "range-mse"])
+        (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
+                        sweep=(0.0, 10.0), trials=6, seed=3),
+         "f9fe1b72fde29f6c59a3408cbc4561a0fe469937b3cad166615d28420c4e1e9b"),
+        (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
+                        trials=1, seed=3, pfa=1e-4),
+         "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
+    ], ids=["detection", "range-mse", "velocity-mse", "ddmap"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

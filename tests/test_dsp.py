@@ -52,18 +52,16 @@ class TestRrcTaps:
 
 class TestPulseShape:
     def test_single_symbol_is_impulse_response(self):
-        es = 2.5
-        out = pulse_shape([1.0], SPEC, W, es=es)
+        out = pulse_shape([1.0], SPEC, W)
         taps = rrc_taps(SPEC)
-        assert np.allclose(out.samples[: len(taps)], np.sqrt(es) * taps)
+        assert np.allclose(out.samples[: len(taps)], taps)
         assert np.abs(out.samples[len(taps) :]).max() < 1e-12
 
     def test_energy_per_symbol(self):
         frame = assemble_frame(FrameLayout(k=6656), seed=3)
-        es = 1.7
-        out = pulse_shape(frame, SPEC, W, es=es)
+        out = pulse_shape(frame, SPEC, W)
         per_symbol = np.sum(np.abs(out.samples) ** 2) / len(frame)
-        assert per_symbol == pytest.approx(es, rel=0.01)
+        assert per_symbol == pytest.approx(1.0, rel=0.01)
 
     def test_q1_degenerates_to_symbol_rate(self):
         spec1 = RrcSpec(oversample=1)

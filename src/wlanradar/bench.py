@@ -266,14 +266,13 @@ def ambiguity_function(
     lags,
     dopplers,
     ts: float,
-    pair: GolayPair | None = None,
+    pair: GolayPair,
 ) -> np.ndarray:
-    """|ambiguity| over (doppler, lag): sum_n x[n] conj(x[n-lag]) e^{j2pi nu n Ts}.
+    """|ambiguity| over (doppler, lag) of the time-multiplexed pair [a b].
 
-    With ``pair`` given, the waveform is treated as the time-multiplexed
-    complementary pair [a b] and processed through the segment-gated pair
-    correlator (scaled by 2N so the zero-Doppler peak equals the total
-    energy); the zero-Doppler cut is then an exact delta.
+    The Doppler-shifted waveform x[n] e^{j2pi nu n Ts} is processed through
+    the segment-gated pair correlator (scaled by 2N so the zero-Doppler peak
+    equals the total energy); the zero-Doppler cut is then an exact delta.
     """
     x = np.asarray(waveform, dtype=complex)
     lags = np.asarray(lags, dtype=int)
@@ -284,15 +283,7 @@ def ambiguity_function(
     out = np.empty((len(dopplers), len(lags)))
     for i, nu in enumerate(dopplers):
         z = x * np.exp(2j * np.pi * nu * n * ts)
-        if pair is None:
-            c = np.correlate(z, x, mode="full")          # lags -(N-1)..N-1
-            idx = lags + len(x) - 1
-            ok = (idx >= 0) & (idx < len(c))
-            vals = np.zeros(len(lags), dtype=complex)
-            vals[ok] = c[idx[ok]]
-        else:
-            vals = 2 * len(pair) * golay_pair_correlate(z, pair, lags=lags, gate=0)
-        out[i] = np.abs(vals)
+        out[i] = np.abs(2 * len(pair) * golay_pair_correlate(z, pair, lags=lags, gate=0))
     return out
 
 
@@ -436,10 +427,17 @@ def _comm_snr_draws(scen: Scenario, scnr_db: float, m: int, rng) -> np.ndarray:
 
 
 def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("WLANRADAR_WORKERS")
-    return max(1, int(env)) if env else 1
+    if workers is None:
+        env = os.environ.get("WLANRADAR_WORKERS")
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"WLANRADAR_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
 
 
 def _map_trials(fn, args_list, workers: int):
@@ -588,7 +586,7 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
         unit_gains=False, rolloff=scen.rolloff, span=scen.rrc_span,
         starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
     )
-    h = np.array([estimate_channel_cef(row, CEF_PEAK_BIN, gated=False) for row in rows])
+    h = estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
     ddm = build_delay_doppler_map(h, zero_pad=scen.zero_pad, ts=scen.ts,
                                   frame_len=k, wavelength=scen.wavelength)
     bin_noise_var = sigma_cn2 / (2 * 512)
@@ -612,11 +610,10 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
 
 def _mainlobe_widths(ddm, det) -> tuple[float, float]:
     """(delay width in bins, Doppler width in interpolated bins/Z) at -3 dB."""
-    power = np.abs(ddm.grid) ** 2
-    pk = power[det.delay_bin, det.doppler_bin]
-    half = pk / 2
+    row = np.abs(ddm.grid[:, det.doppler_bin]) ** 2
+    col = np.abs(ddm.grid[det.delay_bin, :]) ** 2
+    half = row[det.delay_bin] / 2
 
-    row = power[:, det.doppler_bin]
     lo = det.delay_bin
     while lo - 1 >= 0 and row[lo - 1] >= half:
         lo -= 1
@@ -625,7 +622,6 @@ def _mainlobe_widths(ddm, det) -> tuple[float, float]:
         hi += 1
     delay_width = hi - lo + 1
 
-    col = power[det.delay_bin, :]
     lo = det.doppler_bin
     while lo - 1 >= 0 and col[lo - 1] >= half:
         lo -= 1

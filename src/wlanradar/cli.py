@@ -168,10 +168,9 @@ def _run_and_emit(args, kind: str) -> int:
             tradeoff_scnr_db=exp_cfg.get("tradeoff_scnr_db", 10.0),
             doppler_grid=tuple(exp_cfg.get("doppler_grid", ())),
         )
+        table = run_experiment(spec, workers=args.workers)
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-
-    table = run_experiment(spec, workers=args.workers)
     csv_text = table.to_csv_text()
     if args.out:
         args.out.write_text(csv_text)

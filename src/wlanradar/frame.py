@@ -95,18 +95,6 @@ class FrameLayout:
             )
 
     @property
-    def stf_len(self) -> int:
-        return STF_LEN
-
-    @property
-    def cef_len(self) -> int:
-        return CEF_LEN
-
-    @property
-    def preamble_len(self) -> int:
-        return PREAMBLE_LEN
-
-    @property
     def payload_len(self) -> int:
         return self.k - PREAMBLE_LEN - self.header_len
 
@@ -142,11 +130,15 @@ def assemble_frame(
     same frame exactly.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    data = rng.integers(0, 2, layout.header_len + layout.payload_len) * 2.0 - 1.0
-    frame = np.concatenate([preamble.symbols, data])
-    if frame.ndim != 1 or len(frame) != layout.k:
-        raise AssertionError("frame bookkeeping error")
+    frame = np.empty(layout.k)
+    _fill_frame(frame, rng, preamble)
     return frame
+
+
+def _fill_frame(frame: np.ndarray, rng: np.random.Generator, preamble: Preamble):
+    """Write the preamble, then random BPSK header/payload symbols, into ``frame``."""
+    frame[:PREAMBLE_LEN] = preamble.symbols
+    frame[PREAMBLE_LEN:] = rng.integers(0, 2, len(frame) - PREAMBLE_LEN) * 2.0 - 1.0
 
 
 def assemble_cpi(
@@ -158,9 +150,7 @@ def assemble_cpi(
     """M concatenated frames; identical preambles, per-frame fresh payloads."""
     if cfg.k != layout.k:
         raise ValueError(f"CpiConfig.k={cfg.k} disagrees with FrameLayout.k={layout.k}")
-    streams = np.random.SeedSequence(seed).spawn(cfg.m)
-    frames = [
-        assemble_frame(layout, np.random.default_rng(s), preamble)
-        for s in streams
-    ]
-    return np.concatenate(frames)
+    frames = np.empty((cfg.m, layout.k))
+    for frame, s in zip(frames, np.random.SeedSequence(seed).spawn(cfg.m)):
+        _fill_frame(frame, np.random.default_rng(s), preamble)
+    return frames.ravel()

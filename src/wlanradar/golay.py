@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 __all__ = [
     "GolayPair",
@@ -100,58 +101,56 @@ def golay_pair_correlate(
 
     Two windowing modes:
 
-    * gate=None (sliding): both sums read the full stream.  Amplitude is
-      exact for shifted copies of the pair, but off-peak values pick up the
+    * gate=None (sliding): gamma(l) = (1/2N) sum_{n<2N} rx[l + n] conj([a b][n])
+      over the zero-extended stream, one correlation against [a b].  Amplitude
+      is exact for shifted copies of the pair, but off-peak values pick up the
       cross terms between the a/b segments and whatever surrounds them.
+      ``rx`` may stack rows along leading axes, shape (..., L); every row is
+      correlated at the same lags.
     * gate=g (segment-gated): rx[g:g+N] and rx[g+N:g+2N] are extracted and
       treated as isolated records (zeros outside).  For an echo aligned to
       the gate the response is the complementary sum R_a + R_b, i.e. an
       exact delta across every off-peak lag.  This is the form behind the
-      channel-estimate decomposition used by detection.
+      channel-estimate decomposition used by detection.  ``rx`` must be 1-d.
 
     Lags index the position of the a-window within the stream; ``lags`` may
     be an int (number of lags from 0) or an array of lag values.
     """
     y = np.asarray(rx, dtype=complex)
     n = len(pair)
-    if len(y) < 2 * n:
-        raise ValueError(f"rx must contain at least 2N={2 * n} samples, got {len(y)}")
+    if y.ndim < 1 or y.shape[-1] < 2 * n:
+        raise ValueError(f"rx must contain at least 2N={2 * n} samples, got {y.shape}")
     if lags is None:
-        lags = np.arange(len(y) - 2 * n + 1)
+        lags = np.arange(y.shape[-1] - 2 * n + 1)
     elif np.isscalar(lags):
         lags = np.arange(int(lags))
     else:
         lags = np.asarray(lags, dtype=int)
 
+    if gate is None:
+        return _sliding_corr(y, np.concatenate([pair.a, pair.b]), lags) / (2 * n)
+    if y.ndim != 1:
+        raise ValueError("segment-gated correlation takes a 1-d stream")
     a = np.asarray(pair.a, dtype=complex)
     b = np.asarray(pair.b, dtype=complex)
-
-    if gate is None:
-        c_a = _sliding_corr(y, a, lags)
-        c_b = _sliding_corr(y, b, lags + n)
-    else:
-        c_a = _segment_corr(y[gate : gate + n], a, lags - gate)
-        c_b = _segment_corr(y[gate + n : gate + 2 * n], b, lags - gate)
+    c_a = _segment_corr(y[gate : gate + n], a, lags - gate)
+    c_b = _segment_corr(y[gate + n : gate + 2 * n], b, lags - gate)
     return (c_a + c_b) / (2 * n)
 
 
 def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """out[i] = sum_k y[lags[i] + k] conj(ref[k]), zero-extended outside y."""
+    """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y."""
     n = len(ref)
     lo = int(lags.min())
     hi = int(lags.max())
     # slice the needed span first, then zero-extend just that segment
     seg_lo = max(lo, 0)
-    seg_hi = min(hi + n, len(y))
-    seg = y[seg_lo:seg_hi]
-    pad_l = seg_lo - lo
-    pad_r = (hi + n) - seg_hi
-    if pad_l or pad_r:
-        seg = np.concatenate(
-            [np.zeros(pad_l, complex), seg, np.zeros(pad_r, complex)]
-        )
-    c = np.correlate(seg, ref, mode="valid")
-    return c[lags - lo]
+    seg_hi = min(hi + n, y.shape[-1])
+    seg = np.pad(y[..., seg_lo:seg_hi],
+                 [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)])
+    kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
+    c = fftconvolve(seg, kernel, mode="valid", axes=-1)
+    return c[..., lags - lo]
 
 
 def _segment_corr(seg: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ chi_D = -noise_var * ln(P_FA) exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import ncx2
@@ -25,12 +26,10 @@ from .airlink import SPEED_OF_LIGHT
 from .dsp import IqStream
 
 __all__ = [
-    "DetectionDecision",
     "RadarEstimate",
     "DelayDopplerMap",
     "MapDetection",
     "cfar_threshold",
-    "detect_target",
     "matched_preamble_statistic",
     "estimate_range",
     "estimate_velocity_moose",
@@ -42,14 +41,6 @@ __all__ = [
     "resolutions",
     "detection_probability",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionDecision:
-    statistic: float
-    threshold: float
-    detected: bool
-    pfa: float
 
 
 @dataclass(frozen=True)
@@ -73,17 +64,6 @@ def cfar_threshold(noise_var: float, pfa: float) -> float:
     if not (0 < pfa <= 1):
         raise ValueError("pfa must lie in (0, 1]")
     return -noise_var * np.log(pfa)
-
-
-def detect_target(statistic: float, noise_var: float, pfa: float) -> DetectionDecision:
-    """Simple thresholding of a power statistic at constant false-alarm rate."""
-    chi = cfar_threshold(noise_var, pfa)
-    return DetectionDecision(
-        statistic=float(statistic),
-        threshold=float(chi),
-        detected=bool(statistic > chi),
-        pfa=pfa,
-    )
 
 
 def matched_preamble_statistic(
@@ -222,9 +202,9 @@ def build_delay_doppler_map(
         if frame_len is None:
             raise ValueError("provide frame_len (K) or frame_period (K*Ts)")
         frame_period = frame_len * ts
-    grid = np.fft.fftshift(np.fft.fft(h, n=m * zero_pad, axis=0), axes=0)
+    grid = np.fft.fftshift(np.fft.fft(h.T, n=m * zero_pad, axis=1), axes=1)
     return DelayDopplerMap(
-        grid=grid.T.copy(),
+        grid=grid,
         ts=ts,
         frame_period=frame_period,
         zero_pad=zero_pad,
@@ -233,8 +213,7 @@ def build_delay_doppler_map(
     )
 
 
-@dataclass(frozen=True)
-class MapDetection:
+class MapDetection(NamedTuple):
     delay_bin: int
     doppler_bin: int            # column in the shifted grid
     range_m: float
@@ -251,38 +230,39 @@ def detect_targets_map(
 
     ``bin_noise_var`` is the per-bin variance of the channel-estimate noise;
     a map cell built from an M-point DFT of such bins has background variance
-    M * bin_noise_var.  A cell is kept when it exceeds the threshold and both
-    of its neighbours along each axis (delay clipped, Doppler wrapped).
+    M * bin_noise_var.  A cell is kept when its power exceeds the threshold,
+    is >= its lower-index neighbour and > its upper-index neighbour along
+    each axis (Doppler wrapped, delay clipped: the first and last delay rows
+    have one neighbour each).  On a plateau of equal cells along an axis
+    only the last (highest-index) cell can be kept.  Detections are sorted
+    by descending power, ties in row-major (delay, Doppler) order.
     """
     power = np.abs(ddm.grid) ** 2
     cell_var = ddm.n_frames * bin_noise_var
     chi = cfar_threshold(cell_var, pfa)
 
-    above = power > chi
-    # local maxima: strictly greater than the axis neighbours
-    up = np.roll(power, 1, axis=1)
-    down = np.roll(power, -1, axis=1)
-    left = np.zeros_like(power)
-    right = np.zeros_like(power)
-    left[1:, :] = power[:-1, :]
-    right[:-1, :] = power[1:, :]
-    is_peak = above & (power >= up) & (power > down) & (power >= left) & (power > right)
+    is_peak = power > chi
+    # Doppler (axis 1) wraps: column 0's lower neighbour is the last column
+    is_peak[:, 1:] &= power[:, 1:] >= power[:, :-1]
+    is_peak[:, 0] &= power[:, 0] >= power[:, -1]
+    is_peak[:, :-1] &= power[:, :-1] > power[:, 1:]
+    is_peak[:, -1] &= power[:, -1] > power[:, 0]
+    # delay (axis 0) is clipped
+    is_peak[1:] &= power[1:] >= power[:-1]
+    is_peak[:-1] &= power[:-1] > power[1:]
 
-    vel_axis = ddm.velocity_axis_mps()
-    rng_axis = ddm.range_axis_m()
-    out = []
-    for l_bin, d_bin in zip(*np.nonzero(is_peak)):
-        out.append(
-            MapDetection(
-                delay_bin=int(l_bin),
-                doppler_bin=int(d_bin),
-                range_m=float(rng_axis[l_bin]),
-                velocity_mps=float(vel_axis[d_bin]),
-                power=float(power[l_bin, d_bin]),
-            )
-        )
-    out.sort(key=lambda d: -d.power)
-    return out
+    l_bin, d_bin = np.nonzero(is_peak)
+    p = power[l_bin, d_bin]
+    order = np.argsort(-p, kind="stable")
+    l_bin, d_bin, p = l_bin[order], d_bin[order], p[order]
+    return list(map(
+        MapDetection,
+        l_bin.tolist(),
+        d_bin.tolist(),
+        ddm.range_axis_m()[l_bin].tolist(),
+        ddm.velocity_axis_mps()[d_bin].tolist(),
+        p.tolist(),
+    ))
 
 
 # ----------------------------------------------------------------------------

@@ -194,10 +194,11 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
     gated=True correlates the extracted a/b fields as isolated records, so
     the noiseless response is the complementary sum R_a + R_b: an exact
     delta at the peak bin and exact zeros elsewhere.  gated=False slides
-    both windows over the full stream, which keeps the noise floor uniform
-    across bins and supports the wide-delay-span use of the map processor
-    at the cost of structured cross-term sidelobes from the surrounding
-    preamble symbols.
+    the concatenated [a b] over the full stream, which keeps the noise floor
+    uniform across bins and supports the wide-delay-span use of the map
+    processor at the cost of structured cross-term sidelobes from the
+    surrounding preamble symbols.  The sliding mode also takes stacked rows
+    (..., L) and returns (..., 512): one estimate per row, e.g. per frame.
     """
     y = np.asarray(y, dtype=complex)
     lags = start - CEF_PEAK_BIN + np.arange(512)

@@ -31,10 +31,6 @@ class TestAmbiguity:
         off = np.delete(amb[0], peak)
         assert off.max() < 1e-9
 
-    def test_single_mode_total_energy_at_origin(self):
-        amb = ambiguity_function(self.waveform, [0], [0.0], TS)
-        assert amb[0, 0] == pytest.approx(2 * 512)
-
     def test_doppler_intolerance(self):
         # peak decays as the Doppler shift grows
         t_p = 1024 * TS
@@ -45,7 +41,7 @@ class TestAmbiguity:
 
     def test_doppler_grid_bounded(self):
         with pytest.raises(ValueError):
-            ambiguity_function(self.waveform, [0], [W], TS)
+            ambiguity_function(self.waveform, [0], [W], TS, pair=self.pair)
 
 
 class TestDataRate:
@@ -105,6 +101,18 @@ class TestSpecValidation:
     def test_tradeoff_frame_count_below_one_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="tradeoff", sweep=(2, 0))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(ExperimentSpec(kind="crlb", sweep=(0.0,), trials=1),
+                           workers=workers)
+
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", "1.5"])
+    def test_bad_worker_env_rejected(self, env, monkeypatch):
+        monkeypatch.setenv("WLANRADAR_WORKERS", env)
+        with pytest.raises(ValueError, match="WLANRADAR_WORKERS|workers"):
+            run_experiment(ExperimentSpec(kind="crlb", sweep=(0.0,), trials=1))
 
     def test_scenario_roundtrip(self):
         scen = two_vehicle_scenario()

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -71,6 +72,20 @@ class TestErrors:
         r = run_cli("tradeoff", "--frames", "0", "--trials", "1")
         assert r.returncode == 1
         assert r.stderr.startswith("error:")
+
+    def test_zero_workers_rejected(self):
+        r = run_cli("velocity", "--workers", "0", "--trials", "2", "--scnr", "10",
+                    "--frames", "2")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+
+    def test_bad_workers_env_rejected(self):
+        for env in ("abc", "0"):
+            r = run_cli("crlb", "--eq", "table",
+                        env={**os.environ, "WLANRADAR_WORKERS": env})
+            assert r.returncode == 1
+            assert r.stderr.startswith("error:")
+            assert "WLANRADAR_WORKERS" in r.stderr or "workers" in r.stderr
 
     def test_bad_scenario_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"

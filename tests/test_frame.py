@@ -69,9 +69,9 @@ class TestCef:
 class TestLayout:
     def test_bookkeeping(self):
         layout = FrameLayout(k=12800, header_len=1024)
-        assert layout.preamble_len == 3328 == PREAMBLE_LEN
+        assert STF_LEN + CEF_LEN == PREAMBLE_LEN == 3328
         assert layout.payload_len == 12800 - 3328 - 1024
-        assert layout.stf_len + layout.cef_len + layout.header_len + layout.payload_len == layout.k
+        assert PREAMBLE_LEN + layout.header_len + layout.payload_len == layout.k
 
     def test_too_small_k_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +162,21 @@ class TestCpi:
         for i in range(m):
             assert np.array_equal(frames[i, :PREAMBLE_LEN], frames[0, :PREAMBLE_LEN])
         assert not np.array_equal(frames[0, PREAMBLE_LEN:], frames[1, PREAMBLE_LEN:])
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_equals_spawned_frame_concatenation(self, custom):
+        p512 = generate_golay_pair(512)
+        preamble = (Preamble(pair512=GolayPair(p512.b, p512.a)) if custom
+                    else DEFAULT_PREAMBLE)
+        layout = FrameLayout(k=4000, header_len=128)
+        m, seed = 5, 21
+        cpi = assemble_cpi(CpiConfig(m, 4000, TS), layout, seed=seed, preamble=preamble)
+        ref = np.concatenate([
+            assemble_frame(layout, np.random.default_rng(s), preamble)
+            for s in np.random.SeedSequence(seed).spawn(m)
+        ])
+        assert cpi.shape == ref.shape and cpi.dtype == ref.dtype
+        assert cpi.tobytes() == ref.tobytes()
 
     def test_inconsistent_k_rejected(self):
         with pytest.raises(ValueError):

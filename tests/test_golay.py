@@ -114,6 +114,35 @@ class TestPairCorrelator:
         off = np.delete(np.abs(g), peak)
         assert off.max() == 0.0
 
+    def test_sliding_mode_is_the_two_half_sum(self):
+        # one [a b] correlation equals the a-half plus the b-half definition,
+        # with the stream zero-extended at both ends
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+        lags = np.arange(-40, 530)
+        g = golay_pair_correlate(y, self.pair, lags)
+        pad = np.concatenate([np.zeros(64), y, np.zeros(1100)])
+        ref = np.array([
+            np.dot(pad[64 + l : 64 + l + 512], self.pair.a)
+            + np.dot(pad[64 + l + 512 : 64 + l + 1024], self.pair.b)
+            for l in lags
+        ]) / 1024
+        assert np.max(np.abs(g - ref)) < 1e-12
+
+    def test_sliding_mode_takes_stacked_rows(self):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((2, 3, 1300)) + 1j * rng.standard_normal((2, 3, 1300))
+        lags = np.arange(-10, 200)
+        g = golay_pair_correlate(rows, self.pair, lags)
+        assert g.shape == (2, 3, len(lags))
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(g[i, j], golay_pair_correlate(rows[i, j], self.pair, lags))
+
+    def test_gated_mode_rejects_stacked_rows(self):
+        with pytest.raises(ValueError):
+            golay_pair_correlate(np.zeros((2, 1100)), self.pair, np.arange(4), gate=0)
+
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             golay_pair_correlate(np.zeros(1000), self.pair)

@@ -3,11 +3,11 @@ import pytest
 
 from wlanradar.airlink import SPEED_OF_LIGHT
 from wlanradar.radar import (
+    DelayDopplerMap,
     build_delay_doppler_map,
     cfar_threshold,
     crlb_range,
     crlb_velocity,
-    detect_target,
     detect_targets_map,
     detection_probability,
     estimate_range,
@@ -50,11 +50,6 @@ class TestCfar:
         rate = np.mean(stats > chi)
         sigma = np.sqrt(pfa * (1 - pfa) / n)
         assert abs(rate - pfa) < 3 * sigma
-
-    def test_noiseless_target_always_detected(self):
-        d = detect_target(statistic=100.0, noise_var=1.0, pfa=1e-12)
-        assert d.detected
-        assert d.statistic > d.threshold
 
 
 class TestMoose:
@@ -261,6 +256,20 @@ class TestDelayDopplerMap:
         assert ax.min() == pytest.approx(-1 / (2 * 12800 * TS))
         assert ax.max() < 1 / (2 * 12800 * TS)
 
+    def test_equals_explicit_padded_dft(self):
+        m, z = 5, 3
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((m, 512)) + 1j * rng.standard_normal((m, 512))
+        ddm = build_delay_doppler_map(h, zero_pad=z, ts=TS, frame_len=12800)
+        n = m * z
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(m)) / n)
+        ref = np.fft.fftshift(dft @ h, axes=0).T
+        assert ddm.grid.shape == (512, n)
+        assert np.allclose(ddm.grid, ref, rtol=0, atol=1e-12)
+        # the frame-axis transform of the frame-major matrix, bit for bit
+        frame_axis = np.fft.fftshift(np.fft.fft(h, n=n, axis=0), axes=0).T
+        assert np.array_equal(ddm.grid, frame_axis)
+
     def test_scaling_invariance_of_peak_location(self):
         h = _single_target_channel_matrix(8, 12800, 250, 5e3, sigma=0.1, seed=3)
         ddm1 = build_delay_doppler_map(h, zero_pad=8, ts=TS, frame_len=12800)
@@ -268,7 +277,58 @@ class TestDelayDopplerMap:
         assert np.argmax(np.abs(ddm1.grid)) == np.argmax(np.abs(ddm2.grid))
 
 
+def _map(grid, n_frames=2):
+    return DelayDopplerMap(grid=np.asarray(grid, dtype=complex), ts=TS,
+                           frame_period=12800 * TS, zero_pad=1, wavelength=LAM60,
+                           n_frames=n_frames)
+
+
+def _brute_force_peaks(ddm, pfa, bin_noise_var):
+    """Per-cell reference: threshold, >= lower and > upper neighbour per axis."""
+    power = np.abs(ddm.grid) ** 2
+    chi = cfar_threshold(ddm.n_frames * bin_noise_var, pfa)
+    n_l, n_d = power.shape
+    rng_axis = ddm.range_axis_m()
+    vel_axis = ddm.velocity_axis_mps()
+    out = []
+    for i in range(n_l):
+        for j in range(n_d):
+            p = power[i, j]
+            keep = (p > chi
+                    and p >= power[i, (j - 1) % n_d] and p > power[i, (j + 1) % n_d]
+                    and (i == 0 or p >= power[i - 1, j])
+                    and (i == n_l - 1 or p > power[i + 1, j]))
+            if keep:
+                out.append((i, j, float(rng_axis[i]), float(vel_axis[j]), float(p)))
+    out.sort(key=lambda d: -d[4])
+    return out
+
+
 class TestMapDetection:
+    def test_equals_brute_force_reference(self):
+        # integer-valued cells make ties frequent, so the tie rule and the
+        # order of equal powers are exercised too
+        rng = np.random.default_rng(12)
+        grid = rng.integers(0, 4, (40, 24)) + 1j * rng.integers(0, 3, (40, 24))
+        ddm = _map(grid)
+        dets = detect_targets_map(ddm, 0.5, bin_noise_var=0.5)
+        ref = _brute_force_peaks(ddm, 0.5, 0.5)
+        assert len(ref) > 20
+        assert [tuple(d) for d in dets] == ref
+
+    def test_tie_rule_on_plateaus_and_wrapped_doppler(self):
+        grid = np.zeros((64, 16))
+        grid[10, 5] = grid[11, 5] = 3.0     # delay plateau: the later row wins
+        grid[20, 7] = grid[20, 8] = 2.0     # Doppler plateau: the later column wins
+        grid[30, 0] = grid[30, 15] = 2.5    # tie across the Doppler wrap: column 0
+        grid[40, 0], grid[40, 15] = 1.5, 1.8
+        grid[0, 3] = grid[63, 3] = 1.0      # delay is clipped, not wrapped
+        dets = detect_targets_map(_map(grid), 0.5, bin_noise_var=1e-3)
+        assert [(d.delay_bin, d.doppler_bin) for d in dets] == [
+            (11, 5), (30, 0), (20, 8), (40, 15), (0, 3), (63, 3),
+        ]
+        assert [d.power for d in dets] == [9.0, 6.25, 4.0, 3.24, 1.0, 1.0]
+
     def test_noise_only_false_cell_count(self):
         m, sigma2 = 4, 1.0
         rng = np.random.default_rng(5)

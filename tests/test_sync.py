@@ -4,7 +4,14 @@ import pytest
 from wlanradar.airlink import NoiseClutterSpec, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
 from wlanradar.dsp import IqStream, RrcSpec, matched_filter, pulse_shape
-from wlanradar.frame import DEFAULT_PREAMBLE, STF_LEN, FrameLayout, Preamble, assemble_frame
+from wlanradar.frame import (
+    CEF_PEAK_BIN,
+    DEFAULT_PREAMBLE,
+    STF_LEN,
+    FrameLayout,
+    Preamble,
+    assemble_frame,
+)
 from wlanradar.golay import generate_golay_pair, load_golay_pair
 from wlanradar.sync import (
     detect_frame_start,
@@ -198,6 +205,29 @@ class TestChannelEstimate:
         mean_power = acc / trials
         assert np.median(mean_power) == pytest.approx(sigma2 / 1024, rel=0.15)
         assert mean_power.max() / mean_power.min() < 2.0
+
+    def test_sliding_mode_stacked_rows(self):
+        # one call on M stacked frame reads: the per-row estimates, and the
+        # two-half a/b correlation they are defined by
+        rng = np.random.default_rng(15)
+        rows = 0.1 * (rng.standard_normal((4, 1535)) + 1j * rng.standard_normal((4, 1535)))
+        rows[:, 256:1280] += np.exp(0.7j * np.arange(4))[:, None] * DEFAULT_PREAMBLE.cef[:1024]
+        h = estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
+        assert h.shape == (4, 512)
+        pair = DEFAULT_PREAMBLE.pair512
+        for row, h_row in zip(rows, h):
+            assert np.max(np.abs(h_row - estimate_channel_cef(row, CEF_PEAK_BIN,
+                                                              gated=False))) < 1e-12
+            two_half = np.array([
+                np.dot(row[l : l + 512], pair.a) + np.dot(row[l + 512 : l + 1024], pair.b)
+                for l in range(512)
+            ]) / 1024
+            assert np.max(np.abs(h_row - two_half)) < 1e-12
+        assert np.all(np.argmax(np.abs(h), axis=1) == CEF_PEAK_BIN)
+
+    def test_gated_mode_rejects_stacked_rows(self):
+        with pytest.raises(ValueError):
+            estimate_channel_cef(np.zeros((2, 4500), complex), 2176)
 
     def test_peak_unbiased_in_noise(self):
         h0 = 1.0

@@ -31,10 +31,13 @@ __all__ = [
     "upa_steering",
     "dft_codebook",
     "select_beams",
-    "comm_channel",
+    "beam_coupling",
+    "comm_pathloss_gain",
+    "rician_snr_draws",
     "radar_path_gain",
     "radar_coupling",
     "synthesize_radar_rx",
+    "synthesize_radar_rx_symbol_rate",
     "link_budget_sweep",
 ]
 
@@ -135,11 +138,13 @@ def upa_steering(az_deg: float, el_deg: float, cfg: ArrayConfig) -> np.ndarray:
     return np.kron(ph, pv) / np.sqrt(cfg.n_elements)
 
 
-def dft_codebook(cfg: ArrayConfig, size_h: int | None = None,
-                 size_v: int | None = None) -> np.ndarray:
-    """DFT-based beam codebook covering the hemisphere, one codeword per row."""
-    size_h = size_h or 2 * cfg.n_horizontal
-    size_v = size_v or 2 * cfg.n_vertical
+def dft_codebook(cfg: ArrayConfig) -> np.ndarray:
+    """DFT-based beam codebook covering the hemisphere, one codeword per row.
+
+    Two codewords per element along each axis.
+    """
+    size_h = 2 * cfg.n_horizontal
+    size_v = 2 * cfg.n_vertical
     m = np.arange(cfg.n_horizontal)
     n = np.arange(cfg.n_vertical)
     words = []
@@ -151,19 +156,13 @@ def dft_codebook(cfg: ArrayConfig, size_h: int | None = None,
     return np.array(words)
 
 
-def select_beams(
-    cfg: ArrayConfig,
-    az_deg: float,
-    el_deg: float,
-    size_h: int | None = None,
-    size_v: int | None = None,
-) -> BeamPair:
+def select_beams(cfg: ArrayConfig, az_deg: float, el_deg: float) -> BeamPair:
     """Pick the TX/RX codeword pair maximizing coupling to the given direction.
 
     The communication RX array is assumed identical, so the same search gives
     f_RX,com; the radar RX beam is its conjugate (monostatic convention).
     """
-    book = dft_codebook(cfg, size_h, size_v)
+    book = dft_codebook(cfg)
     a = upa_steering(az_deg, el_deg, cfg)
     gains = np.abs(book.conj() @ a)
     f_tx = book[int(np.argmax(gains))]
@@ -188,41 +187,28 @@ def comm_pathloss_gain(range_m: float, wavelength: float, pl_exponent: float) ->
     return wavelength**2 / ((4 * np.pi) ** 2 * range_m**pl_exponent)
 
 
-def comm_channel(
-    m: int,
-    frame_period: float,
-    target: Target,
-    cfg: ArrayConfig,
-    beams: BeamPair,
-    rician_k_db: float,
-    pl_exponent: float = 2.0,
-    rng: np.random.Generator | None = None,
-    los_phase: float = 0.0,
-) -> complex:
-    """Beamformed scalar communication channel h_com[m] for frame m.
+def rician_snr_draws(mean_snr: float, rician_k_db: float, cfg: ArrayConfig, m: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Per-frame communication SNR over the beam-aligned Rician link, m draws.
 
-    Rician mix of the LOS rank-one term (with per-frame Doppler phase
-    advance 2 pi nu0 m K Ts) and an IID Rayleigh part, normalized so
-    E||H_com||_F^2 = N_TX N_RX, then scaled by the CI path-loss amplitude.
+    With both arrays steered at each other the beamformed channel is
+    sqrt(K/(K+1)) N e^{j phi} + sqrt(1/(K+1)) CN(0,1): the LOS term at the
+    full array gain N = N_TX = N_RX with a uniform phase phi, plus a
+    unit-power diffuse part.  Each draw is mean_snr |h|^2 / E|h|^2, so the
+    draws average to ``mean_snr``.  ``rng`` is read as uniform(m), then
+    standard_normal(m) twice.
     """
-    rng = rng or np.random.default_rng()
-    nu = target.doppler(cfg.wavelength)
     k_lin = 10 ** (rician_k_db / 10)
-    a = upa_steering(target.azimuth_deg, target.elevation_deg, cfg)
-    scale = cfg.n_elements
-    h_los = (
-        scale
-        * np.exp(1j * los_phase)
-        * np.exp(2j * np.pi * nu * m * frame_period)
-        * np.outer(a, a.conj())
+    n_el = cfg.n_elements
+    los = np.sqrt(k_lin / (k_lin + 1)) * n_el * np.exp(
+        2j * np.pi * rng.uniform(size=m)
     )
-    h_w = (
-        rng.standard_normal((cfg.n_elements, cfg.n_elements))
-        + 1j * rng.standard_normal((cfg.n_elements, cfg.n_elements))
+    scatter = np.sqrt(1 / (k_lin + 1)) * (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m)
     ) / np.sqrt(2)
-    h = np.sqrt(k_lin / (k_lin + 1)) * h_los + np.sqrt(1 / (k_lin + 1)) * h_w
-    g = comm_pathloss_gain(target.range_m, cfg.wavelength, pl_exponent)
-    return np.sqrt(g) * beams.f_rx.conj() @ h @ beams.f_tx
+    fade = np.abs(los + scatter) ** 2
+    mean_fade = k_lin / (k_lin + 1) * n_el**2 + 1 / (k_lin + 1)
+    return mean_snr * fade / mean_fade
 
 
 def radar_path_gain(target: Target, wavelength: float) -> float:
@@ -365,7 +351,9 @@ def synthesize_radar_rx_symbol_rate(
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
         w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
         ramp = np.outer(h_p * np.exp(w * starts), np.exp(w * np.arange(length)))
-        out += ramp * echo
+        # the product goes into ramp, not echo: echo is real when the symbols are
+        np.multiply(ramp, echo, out=ramp)
+        out += ramp
 
     # every real part, then every imaginary part: the full stream's draw order
     noise = np.sqrt(nc.sigma_cn2 / 2) * rng.standard_normal((2, *out.shape))

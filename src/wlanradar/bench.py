@@ -30,6 +30,9 @@ from .airlink import (
     NoiseClutterSpec,
     Target,
     link_budget_sweep,
+    radar_coupling,
+    rician_snr_draws,
+    select_beams,
     synthesize_radar_rx,
     synthesize_radar_rx_symbol_rate,
 )
@@ -334,8 +337,7 @@ def _detection_trial(args) -> float:
 
     lag0 = int(np.round(target.delay() * rx.rate))
     w = scen.detection_window_symbols * scen.oversample
-    lags = lag0 + np.arange(-w, w + 1)
-    stat, _ = matched_preamble_statistic(rx, template, lags)
+    stat, _ = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
     return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
 
 
@@ -360,11 +362,8 @@ def _range_trial(args) -> float:
                              scen.array, None, rng, unit_gains=True)
 
     expect = int(np.round(target.delay() / scen.ts))
-    timing, _ = preamble_sync(
-        rx, scen.rrc, scen.symbol_rate,
-        fine_template="preamble",
-        search=(expect - 3 * 128, expect + 3 * 128),
-    )
+    timing, _ = preamble_sync(rx, scen.rrc, scen.symbol_rate,
+                              search=(expect - 3 * 128, expect + 3 * 128))
     rho_hat = estimate_range(timing.delay_symbols(), scen.ts)
     return float((rho_hat - rho) ** 2)
 
@@ -403,22 +402,6 @@ def _velocity_trial(args) -> float:
     est = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
                                   ts=scen.ts, wavelength=scen.wavelength)
     return float((est.velocity_mps - target.velocity_mps) ** 2)
-
-
-def _comm_snr_draws(scen: Scenario, scnr_db: float, m: int, rng) -> np.ndarray:
-    """Per-frame communication SNR draws: Rician fading around the mean SNR."""
-    k_lin = 10 ** (scen.rician_k_db / 10)
-    n_el = scen.array.n_elements
-    # beam-aligned fade: sqrt(K/(K+1)) * N e^{j phi} + sqrt(1/(K+1)) * CN(0,1)
-    los = np.sqrt(k_lin / (k_lin + 1)) * n_el * np.exp(
-        2j * np.pi * rng.uniform(size=m)
-    )
-    scatter = np.sqrt(1 / (k_lin + 1)) * (
-        rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    ) / np.sqrt(2)
-    fade = np.abs(los + scatter) ** 2
-    mean_fade = k_lin / (k_lin + 1) * n_el**2 + 1 / (k_lin + 1)
-    return 10 ** (scnr_db / 10) * fade / mean_fade
 
 
 # ----------------------------------------------------------------------------
@@ -519,6 +502,7 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     scnr_db = spec.tradeoff_scnr_db
+    zeta = 10 ** (scnr_db / 10)
     t_cpi = scen.cpi_duration_s
     total_symbols = int(round(t_cpi / scen.ts))
     for i, m_frames in enumerate(spec.sweep):
@@ -533,11 +517,10 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
         rmse = float(np.sqrt(np.mean(sq)))
         table.add(m_frames, "velocity_rmse_mps", rmse, spec.trials)
         k_cd = k - PREAMBLE_LEN - scen.header_len
-        snr = _comm_snr_draws(scen, scnr_db, max(spec.trials, 256),
-                              _rng(spec.seed, i, 10**6))
+        snr = rician_snr_draws(zeta, scen.rician_k_db, scen.array,
+                               max(spec.trials, 256), _rng(spec.seed, i, 10**6))
         t = m_frames * k * scen.ts
         table.add(m_frames, "data_rate_bps", data_rate(m_frames, k_cd, scen.ts, t, snr))
-        zeta = 10 ** (scnr_db / 10)
         table.add(m_frames, "velocity_crlb_exact_m2s2",
                   crlb_velocity(zeta, "exact", p=PREAMBLE_LEN, m=m_frames, k=k,
                                 ts=scen.ts, wavelength=scen.wavelength))
@@ -563,8 +546,6 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     physical path-gain/beam couplings scaled so the reference (first) target
     sits at the requested SCNR.
     """
-    from .airlink import radar_coupling, select_beams
-
     table = ResultTable()
     scen = spec.scenario
     rng = _rng(spec.seed, 0, 0)

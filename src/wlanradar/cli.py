@@ -27,6 +27,8 @@ from .bench import (
 )
 from .radar import crlb_range, crlb_velocity, resolutions
 
+__all__ = ["build_parser", "main"]
+
 _KIND_BY_COMMAND = {
     "ambiguity": "ambiguity",
     "detect": "detection",

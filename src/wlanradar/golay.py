@@ -87,7 +87,7 @@ def aperiodic_autocorr(seq) -> np.ndarray:
 def golay_pair_correlate(
     rx,
     pair: GolayPair,
-    lags=None,
+    lags,
     gate: int | None = None,
 ) -> np.ndarray:
     """Correlate a received stream against the concatenated pair [a b].
@@ -113,19 +113,14 @@ def golay_pair_correlate(
       exact delta across every off-peak lag.  This is the form behind the
       channel-estimate decomposition used by detection.  ``rx`` must be 1-d.
 
-    Lags index the position of the a-window within the stream; ``lags`` may
-    be an int (number of lags from 0) or an array of lag values.
+    ``lags`` is an array of lag values, each the position of the a-window
+    within the stream.
     """
     y = np.asarray(rx, dtype=complex)
     n = len(pair)
     if y.ndim < 1 or y.shape[-1] < 2 * n:
         raise ValueError(f"rx must contain at least 2N={2 * n} samples, got {y.shape}")
-    if lags is None:
-        lags = np.arange(y.shape[-1] - 2 * n + 1)
-    elif np.isscalar(lags):
-        lags = np.arange(int(lags))
-    else:
-        lags = np.asarray(lags, dtype=int)
+    lags = np.asarray(lags, dtype=int)
 
     if gate is None:
         return _sliding_corr(y, np.concatenate([pair.a, pair.b]), lags) / (2 * n)

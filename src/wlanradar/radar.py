@@ -24,6 +24,7 @@ from scipy.stats import ncx2
 
 from .airlink import SPEED_OF_LIGHT
 from .dsp import IqStream
+from .sync import _xcorr_peak
 
 __all__ = [
     "RadarEstimate",
@@ -69,42 +70,25 @@ def cfar_threshold(noise_var: float, pfa: float) -> float:
 def matched_preamble_statistic(
     rx: IqStream,
     template: np.ndarray,
-    lags,
+    window: tuple[int, int],
 ) -> tuple[float, int]:
     """Preamble detection statistic: peak |cross-correlation|^2 / template energy.
 
     ``template`` is the shaped transmitted preamble at the stream rate; the
     statistic background on white noise of per-sample variance sigma^2 is an
     exponential with mean sigma^2, so cfar_threshold(sigma_cn^2, pfa) applies
-    directly.  Returns (statistic, lag of the peak).
+    directly.  The peak is searched over the lags l in [lo, hi) at which the
+    template fits inside the stream, the first lag winning a tie; a window
+    with no such lag raises ValueError.  Returns (statistic, lag of the peak).
     """
     t = np.asarray(template, dtype=complex)
-    energy = np.real(np.vdot(t, t))
-    y = rx.samples
-    lags = np.asarray(lags, dtype=int)
-    best_val = -1.0
-    best_lag = int(lags[0])
-    for lag in lags:
-        if lag < 0 or lag + len(t) > len(y):
-            continue
-        c = np.vdot(t, y[lag : lag + len(t)])
-        v = np.abs(c) ** 2 / energy
-        if v > best_val:
-            best_val = v
-            best_lag = int(lag)
-    if best_val < 0:
-        raise ValueError("no admissible lag inside the stream")
-    return float(best_val), best_lag
+    lag, c = _xcorr_peak(rx.samples, t, window)
+    return float(np.abs(c) ** 2 / np.real(np.vdot(t, t))), lag
 
 
-def estimate_range(
-    delay_symbols: float,
-    ts: float,
-    tx_reference_time: float = 0.0,
-) -> float:
+def estimate_range(delay_symbols: float, ts: float) -> float:
     """Range from a round-trip delay estimate measured in symbol periods."""
-    tau = delay_symbols * ts - tx_reference_time
-    return SPEED_OF_LIGHT * tau / 2.0
+    return SPEED_OF_LIGHT * (delay_symbols * ts) / 2.0
 
 
 def moose_ambiguity_limit(n_d: int, ts: float, wavelength: float) -> float:
@@ -180,33 +164,28 @@ class DelayDopplerMap:
 
 def build_delay_doppler_map(
     h: np.ndarray,
+    frame_len: int,
     zero_pad: int = 16,
     ts: float = 1 / 1.76e9,
-    frame_len: int | None = None,
     wavelength: float = SPEED_OF_LIGHT / 60e9,
-    frame_period: float | None = None,
 ) -> DelayDopplerMap:
     """Per-delay-bin DFT across frames of the channel-estimate matrix.
 
-    ``h`` is M x 512 (frame-major).  Each delay row is zero-padded to M * Z
-    and transformed, then FFT-shifted so Doppler zero sits at the center
-    column.  Requires M >= 2.
+    ``h`` is M x 512 (frame-major), one row per frame of ``frame_len`` (K)
+    symbols.  Each delay row is zero-padded to M * Z and transformed, then
+    FFT-shifted so Doppler zero sits at the center column.  Requires M >= 2.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError("need an M x L matrix with M >= 2 frames")
     if zero_pad < 1:
         raise ValueError("zero_pad factor must be >= 1")
-    m, n_bins = h.shape
-    if frame_period is None:
-        if frame_len is None:
-            raise ValueError("provide frame_len (K) or frame_period (K*Ts)")
-        frame_period = frame_len * ts
+    m = h.shape[0]
     grid = np.fft.fftshift(np.fft.fft(h.T, n=m * zero_pad, axis=1), axes=1)
     return DelayDopplerMap(
         grid=grid,
         ts=ts,
-        frame_period=frame_period,
+        frame_period=frame_len * ts,
         zero_pad=zero_pad,
         wavelength=wavelength,
         n_frames=m,

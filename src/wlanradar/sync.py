@@ -4,7 +4,7 @@ The chain mirrors a conventional SC PHY receiver:
 
 1. energy-based symbol synchronization over the oversampling phases,
 2. coarse frame detection from the normalized STF autocorrelation plateau,
-3. fine timing from the amplitude peak of a training-sequence correlation,
+3. fine timing from the amplitude peak of the full-preamble correlation,
 4. CEF channel estimation through the complementary Golay correlator.
 
 Carrier frequency offset is assumed perfectly compensated; the radar is
@@ -27,8 +27,8 @@ __all__ = [
     "TimingEstimate",
     "SymbolTiming",
     "estimate_symbol_timing",
+    "stf_autocorr_metric",
     "detect_frame_start",
-    "fine_timing_stf",
     "fine_timing_preamble",
     "estimate_channel_cef",
     "preamble_sync",
@@ -72,12 +72,7 @@ class TimingEstimate:
         return self.fine_start + st.phase / st.oversample
 
 
-def estimate_symbol_timing(
-    y: IqStream,
-    spec: RrcSpec,
-    symbol_rate: float,
-    window: tuple[int, int] | None = None,
-) -> SymbolTiming:
+def estimate_symbol_timing(y: IqStream, spec: RrcSpec, symbol_rate: float) -> SymbolTiming:
     """Pick the oversampling phase maximizing symbol-spaced energy.
 
     The stream must contain at least a few STF repetitions.  When no phase
@@ -90,8 +85,6 @@ def estimate_symbol_timing(
     energies = np.empty(q)
     for phase in range(q):
         sym = symbol_sample(y, symbol_rate, phase)
-        if window is not None:
-            sym = sym[window[0] : window[1]]
         energies[phase] = np.mean(np.abs(sym) ** 2) if len(sym) else 0.0
     mean = energies.mean()
     if mean <= 0 or energies.max() / mean < 1.02:
@@ -150,7 +143,10 @@ def detect_frame_start(
 
 def _xcorr_peak(y: np.ndarray, template: np.ndarray,
                 window: tuple[int, int]) -> tuple[int, complex]:
-    """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins."""
+    """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
+
+    The one preamble peak search: fine timing and radar.matched_preamble_statistic.
+    """
     lo, hi = window
     lo = max(lo, 0)
     hi = min(hi, len(y) - len(template) + 1)
@@ -160,14 +156,6 @@ def _xcorr_peak(y: np.ndarray, template: np.ndarray,
     c = np.correlate(seg, template, mode="valid")
     peak = int(np.argmax(np.abs(c) ** 2))  # argmax returns the first maximum
     return lo + peak, c[peak]
-
-
-def fine_timing_stf(y, window: tuple[int, int],
-                    preamble: Preamble = DEFAULT_PREAMBLE) -> int:
-    """Fine frame start: peak of the 16-fold a_128 cross-correlation."""
-    y = np.asarray(y, dtype=complex)
-    idx, _ = _xcorr_peak(y, preamble.stf[: 16 * 128].astype(complex), window)
-    return idx
 
 
 def fine_timing_preamble(y, window: tuple[int, int],
@@ -211,11 +199,13 @@ def preamble_sync(
     spec: RrcSpec,
     symbol_rate: float,
     chi2_stf: float = DEFAULT_CHI2_STF,
-    fine_template: str = "stf",
     search: tuple[int, int] | None = None,
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> tuple[TimingEstimate | None, np.ndarray]:
     """Full receiver front end: matched filter, symbol sync, coarse+fine timing.
+
+    Fine timing correlates the full preamble (fine_timing_preamble) over
+    ``search``, or over +-384 symbols around the coarse start.
 
     Returns (timing, symbol-rate samples); timing is None when no frame was
     detected and no explicit search window was provided.  Sample k of the
@@ -231,10 +221,5 @@ def preamble_sync(
     if search is None:
         search = (coarse - COARSE_FINE_SPAN, coarse + COARSE_FINE_SPAN)
 
-    if fine_template == "stf":
-        fine = fine_timing_stf(sym, search, preamble)
-    elif fine_template == "preamble":
-        fine, _ = fine_timing_preamble(sym, search, preamble)
-    else:
-        raise ValueError(f"unknown fine-timing template {fine_template!r}")
+    fine, _ = fine_timing_preamble(sym, search, preamble)
     return TimingEstimate(coarse, fine, st), sym

@@ -150,7 +150,10 @@ class TestDeterminism:
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
-    ], ids=["detection", "range-mse", "velocity-mse", "ddmap"])
+        # M = 32 leaves no room for data symbols: the infeasible row
+        (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
+         "4e59f5b8a70efb08b5fdc0efdd084b7c9b24b758383004cec674f29418f1e863"),
+    ], ids=["detection", "range-mse", "velocity-mse", "ddmap", "tradeoff"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

@@ -75,7 +75,7 @@ class TestPairCorrelator:
         self.clean = np.concatenate([self.pair.a, self.pair.b]).astype(complex)
 
     def test_clean_pair_peak_is_one(self):
-        g = golay_pair_correlate(self.clean, self.pair)
+        g = golay_pair_correlate(self.clean, self.pair, np.arange(1))
         assert g.shape == (1,)
         assert abs(g[0] - 1.0) < 1e-12
 
@@ -92,7 +92,7 @@ class TestPairCorrelator:
 
     def test_complex_gain_passthrough(self):
         alpha = 0.3 - 1.1j
-        g = golay_pair_correlate(alpha * self.clean, self.pair)
+        g = golay_pair_correlate(alpha * self.clean, self.pair, np.arange(1))
         assert abs(g[0] - alpha) < 1e-12
 
     def test_shift_property_amplitude_exact(self):
@@ -145,7 +145,7 @@ class TestPairCorrelator:
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
-            golay_pair_correlate(np.zeros(1000), self.pair)
+            golay_pair_correlate(np.zeros(1000), self.pair, np.arange(1))
 
 
 class TestOverrides:

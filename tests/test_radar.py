@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from wlanradar.airlink import SPEED_OF_LIGHT
+from wlanradar.airlink import SPEED_OF_LIGHT, NoiseClutterSpec, Target, synthesize_radar_rx
+from wlanradar.bench import Scenario
+from wlanradar.dsp import IqStream, pulse_shape
+from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 from wlanradar.radar import (
     DelayDopplerMap,
     build_delay_doppler_map,
@@ -12,6 +15,7 @@ from wlanradar.radar import (
     detection_probability,
     estimate_range,
     estimate_velocity_moose,
+    matched_preamble_statistic,
     moose_ambiguity_limit,
     resolutions,
 )
@@ -50,6 +54,65 @@ class TestCfar:
         rate = np.mean(stats > chi)
         sigma = np.sqrt(pfa * (1 - pfa) / n)
         assert abs(rate - pfa) < 3 * sigma
+
+
+def _lag_loop_statistic(rx, template, lags):
+    """Brute-force reference: one np.vdot per admissible lag, first maximum wins."""
+    t = np.asarray(template, dtype=complex)
+    energy = np.real(np.vdot(t, t))
+    y = rx.samples
+    best_val, best_lag = -1.0, int(lags[0])
+    for lag in lags:
+        if lag < 0 or lag + len(t) > len(y):
+            continue
+        v = np.abs(np.vdot(t, y[lag : lag + len(t)])) ** 2 / energy
+        if v > best_val:
+            best_val, best_lag = v, int(lag)
+    if best_val < 0:
+        raise ValueError("no admissible lag inside the stream")
+    return float(best_val), best_lag
+
+
+class TestMatchedPreambleStatistic:
+    def test_equals_lag_loop_on_noisy_echoes(self):
+        # the detection bench's chain: a shaped preamble echo at -22 dB SCNR,
+        # searched +-3 symbols around the expected lag
+        scen = Scenario()
+        template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W).samples
+        target = scen.targets[0]
+        layout = FrameLayout(k=scen.detection_frame_k, header_len=0)
+        w = scen.detection_window_symbols * scen.oversample
+        for seed in range(8):
+            rng = np.random.default_rng([7, 0, seed])
+            rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
+                                     NoiseClutterSpec(10 ** 2.2), scen.array, None, rng,
+                                     unit_gains=True)
+            lag0 = int(np.round(target.delay() * rx.rate))
+            got = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
+            assert got == _lag_loop_statistic(rx, template, lag0 + np.arange(-w, w + 1))
+
+    def test_window_clipped_to_the_stream(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        t = rng.standard_normal(40)
+        rx = IqStream(y, W)
+        got = matched_preamble_statistic(rx, t, (-20, 290))
+        assert got == _lag_loop_statistic(rx, t, np.arange(-20, 290))
+        assert 0 <= got[1] <= 260
+
+    def test_first_lag_wins_a_tie(self):
+        # lags 0 and 3 both see the full template
+        rx = IqStream(np.array([1, 1, 0, 1, 1], dtype=complex), W)
+        t = np.ones(2)
+        assert matched_preamble_statistic(rx, t, (0, 4)) == (2.0, 0)
+        assert _lag_loop_statistic(rx, t, np.arange(4)) == (2.0, 0)
+        assert matched_preamble_statistic(rx, t, (1, 4)) == (2.0, 3)
+
+    @pytest.mark.parametrize("window", [(-10, 0), (299, 310), (5, 5)])
+    def test_no_admissible_lag_rejected(self, window):
+        rx = IqStream(np.ones(300, dtype=complex), W)
+        with pytest.raises(ValueError):
+            matched_preamble_statistic(rx, np.ones(2), window)
 
 
 class TestMoose:
@@ -121,10 +184,6 @@ class TestRangeEstimate:
         rho = estimate_range(587.0, TS)
         assert rho == pytest.approx(587 * TS * SPEED_OF_LIGHT / 2)
 
-    def test_reference_time_subtracted(self):
-        rho = estimate_range(600.0, TS, tx_reference_time=13 * TS)
-        assert rho == pytest.approx(587 * TS * SPEED_OF_LIGHT / 2)
-
     def test_noiseless_50m_within_quantization_bound(self):
         # full oversampled pipeline at Q=8: residual is the sub-sample
         # quantization of the fractional-delay search, c*Ts/(2*2Q) ~ 0.5 cm
@@ -139,8 +198,7 @@ class TestRangeEstimate:
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, rrc, W, [target], NoiseClutterSpec(0.0),
                                  Scenario().array, None, seed=1, unit_gains=True)
-        timing, _ = preamble_sync(rx, rrc, W, fine_template="preamble",
-                                  search=(587 - 384, 587 + 384))
+        timing, _ = preamble_sync(rx, rrc, W, search=(587 - 384, 587 + 384))
         rho_hat = estimate_range(timing.delay_symbols(), TS)
         bound = SPEED_OF_LIGHT * TS / (2 * 2 * rrc.oversample)
         assert abs(rho_hat - 50.0) <= bound

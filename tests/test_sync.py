@@ -18,7 +18,6 @@ from wlanradar.sync import (
     estimate_channel_cef,
     estimate_symbol_timing,
     fine_timing_preamble,
-    fine_timing_stf,
     preamble_sync,
     stf_autocorr_metric,
 )
@@ -121,7 +120,6 @@ class TestFineTiming:
     def test_noiseless_exact(self):
         rng = np.random.default_rng(8)
         y = _noisy_frame_symbols(587, 80.0, rng)
-        assert fine_timing_stf(y, (587 - 384, 587 + 384)) == 587
         idx, peak = fine_timing_preamble(y, (587 - 384, 587 + 384))
         assert idx == 587
         assert abs(peak - 1.0) < 1e-2
@@ -132,7 +130,7 @@ class TestFineTiming:
         trials = 1000
         for _ in range(trials):
             y = _noisy_frame_symbols(587, 0.0, rng, k=3328)
-            est = fine_timing_stf(y, (587 - 64, 587 + 64))
+            est, _ = fine_timing_preamble(y, (587 - 64, 587 + 64))
             hits += abs(est - 587) <= 1
         assert hits >= trials * 0.99
 
@@ -142,11 +140,11 @@ class TestFineTiming:
         y = np.zeros(5000, complex)
         y[300 : 300 + 3328] += 0.4 * frame
         y[700 : 700 + 3328] += 1.0 * frame
-        assert fine_timing_stf(y, (0, 1200)) == 700
+        assert fine_timing_preamble(y, (0, 1200))[0] == 700
 
     def test_window_too_short_rejected(self):
         with pytest.raises(ValueError):
-            fine_timing_stf(np.zeros(100, complex), (0, 10))
+            fine_timing_preamble(np.zeros(100, complex), (0, 10))
 
 
 class TestChannelEstimate:
@@ -260,8 +258,7 @@ class TestPipeline:
             nc = NoiseClutterSpec(noise_power=1.0)  # SCNR = 0 dB with unit gain
             rx = synthesize_radar_rx(frame, RRC, W, [target], nc, scen.array, None,
                                      seed=rng, unit_gains=True)
-            timing, _ = preamble_sync(rx, RRC, W, fine_template="preamble",
-                                      search=(587 - 384, 587 + 384))
+            timing, _ = preamble_sync(rx, RRC, W, search=(587 - 384, 587 + 384))
             err = abs(timing.delay_symbols() - d_symbols)
             hits += err <= 1 + 1 / (2 * Q)
         assert hits >= int(np.ceil(trials * 0.99))
@@ -270,7 +267,7 @@ class TestPipeline:
         p = reversed_preamble
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=17, preamble=p)
         tx = pulse_shape(frame, RRC, W, delay=587 * TS)
-        timing, sym = preamble_sync(tx, RRC, W, fine_template="preamble", preamble=p)
+        timing, sym = preamble_sync(tx, RRC, W, preamble=p)
         h = estimate_channel_cef(sym, timing.fine_start + STF_LEN, preamble=p)
         assert np.argmax(np.abs(h)) == 256
         assert abs(h[256]) == pytest.approx(1.0, abs=1e-3)

@@ -147,13 +147,11 @@ def dft_codebook(cfg: ArrayConfig) -> np.ndarray:
     size_v = 2 * cfg.n_vertical
     m = np.arange(cfg.n_horizontal)
     n = np.arange(cfg.n_vertical)
-    words = []
-    for i in range(size_h):
-        wh = np.exp(2j * np.pi * m * (i / size_h - 0.5))
-        for j in range(size_v):
-            wv = np.exp(2j * np.pi * n * (j / size_v - 0.5))
-            words.append(np.kron(wh, wv) / np.sqrt(cfg.n_elements))
-    return np.array(words)
+    # row i * size_v + j is kron(wh_i, wv_j), elements horizontal-major
+    wh = np.exp(2j * np.pi * m * (np.arange(size_h)[:, None] / size_h - 0.5))
+    wv = np.exp(2j * np.pi * n * (np.arange(size_v)[:, None] / size_v - 0.5))
+    words = wh[:, None, :, None] * wv[None, :, None, :]
+    return words.reshape(size_h * size_v, cfg.n_elements) / np.sqrt(cfg.n_elements)
 
 
 def select_beams(cfg: ArrayConfig, az_deg: float, el_deg: float) -> BeamPair:
@@ -283,7 +281,7 @@ def synthesize_radar_rx(
 
 
 def synthesize_radar_rx_symbol_rate(
-    symbols,
+    symbol_windows,
     targets,
     nc: NoiseClutterSpec,
     cfg: ArrayConfig,
@@ -293,8 +291,9 @@ def synthesize_radar_rx_symbol_rate(
     unit_gains: bool = False,
     rolloff: float = 0.25,
     span: int = 16,
-    starts=None,
-    length: int | None = None,
+    *,
+    starts,
+    length: int,
 ) -> np.ndarray:
     """Discrete symbol-rate received signal, the post-matched-filter model.
 
@@ -309,65 +308,52 @@ def synthesize_radar_rx_symbol_rate(
     synchronized symbol sampling) and is used by the long-CPI benches where
     the full chain would be wasteful.
 
-    With ``starts`` and ``length`` only the windows a receiver reads are
-    synthesized: the result is the len(starts) x length matrix whose row r
-    is y[starts[r] : starts[r] + length].  The model holds at every k, so a
-    window may start below 0 or run past the end of the stream.  Noise is
-    drawn per row, so windows must not overlap.  Without them the full
-    stream, the single window [0, len(symbols) + ceil(max delay) + span), is
-    returned as a 1-D array.
+    Only the windows a receiver reads are synthesized: the result is the
+    len(starts) x length matrix whose row r is y[starts[r] : starts[r] + length].
+    The model holds at every k, so a window may start below 0 or run past
+    the end of the stream.  Noise is drawn per row, so windows must not
+    overlap.  ``symbol_windows(starts, length)`` returns the matching rows of
+    the TX symbol stream, zero outside it (e.g. ``frame.assemble_cpi`` with
+    its CPI, layout and seed bound); it is called once, for the symbols the
+    echoes carry into the windows.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    s = np.asarray(symbols)
     targets = list(targets)
     beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
-
-    full = starts is None
-    if full != (length is None):
-        raise ValueError("starts and length go together")
-    if full:
-        max_delay = max((t.delay() / ts for t in targets), default=0.0)
-        starts, length = [0], len(s) + int(np.ceil(max_delay)) + span
     starts = np.asarray(starts, dtype=int)
     if length < 1 or np.any(np.diff(np.sort(starts)) < length):
         raise ValueError("read windows must be nonempty and must not overlap")
     out = np.zeros((len(starts), length), dtype=complex)
 
     half = span // 2
-    for target, phase in zip(targets, beta_phases):
+    delays = [t.delay() / ts for t in targets]
+    # symbol i peaks at k0 + i + half and reaches samples k0 + i .. k0 + i + span,
+    # so a window at lo reads the symbols lo - k0 - span .. lo + length - k0
+    k0s = [int(np.floor(d)) - half for d in delays]
+    k_max, k_min = max(k0s, default=0), min(k0s, default=0)
+    x = symbol_windows(starts - k_max - span, length + span + k_max - k_min)
+    ramp = np.empty_like(out)
+    for target, phase, d, k0 in zip(targets, beta_phases, delays, k0s):
         if unit_gains:
             h_p = np.exp(1j * phase)
         else:
             h_p = radar_coupling(target, cfg, beams, phase)
-        d = target.delay() / ts
-        int_d = int(np.floor(d))
-        kernel = rc_pulse(np.arange(-half, half + 1) - (d - int_d), rolloff)
-        # symbol i peaks at k0 + i + half and reaches samples k0 + i .. k0 + i + span
-        k0 = int_d - half
-        echo = np.array([
-            np.convolve(_zero_extended(s, lo - k0 - span, lo + length - k0), kernel, "valid")
-            for lo in starts
-        ])
+        kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), rolloff)
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
         w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
-        ramp = np.outer(h_p * np.exp(w * starts), np.exp(w * np.arange(length)))
-        # the product goes into ramp, not echo: echo is real when the symbols are
-        np.multiply(ramp, echo, out=ramp)
+        np.outer(h_p * np.exp(w * starts), np.exp(w * np.arange(length)), out=ramp)
+        lo = k_max - k0
+        for ramp_row, x_row in zip(ramp, x[:, lo : lo + length + span]):
+            # the product goes into the complex ramp: the echo is real when the symbols are
+            ramp_row *= np.convolve(x_row, kernel, "valid")
         out += ramp
 
-    # every real part, then every imaginary part: the full stream's draw order
-    noise = np.sqrt(nc.sigma_cn2 / 2) * rng.standard_normal((2, *out.shape))
+    # drawn into the ramp's memory: every real part, then every imaginary part
+    noise = ramp.view(float).reshape(2, *out.shape)
+    rng.standard_normal(out=noise)
+    noise *= np.sqrt(nc.sigma_cn2 / 2)
     out.real += noise[0]
     out.imag += noise[1]
-    return out[0] if full else out
-
-
-def _zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """x[lo:hi], with zeros wherever the index falls outside x."""
-    out = np.zeros(hi - lo, dtype=x.dtype)
-    a, b = max(lo, 0), min(hi, len(x))
-    if b > a:
-        out[a - lo : b - lo] = x[a:b]
     return out
 
 

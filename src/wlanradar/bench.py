@@ -19,6 +19,7 @@ import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -383,15 +384,15 @@ def _velocity_trial(args) -> float:
     m = scen.n_frames
     k = scen.frame_k
     layout = scen.layout()
-    cpi = assemble_cpi(CpiConfig(m, k, scen.ts), layout,
-                       seed=int(rng.integers(2**63)))
+    symbol_windows = partial(assemble_cpi, CpiConfig(m, k, scen.ts), layout,
+                             seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
     # one read window per frame: the fine-timing search span plus the preamble
     expect = int(np.round(target.delay() / scen.ts))
     lo = max(expect - 32, 0)
     rows = synthesize_radar_rx_symbol_rate(
-        cpi, [target], nc, scen.array, None, scen.ts, rng,
+        symbol_windows, [target], nc, scen.array, None, scen.ts, rng,
         unit_gains=True, rolloff=scen.rolloff, span=scen.rrc_span,
         starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
     )
@@ -551,7 +552,6 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     rng = _rng(spec.seed, 0, 0)
     m, k = scen.n_frames, scen.frame_k
     layout = scen.layout()
-    cpi = assemble_cpi(CpiConfig(m, k, scen.ts), layout, seed=spec.seed)
 
     ref = scen.targets[0]
     beams = select_beams(scen.array, ref.azimuth_deg, ref.elevation_deg)
@@ -561,9 +561,14 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     nc = NoiseClutterSpec(noise_power=sigma_cn2)
 
+    def symbol_windows(starts, length):
+        cpi = assemble_cpi(CpiConfig(m, k, scen.ts), layout, starts, length, seed=spec.seed)
+        cpi /= h_ref
+        return cpi
+
     # each frame's sliding CEF read: 512 lags of the 1024-symbol a|b pair
     rows = synthesize_radar_rx_symbol_rate(
-        cpi / h_ref, scen.targets, nc, scen.array, beams, scen.ts, rng,
+        symbol_windows, scen.targets, nc, scen.array, beams, scen.ts, rng,
         unit_gains=False, rolloff=scen.rolloff, span=scen.rrc_span,
         starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
     )

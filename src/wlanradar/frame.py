@@ -131,26 +131,59 @@ def assemble_frame(
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     frame = np.empty(layout.k)
-    _fill_frame(frame, rng, preamble)
-    return frame
-
-
-def _fill_frame(frame: np.ndarray, rng: np.random.Generator, preamble: Preamble):
-    """Write the preamble, then random BPSK header/payload symbols, into ``frame``."""
     frame[:PREAMBLE_LEN] = preamble.symbols
-    frame[PREAMBLE_LEN:] = rng.integers(0, 2, len(frame) - PREAMBLE_LEN) * 2.0 - 1.0
+    frame[PREAMBLE_LEN:] = rng.integers(0, 2, layout.k - PREAMBLE_LEN) * 2.0 - 1.0
+    return frame
 
 
 def assemble_cpi(
     cfg: CpiConfig,
     layout: FrameLayout,
+    starts,
+    length: int,
     seed=None,
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
-    """M concatenated frames; identical preambles, per-frame fresh payloads."""
+    """Read windows of a CPI: M frames, identical preambles, fresh payloads.
+
+    The CPI stream s is M concatenated frames; frame f's header/payload
+    symbols are the ones ``assemble_frame`` draws from the generator seeded
+    with child f of ``SeedSequence(seed)``.  Returns the len(starts) x length
+    matrix whose row r is s[starts[r] : starts[r] + length], zero outside
+    [0, M K).  Only the symbols inside a window are drawn, so the whole CPI,
+    ``assemble_cpi(cfg, layout, [0], cfg.m * cfg.k, seed)[0]``, is the one
+    call that pays for all M K.
+    """
     if cfg.k != layout.k:
         raise ValueError(f"CpiConfig.k={cfg.k} disagrees with FrameLayout.k={layout.k}")
-    frames = np.empty((cfg.m, layout.k))
-    for frame, s in zip(frames, np.random.SeedSequence(seed).spawn(cfg.m)):
-        _fill_frame(frame, np.random.default_rng(s), preamble)
-    return frames.ravel()
+    k = layout.k
+    out = np.zeros((len(starts), length))
+    # (frame, first and end payload index, row, column) of each payload piece
+    pieces = []
+    for r, lo in enumerate(np.asarray(starts, dtype=int).tolist()):
+        a, b = max(lo, 0), min(lo + length, cfg.m * k)
+        for f in range(a // k, (b - 1) // k + 1):
+            u, v = max(a - f * k, 0), min(b - f * k, k)   # frame-local span
+            col = f * k + u - lo
+            if u < PREAMBLE_LEN:
+                w = min(v, PREAMBLE_LEN)
+                out[r, col : col + w - u] = preamble.symbols[u:w]
+            if v > PREAMBLE_LEN:
+                p0 = max(u, PREAMBLE_LEN)
+                pieces.append((f, p0 - PREAMBLE_LEN, v - PREAMBLE_LEN, r, f * k + p0 - lo))
+
+    # integers(0, 2) reads one 32-bit half of a PCG64 output per symbol, low
+    # half first, and returns its top bit: payload symbol i sits in output
+    # i // 2, which PCG64.advance reaches without drawing the ones before it
+    children = np.random.SeedSequence(seed).spawn(cfg.m)
+    frame = pos = -1
+    for f, i0, i1, r, col in sorted(pieces):
+        j0, j1 = i0 // 2, (i1 + 1) // 2
+        if f != frame or j0 < pos:   # a new frame, or a piece overlapping the last
+            bitgen, frame, pos = np.random.PCG64(children[f]), f, 0
+        bitgen.advance(j0 - pos)
+        raw = bitgen.random_raw(j1 - j0).astype("<u8", copy=False)
+        halves = raw.view("<u4")[i0 - 2 * j0 : i1 - 2 * j0]
+        out[r, col : col + i1 - i0] = (halves >> 31) * 2.0 - 1.0
+        pos = j1
+    return out

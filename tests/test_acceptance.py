@@ -12,6 +12,7 @@ first gate; see the project notes for the analysis.
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -232,10 +233,13 @@ def test_criterion_9_multitarget_map():
         Target(range_m=25.0, velocity_mps=v0),
         Target(range_m=25.0, velocity_mps=v0 + 0.6),
     ]
-    cpi = assemble_cpi(CpiConfig(m_long, k, TS), FrameLayout(k=k), seed=9)
+    cpi = partial(assemble_cpi, CpiConfig(m_long, k, TS), FrameLayout(k=k), seed=9)
     nc = NoiseClutterSpec(noise_power=1e-3)
+    # one window over the whole CPI and its echo tail
+    n_y = m_long * k + int(np.ceil(max(t.delay() / TS for t in targets))) + 16
     y = synthesize_radar_rx_symbol_rate(cpi, targets, nc, two_vehicle_scenario().array,
-                                        None, TS, seed=9, unit_gains=True)
+                                        None, TS, seed=9, unit_gains=True,
+                                        starts=[0], length=n_y)[0]
     d_bin = int(round(targets[0].delay() / TS))
     rows = []
     for mm in range(m_long):

@@ -19,12 +19,35 @@ from wlanradar.airlink import (
     upa_steering,
 )
 from wlanradar.dsp import RrcSpec, matched_filter, pulse_shape, symbol_sample
-from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
+from wlanradar.frame import (
+    DEFAULT_PREAMBLE,
+    CpiConfig,
+    FrameLayout,
+    assemble_cpi,
+    assemble_frame,
+)
 
 W = 1.76e9
 TS = 1 / W
 CFG = ArrayConfig()  # 8x2, lambda @60 GHz
 RRC = RrcSpec()
+
+
+def _windows_of(x):
+    """The synthesizer's symbol source for a plain stream: rows of x, zero outside it."""
+    def windows(starts, length):
+        out = np.zeros((len(starts), length))
+        for row, lo in zip(out, starts):
+            a, b = max(lo, 0), min(lo + length, len(x))
+            if b > a:
+                row[a - lo : b - lo] = x[a:b]
+        return out
+    return windows
+
+
+def _full_length(x, targets, span):
+    """The one window that holds every echo of the stream x."""
+    return len(x) + int(np.ceil(max(t.delay() / TS for t in targets))) + span
 
 
 class TestSteering:
@@ -70,6 +93,22 @@ class TestBeams:
     def test_codebook_rows_unit_norm(self):
         book = dft_codebook(CFG)
         assert np.allclose(np.linalg.norm(book, axis=1), 1.0)
+
+    @pytest.mark.parametrize("n_h, n_v", [(1, 1), (3, 2), (8, 2), (5, 3), (8, 1)])
+    def test_codebook_equals_kron_loop(self, n_h, n_v):
+        # the broadcast product gives the bytes of one kron per codeword
+        cfg = ArrayConfig(n_horizontal=n_h, n_vertical=n_v)
+        size_h, size_v = 2 * n_h, 2 * n_v
+        m, n = np.arange(n_h), np.arange(n_v)
+        words = []
+        for i in range(size_h):
+            wh = np.exp(2j * np.pi * m * (i / size_h - 0.5))
+            for j in range(size_v):
+                wv = np.exp(2j * np.pi * n * (j / size_v - 0.5))
+                words.append(np.kron(wh, wv) / np.sqrt(cfg.n_elements))
+        book = dft_codebook(cfg)
+        assert book.shape == (size_h * size_v, n_h * n_v)
+        assert book.tobytes() == np.array(words).tobytes()
 
 
 class TestGains:
@@ -176,10 +215,9 @@ class TestSynthesis:
 
     def test_preamble_phase_rotation_across_frames(self):
         # noiseless 2-frame CPI: preamble-to-preamble phase = 2 pi nu K Ts
-        from wlanradar.frame import CpiConfig, assemble_cpi
-
         k = 3328
-        cpi = assemble_cpi(CpiConfig(2, k, TS), FrameLayout(k=k, header_len=0), seed=7)
+        cpi = assemble_cpi(CpiConfig(2, k, TS), FrameLayout(k=k, header_len=0), [0], 2 * k,
+                           seed=7)[0]
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
         rx = synthesize_radar_rx(cpi, spec, W, [t], NoiseClutterSpec(0.0), CFG, None,
@@ -225,22 +263,24 @@ class TestSynthesis:
                                  seed=10, unit_gains=True)
         sym_full = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         sym_fast = synthesize_radar_rx_symbol_rate(
-            frame, [t], NoiseClutterSpec(0.0), CFG, None, TS, seed=10,
+            _windows_of(frame), [t], NoiseClutterSpec(0.0), CFG, None, TS, seed=10,
             unit_gains=True, span=RRC.span,
-        )
+            starts=[0], length=_full_length(frame, [t], RRC.span),
+        )[0]
         n = 4000
         err = np.abs(sym_full[:n] - sym_fast[:n])
         assert err.max() < 2e-3
 
     def test_symbol_rate_windows_are_full_stream_slices(self):
-        # noise off, two targets: each read window is a slice of the full
-        # stream, also where it starts below 0 or runs past the stream end,
-        # and the part past the end holds no echo
+        # noise off, two targets: each read window is a slice of the one
+        # window that holds the full stream, also where it starts below 0 or
+        # runs past the stream end, and the part past the end holds no echo
         targets = [Target(range_m=12.71, velocity_mps=33.0),
                    Target(range_m=30.2, velocity_mps=-12.0)]
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        args = (frame, targets, NoiseClutterSpec(0.0), CFG, None, TS)
-        full = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True)
+        args = (_windows_of(frame), targets, NoiseClutterSpec(0.0), CFG, None, TS)
+        full = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True, starts=[0],
+                                               length=_full_length(frame, targets, 16))[0]
         length = 300
         starts = np.array([-40, 1000, len(full) - 100])
         rows = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True,
@@ -254,15 +294,15 @@ class TestSynthesis:
 
     def test_symbol_rate_windows_carry_the_noise_power(self):
         nc = NoiseClutterSpec(noise_power=0.3, clutter_power=0.2)
-        rows = synthesize_radar_rx_symbol_rate(np.ones(64), [], nc, CFG, None, TS,
-                                               seed=5, starts=np.arange(8) * 5000,
+        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], nc, CFG, None,
+                                               TS, seed=5, starts=np.arange(8) * 5000,
                                                length=2000)
         assert np.mean(np.abs(rows) ** 2) == pytest.approx(nc.sigma_cn2, rel=0.05)
 
     def test_symbol_rate_overlapping_windows_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_radar_rx_symbol_rate(np.ones(64), [], NoiseClutterSpec(), CFG,
-                                            None, TS, starts=[0, 10], length=20)
+            synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], NoiseClutterSpec(),
+                                            CFG, None, TS, starts=[0, 10], length=20)
 
 
 class TestNoiseClutterSpec:

@@ -147,13 +147,16 @@ class TestDeterminism:
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
          "f9fe1b72fde29f6c59a3408cbc4561a0fe469937b3cad166615d28420c4e1e9b"),
+        # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
+        (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
+         "21883f4296b9f3465770c487aeb9361ff5c130df41a59323708b6ae3439230dd"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
          "4e59f5b8a70efb08b5fdc0efdd084b7c9b24b758383004cec674f29418f1e863"),
-    ], ids=["detection", "range-mse", "velocity-mse", "ddmap", "tradeoff"])
+    ], ids=["detection", "range-mse", "velocity-mse", "velocity-m10", "ddmap", "tradeoff"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

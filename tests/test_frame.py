@@ -142,35 +142,40 @@ class TestPreamble:
         assert np.array_equal(frame, swapped.symbols)
 
 
+def _whole_cpi(m, layout, seed, preamble=DEFAULT_PREAMBLE):
+    cfg = CpiConfig(m, layout.k, TS)
+    return assemble_cpi(cfg, layout, [0], m * layout.k, seed=seed, preamble=preamble)[0]
+
+
 class TestCpi:
     def test_m1_reduces_to_single_frame(self):
-        layout = FrameLayout(k=6656)
-        cpi = assemble_cpi(CpiConfig(1, 6656, TS), layout, seed=5)
+        cpi = _whole_cpi(1, FrameLayout(k=6656), seed=5)
         assert len(cpi) == 6656
         assert np.array_equal(cpi[:PREAMBLE_LEN], DEFAULT_PREAMBLE.symbols)
 
     def test_total_length_and_duration(self):
-        layout = FrameLayout(k=12800)
-        cpi = assemble_cpi(CpiConfig(10, 12800, TS), layout, seed=1)
+        cpi = _whole_cpi(10, FrameLayout(k=12800), seed=1)
         assert len(cpi) == 128000
+        assert CpiConfig(10, 12800, TS).t == pytest.approx(128000 * TS)
 
     def test_preambles_identical_payloads_differ(self):
-        layout = FrameLayout(k=6656)
         m = 4
-        cpi = assemble_cpi(CpiConfig(m, 6656, TS), layout, seed=9)
-        frames = cpi.reshape(m, 6656)
+        frames = _whole_cpi(m, FrameLayout(k=6656), seed=9).reshape(m, 6656)
         for i in range(m):
             assert np.array_equal(frames[i, :PREAMBLE_LEN], frames[0, :PREAMBLE_LEN])
         assert not np.array_equal(frames[0, PREAMBLE_LEN:], frames[1, PREAMBLE_LEN:])
 
     @pytest.mark.parametrize("custom", [False, True])
     def test_equals_spawned_frame_concatenation(self, custom):
+        # frame f's payload is what assemble_frame draws from the generator
+        # of child f; this also fails if a numpy release changes how
+        # integers(0, 2) reads the PCG64 stream
         p512 = generate_golay_pair(512)
         preamble = (Preamble(pair512=GolayPair(p512.b, p512.a)) if custom
                     else DEFAULT_PREAMBLE)
         layout = FrameLayout(k=4000, header_len=128)
         m, seed = 5, 21
-        cpi = assemble_cpi(CpiConfig(m, 4000, TS), layout, seed=seed, preamble=preamble)
+        cpi = _whole_cpi(m, layout, seed, preamble)
         ref = np.concatenate([
             assemble_frame(layout, np.random.default_rng(s), preamble)
             for s in np.random.SeedSequence(seed).spawn(m)
@@ -178,6 +183,35 @@ class TestCpi:
         assert cpi.shape == ref.shape and cpi.dtype == ref.dtype
         assert cpi.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("m, custom", [(1, False), (3, False), (4, True)])
+    def test_windows_are_whole_cpi_slices(self, m, custom):
+        # windows that start below 0 or run past M K, straddle one or several
+        # frame boundaries, start at odd and even payload offsets, and overlap
+        p128 = generate_golay_pair(128)
+        preamble = (Preamble(pair128=GolayPair(p128.b, p128.a)) if custom
+                    else DEFAULT_PREAMBLE)
+        k = 3700
+        layout = FrameLayout(k=k, header_len=16)
+        cpi = CpiConfig(m, k, TS)
+        whole = _whole_cpi(m, layout, 33, preamble)
+        padded = np.concatenate([np.zeros(2 * k), whole, np.zeros(2 * k)])
+        p = PREAMBLE_LEN
+        cases = [
+            ([-50, p + 7, k + p + 10], 40),    # below 0; odd and even offsets
+            ([p - 3, p - 1, p + 1, p + 3], 2), # preamble into payload; touching
+            ([k - 5, 2 * k - 20], 60),         # across a frame boundary
+            ([-k, k // 2], 2 * k + 1),         # across several, overlapping
+            ([m * k - 30, m * k + 5], 61),     # past the end; all zero
+            ([p + 101], 1),                    # one odd-offset symbol
+            ([p + 2, p + 51, k - 7], 5),       # gaps within one frame
+            ([2 * k - 9, p + 3, -4], 12),      # starts out of order
+        ]
+        for starts, length in cases:
+            rows = assemble_cpi(cpi, layout, starts, length, seed=33, preamble=preamble)
+            ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
+            assert rows.shape == ref.shape and rows.dtype == ref.dtype
+            assert rows.tobytes() == ref.tobytes(), (starts, length)
+
     def test_inconsistent_k_rejected(self):
         with pytest.raises(ValueError):
-            assemble_cpi(CpiConfig(2, 12800, TS), FrameLayout(k=6656), seed=0)
+            assemble_cpi(CpiConfig(2, 12800, TS), FrameLayout(k=6656), [0], 1, seed=0)

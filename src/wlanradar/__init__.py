@@ -5,12 +5,7 @@ closed-form CRLB/resolution benchmarks."""
 
 __version__ = "0.1.0"
 
-from .airlink import (
-    ArrayConfig,
-    LinkBudget,
-    NoiseClutterSpec,
-    Target,
-)
+from .airlink import ArrayConfig, LinkBudget, Target
 from .dsp import IqStream, RrcSpec
 from .frame import CpiConfig, FrameLayout
 from .golay import GolayPair, generate_golay_pair
@@ -19,7 +14,6 @@ __all__ = [
     "__version__",
     "ArrayConfig",
     "LinkBudget",
-    "NoiseClutterSpec",
     "Target",
     "IqStream",
     "RrcSpec",

@@ -9,8 +9,9 @@ Conventions
 * Stop-and-hop: each echo keeps the delay it had at the start of the CPI;
   target motion enters purely as the Doppler phase ramp exp(j 2 pi nu t).
 * Clutter-plus-noise is injected white at the synthesis rate with per-sample
-  variance sigma_cn^2, matching the symbol-rate noise term of the discrete
-  received-signal model after unit-energy matched filtering.
+  variance sigma_cn^2 (the synthesizers' ``sigma_cn2``: clutter is white like
+  noise, so the two powers add), matching the symbol-rate noise term of the
+  discrete received-signal model after unit-energy matched filtering.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "ArrayConfig",
     "Target",
-    "NoiseClutterSpec",
     "LinkBudget",
     "BeamPair",
     "upa_steering",
@@ -85,22 +85,6 @@ class Target:
     def doppler(self, wavelength: float) -> float:
         """Doppler shift 2 v / lambda in Hz."""
         return 2.0 * self.velocity_mps / wavelength
-
-
-@dataclass(frozen=True)
-class NoiseClutterSpec:
-    """In-band clutter and noise powers (already scaled by bandwidth W)."""
-
-    noise_power: float = 1.0
-    clutter_power: float = 0.0
-
-    def __post_init__(self):
-        if self.noise_power < 0 or self.clutter_power < 0:
-            raise ValueError("powers must be nonnegative")
-
-    @property
-    def sigma_cn2(self) -> float:
-        return self.noise_power + self.clutter_power
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,7 @@ def synthesize_radar_rx(
     spec: RrcSpec,
     symbol_rate: float,
     targets,
-    nc: NoiseClutterSpec,
+    sigma_cn2: float,
     cfg: ArrayConfig,
     beams: BeamPair,
     seed=None,
@@ -252,6 +236,8 @@ def synthesize_radar_rx(
     added at its start-time offset.  An empty target list yields pure
     clutter-plus-noise of the undelayed shaped duration.
     """
+    if not sigma_cn2 >= 0:   # NaN fails too
+        raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     targets = list(targets)
     beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
@@ -275,7 +261,7 @@ def synthesize_radar_rx(
     for off, e in zip(offsets, echoes):
         out[off : off + len(e)] += e.samples
 
-    sigma = np.sqrt(nc.sigma_cn2 / 2)
+    sigma = np.sqrt(sigma_cn2 / 2)
     out += sigma * (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out))
     return IqStream(out, rate, t0)
 
@@ -283,7 +269,7 @@ def synthesize_radar_rx(
 def synthesize_radar_rx_symbol_rate(
     symbol_windows,
     targets,
-    nc: NoiseClutterSpec,
+    sigma_cn2: float,
     cfg: ArrayConfig,
     beams: BeamPair | None,
     ts: float,
@@ -317,6 +303,8 @@ def synthesize_radar_rx_symbol_rate(
     its CPI, layout and seed bound); it is called once, for the symbols the
     echoes carry into the windows.
     """
+    if not sigma_cn2 >= 0:   # NaN fails too
+        raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     targets = list(targets)
     beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
@@ -351,7 +339,7 @@ def synthesize_radar_rx_symbol_rate(
     # drawn into the ramp's memory: every real part, then every imaginary part
     noise = ramp.view(float).reshape(2, *out.shape)
     rng.standard_normal(out=noise)
-    noise *= np.sqrt(nc.sigma_cn2 / 2)
+    noise *= np.sqrt(sigma_cn2 / 2)
     out.real += noise[0]
     out.imag += noise[1]
     return out

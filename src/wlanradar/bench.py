@@ -28,7 +28,6 @@ from .airlink import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     LinkBudget,
-    NoiseClutterSpec,
     Target,
     link_budget_sweep,
     radar_coupling,
@@ -59,6 +58,7 @@ from .radar import (
     estimate_range,
     estimate_velocity_moose,
     matched_preamble_statistic,
+    moose_ambiguity_limit,
 )
 from .sync import estimate_channel_cef, fine_timing_preamble, preamble_sync
 
@@ -142,9 +142,6 @@ class Scenario:
             header_len=self.header_len if header_len is None else header_len,
         )
 
-    def cpi(self) -> CpiConfig:
-        return CpiConfig(self.n_frames, self.frame_k, self.ts)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["targets"] = [asdict(t) for t in self.targets]
@@ -199,10 +196,12 @@ class ExperimentSpec:
         )
         if needs_sweep and len(self.sweep) == 0:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
-        if not (0 < self.pfa <= 1):
-            raise ValueError("pfa must lie in (0, 1]")
-        if self.kind == "tradeoff" and min(self.sweep) < 1:
-            raise ValueError("tradeoff frame counts must be >= 1")
+        if not (0 < self.pfa < 1):
+            raise ValueError("pfa must lie in (0, 1)")
+        if self.kind == "tradeoff" and not all(
+            float(m).is_integer() and m >= 1 for m in self.sweep
+        ):
+            raise ValueError("tradeoff frame counts must be integers >= 1")
 
 
 @dataclass
@@ -242,14 +241,10 @@ def run_manifest(spec: ExperimentSpec) -> str:
     """Reproducibility manifest: config, seed, and version stamps (JSON)."""
     import scipy
 
+    experiment = asdict(spec)
+    del experiment["scenario"]
     info = {
-        "experiment": {
-            "kind": spec.kind,
-            "sweep": list(spec.sweep),
-            "trials": spec.trials,
-            "seed": spec.seed,
-            "pfa": spec.pfa,
-        },
+        "experiment": experiment,
         "scenario": spec.scenario.to_dict(),
         "versions": {
             "wlanradar": __version__,
@@ -332,8 +327,7 @@ def _detection_trial(args) -> float:
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    nc = NoiseClutterSpec(noise_power=sigma_cn2)
-    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], nc,
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
                              scen.array, None, rng, unit_gains=True)
 
     lag0 = int(np.round(target.delay() * rx.rate))
@@ -358,8 +352,7 @@ def _range_trial(args) -> float:
     layout = scen.layout(k=max(PREAMBLE_LEN + scen.header_len + 512, 5376))
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    nc = NoiseClutterSpec(noise_power=sigma_cn2)
-    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], nc,
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
                              scen.array, None, rng, unit_gains=True)
 
     expect = int(np.round(target.delay() / scen.ts))
@@ -387,12 +380,11 @@ def _velocity_trial(args) -> float:
     symbol_windows = partial(assemble_cpi, CpiConfig(m, k, scen.ts), layout,
                              seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    nc = NoiseClutterSpec(noise_power=sigma_cn2)
     # one read window per frame: the fine-timing search span plus the preamble
     expect = int(np.round(target.delay() / scen.ts))
     lo = max(expect - 32, 0)
     rows = synthesize_radar_rx_symbol_rate(
-        symbol_windows, [target], nc, scen.array, None, scen.ts, rng,
+        symbol_windows, [target], sigma_cn2, scen.array, None, scen.ts, rng,
         unit_gains=True, rolloff=scen.rolloff, span=scen.rrc_span,
         starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
     )
@@ -400,9 +392,9 @@ def _velocity_trial(args) -> float:
     fine, _ = fine_timing_preamble(rows[0], (expect - 32 - lo, expect + 33 - lo))
     # an elementwise sum, not a matrix product: OpenBLAS threads a gemv this size
     q = np.sum(rows[:, fine : fine + PREAMBLE_LEN] * DEFAULT_PREAMBLE.symbols, axis=1)
-    est = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
-                                  ts=scen.ts, wavelength=scen.wavelength)
-    return float((est.velocity_mps - target.velocity_mps) ** 2)
+    v_hat = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
+                                    ts=scen.ts, wavelength=scen.wavelength)
+    return float((v_hat - target.velocity_mps) ** 2)
 
 
 # ----------------------------------------------------------------------------
@@ -482,9 +474,20 @@ def _velocity_crlb_columns(table: ResultTable, scen: Scenario, scnr_db: float):
                             k=scen.frame_k, ts=scen.ts, wavelength=scen.wavelength))
 
 
+def _check_moose_span(scen: Scenario, ks):
+    """Refuse a target whose velocity the trial would alias at a frame length K."""
+    v = scen.targets[0].velocity_mps
+    for k in ks:
+        limit = moose_ambiguity_limit(k, scen.ts, scen.wavelength)
+        if not abs(v) < limit:
+            raise ValueError(f"target velocity {v:g} m/s is outside the Moose span "
+                             f"+-{limit:.6g} m/s at K={k}: the estimate would alias")
+
+
 def _run_velocity_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
+    _check_moose_span(scen, [scen.frame_k])
     for i, scnr_db in enumerate(spec.sweep):
         args = [(scen, scnr_db, i, j, spec.seed) for j in range(spec.trials)]
         sq = np.array(_map_trials(_velocity_trial, args, workers))
@@ -506,10 +509,12 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     zeta = 10 ** (scnr_db / 10)
     t_cpi = scen.cpi_duration_s
     total_symbols = int(round(t_cpi / scen.ts))
-    for i, m_frames in enumerate(spec.sweep):
+    ks = [total_symbols // int(m) for m in spec.sweep]
+    feasible = [k > PREAMBLE_LEN + scen.header_len for k in ks]
+    _check_moose_span(scen, [k for k, ok in zip(ks, feasible) if ok])
+    for i, (m_frames, k, ok) in enumerate(zip(spec.sweep, ks, feasible)):
         m_frames = int(m_frames)
-        k = total_symbols // m_frames
-        if k < PREAMBLE_LEN + scen.header_len + 1:
+        if not ok:
             table.add(m_frames, "infeasible", 1.0)
             continue
         sub = replace(scen, n_frames=m_frames, frame_k=k)
@@ -559,7 +564,6 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
     # normalize all couplings by the reference magnitude, then pin the SCNR
     scnr_db = spec.sweep[0] if len(spec.sweep) else 20.0
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    nc = NoiseClutterSpec(noise_power=sigma_cn2)
 
     def symbol_windows(starts, length):
         cpi = assemble_cpi(CpiConfig(m, k, scen.ts), layout, starts, length, seed=spec.seed)
@@ -568,7 +572,7 @@ def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
 
     # each frame's sliding CEF read: 512 lags of the 1024-symbol a|b pair
     rows = synthesize_radar_rx_symbol_rate(
-        symbol_windows, scen.targets, nc, scen.array, beams, scen.ts, rng,
+        symbol_windows, scen.targets, sigma_cn2, scen.array, beams, scen.ts, rng,
         unit_gains=False, rolloff=scen.rolloff, span=scen.rrc_span,
         starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "STF_LEN",
     "CEF_LEN",
     "PREAMBLE_LEN",
-    "N_CP",
     "CEF_PEAK_BIN",
     "Preamble",
     "DEFAULT_PREAMBLE",
@@ -38,7 +37,6 @@ __all__ = [
 STF_LEN = 17 * 128          # 16 x a_128 then -a_128
 CEF_LEN = 512 + 512 + 128   # a_512, b_512, -b_128
 PREAMBLE_LEN = STF_LEN + CEF_LEN
-N_CP = 128                  # cyclic-prefix span honoured by CEF processing
 CEF_PEAK_BIN = 256          # on-target channel-estimate bin when synchronized
 
 

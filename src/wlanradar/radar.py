@@ -12,6 +12,12 @@ chi_D = -noise_var * ln(P_FA) exact:
   the template energy -> background variance sigma_cn^2, signal N * Es|h0|^2;
 * CEF statistic: |h_hat[peak bin]|^2 -> background variance sigma_cn^2 / (2P)
   with P = 512.
+
+Velocity
+--------
+estimate_velocity_moose returns the velocity in m/s.  It is unambiguous only
+inside +-moose_ambiguity_limit(N_D, Ts, lambda) and aliases outside it, so the
+velocity and trade-off benches refuse targets at or beyond that span.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .dsp import IqStream
 from .sync import _xcorr_peak
 
 __all__ = [
-    "RadarEstimate",
     "DelayDopplerMap",
     "MapDetection",
     "cfar_threshold",
@@ -42,16 +47,6 @@ __all__ = [
     "resolutions",
     "detection_probability",
 ]
-
-
-@dataclass(frozen=True)
-class RadarEstimate:
-    """Scalar target estimate; range and velocity follow from delay and Doppler."""
-
-    range_m: float | None = None
-    velocity_mps: float | None = None
-    delay_s: float | None = None
-    doppler_hz: float | None = None
 
 
 def cfar_threshold(noise_var: float, pfa: float) -> float:
@@ -104,8 +99,8 @@ def estimate_velocity_moose(
     m: int,
     ts: float,
     wavelength: float,
-) -> RadarEstimate:
-    """Least-squares (Moose) Doppler estimate from repeated training blocks.
+) -> float:
+    """Least-squares (Moose) velocity estimate in m/s from repeated training blocks.
 
     ``p`` is the stacked training vector: M frames of P = p_len synchronized
     training samples each (length M * P).  ``n_d`` is the stream-domain
@@ -131,7 +126,7 @@ def estimate_velocity_moose(
         acc = np.sum(p[n_d:] * np.conj(p[:-n_d]))
     t_d = n_d * ts
     nu = float(np.angle(acc) / (2 * np.pi * t_d))
-    return RadarEstimate(velocity_mps=wavelength * nu / 2.0, doppler_hz=nu)
+    return wavelength * nu / 2.0
 
 
 @dataclass

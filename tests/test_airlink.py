@@ -6,7 +6,6 @@ from wlanradar.airlink import (
     ArrayConfig,
     BeamPair,
     LinkBudget,
-    NoiseClutterSpec,
     Target,
     beam_coupling,
     dft_codebook,
@@ -170,8 +169,7 @@ class TestCommChannel:
 class TestSynthesis:
     def test_noise_only_variance(self):
         frame = assemble_frame(FrameLayout(k=12800), seed=0)
-        nc = NoiseClutterSpec(noise_power=1.0)
-        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], nc, CFG, None,
+        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], 1.0, CFG, None,
                                  seed=1)
         assert len(rx) >= 100_000
         assert np.mean(np.abs(rx.samples) ** 2) == pytest.approx(1.0, rel=0.02)
@@ -179,7 +177,7 @@ class TestSynthesis:
     def test_noise_circularity(self):
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=4), W, [],
-                                 NoiseClutterSpec(1.0), CFG, None, seed=2)
+                                 1.0, CFG, None, seed=2)
         re, im = rx.samples.real, rx.samples.imag
         assert np.var(re) == pytest.approx(np.var(im), rel=0.02)
         cross = np.mean(re * im) / np.sqrt(np.var(re) * np.var(im))
@@ -192,7 +190,7 @@ class TestSynthesis:
         assert t.doppler(CFG.wavelength) == pytest.approx(8005.5, abs=1.0)
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None,
                                  seed=4, unit_gains=True)
         sym = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
@@ -206,7 +204,7 @@ class TestSynthesis:
         energies, gains = [], []
         for rho in (3.0, 9.5, 30.0, 95.0, 300.0):
             t = Target(range_m=rho, velocity_mps=0.0)
-            rx = synthesize_radar_rx(frame, spec, W, [t], NoiseClutterSpec(0.0), CFG, beams,
+            rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, beams,
                                      seed=6)
             energies.append(np.sum(np.abs(rx.samples) ** 2))
             gains.append(radar_path_gain(t, CFG.wavelength))
@@ -220,7 +218,7 @@ class TestSynthesis:
                            seed=7)[0]
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
-        rx = synthesize_radar_rx(cpi, spec, W, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None,
                                  seed=8, unit_gains=True)
         sym = symbol_sample(matched_filter(rx, spec, W), W, 0)
         d = round(t.delay() / TS)
@@ -240,7 +238,7 @@ class TestSynthesis:
         d = 100.7
         t = Target(range_m=d / rate * SPEED_OF_LIGHT / 2, velocity_mps=25.0)
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=12)
-        rx = synthesize_radar_rx(frame, spec, W, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None,
                                  seed=13, unit_gains=True)
         n_tx = len(frame) * spec.oversample + spec.span * spec.oversample
         assert len(rx) == n_tx + 101
@@ -259,11 +257,11 @@ class TestSynthesis:
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], NoiseClutterSpec(0.0), CFG, None,
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None,
                                  seed=10, unit_gains=True)
         sym_full = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         sym_fast = synthesize_radar_rx_symbol_rate(
-            _windows_of(frame), [t], NoiseClutterSpec(0.0), CFG, None, TS, seed=10,
+            _windows_of(frame), [t], 0.0, CFG, None, TS, seed=10,
             unit_gains=True, span=RRC.span,
             starts=[0], length=_full_length(frame, [t], RRC.span),
         )[0]
@@ -278,7 +276,7 @@ class TestSynthesis:
         targets = [Target(range_m=12.71, velocity_mps=33.0),
                    Target(range_m=30.2, velocity_mps=-12.0)]
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        args = (_windows_of(frame), targets, NoiseClutterSpec(0.0), CFG, None, TS)
+        args = (_windows_of(frame), targets, 0.0, CFG, None, TS)
         full = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True, starts=[0],
                                                length=_full_length(frame, targets, 16))[0]
         length = 300
@@ -293,26 +291,25 @@ class TestSynthesis:
         assert np.all(rows[2, 100:] == 0)
 
     def test_symbol_rate_windows_carry_the_noise_power(self):
-        nc = NoiseClutterSpec(noise_power=0.3, clutter_power=0.2)
-        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], nc, CFG, None,
+        # noise 0.3 plus white clutter 0.2
+        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], 0.5, CFG, None,
                                                TS, seed=5, starts=np.arange(8) * 5000,
                                                length=2000)
-        assert np.mean(np.abs(rows) ** 2) == pytest.approx(nc.sigma_cn2, rel=0.05)
+        assert np.mean(np.abs(rows) ** 2) == pytest.approx(0.5, rel=0.05)
 
     def test_symbol_rate_overlapping_windows_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], NoiseClutterSpec(),
+            synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], 1.0,
                                             CFG, None, TS, starts=[0, 10], length=20)
 
-
-class TestNoiseClutterSpec:
-    def test_total_is_sum(self):
-        nc = NoiseClutterSpec(noise_power=0.3, clutter_power=0.2)
-        assert nc.sigma_cn2 == pytest.approx(0.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseClutterSpec(noise_power=-1.0)
+    def test_negative_power_rejected(self):
+        frame = np.ones(64)
+        for sigma_cn2 in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma_cn2"):
+                synthesize_radar_rx(frame, RRC, W, [], sigma_cn2, CFG, None)
+            with pytest.raises(ValueError, match="sigma_cn2"):
+                synthesize_radar_rx_symbol_rate(_windows_of(frame), [], sigma_cn2, CFG, None,
+                                                TS, starts=[0], length=20)
 
 
 class TestLinkBudget:

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wlanradar import bench
+from wlanradar.airlink import Target
 from wlanradar.bench import (
     ExperimentSpec,
     ResultTable,
@@ -102,6 +106,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="tradeoff", sweep=(2, 0))
 
+    def test_tradeoff_fractional_frame_count_rejected(self):
+        # M = 2.5 would run, and be labelled, as M = 2
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentSpec(kind="tradeoff", sweep=(2.5,))
+        assert ExperimentSpec(kind="tradeoff", sweep=(2.0, 4)).sweep == (2.0, 4)
+
+    @pytest.mark.parametrize("pfa", [0.0, 1.0, float("nan")])
+    def test_pfa_outside_open_unit_interval_rejected(self, pfa):
+        # caught here, not after every detection trial has run
+        with pytest.raises(ValueError, match="pfa"):
+            ExperimentSpec(kind="detection", sweep=(-20.0,), pfa=pfa)
+
+    @pytest.mark.parametrize("kind, sweep", [("velocity-mse", (10.0,)),
+                                             ("tradeoff", (2, 4))])
+    def test_target_outside_moose_span_rejected(self, kind, sweep, monkeypatch):
+        # 200 m/s aliases: the span at K = 12 800 is +-171.8 m/s, and narrower
+        # at the trade-off's longer frames; nothing may run first
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_map_trials", no_trials)
+        scen = Scenario(targets=(Target(range_m=50.0, velocity_mps=-200.0),))
+        spec = ExperimentSpec(kind=kind, scenario=scen, sweep=sweep, trials=2)
+        with pytest.raises(ValueError, match="Moose span"):
+            run_experiment(spec)
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -173,6 +203,17 @@ class TestDeterminism:
         assert m["experiment"]["seed"] == 9
         assert "numpy" in m["versions"]
         assert m["scenario"]["symbol_rate"] == 1.76e9
+
+    def test_manifest_carries_every_experiment_field(self):
+        import json
+
+        spec = ExperimentSpec(kind="tradeoff", sweep=(2, 4), trials=1,
+                              tradeoff_scnr_db=3.0)
+        m = json.loads(run_manifest(spec))
+        names = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"scenario"}
+        assert set(m["experiment"]) == names
+        assert m["experiment"]["tradeoff_scnr_db"] == 3.0
+        assert m["experiment"]["sweep"] == [2, 4]
 
 
 class TestStatisticalConventions:

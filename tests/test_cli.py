@@ -87,6 +87,15 @@ class TestErrors:
             assert r.stderr.startswith("error:")
             assert "WLANRADAR_WORKERS" in r.stderr or "workers" in r.stderr
 
+    def test_target_outside_moose_span_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"targets": [
+            {"range_m": 50.0, "velocity_mps": 200.0}]}}))
+        r = run_cli("velocity", "--config", str(cfg), "--trials", "1", "--scnr", "10")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Moose span" in r.stderr
+
     def test_bad_scenario_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"frame_k": 100}}))

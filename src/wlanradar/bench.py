@@ -73,18 +73,6 @@ __all__ = [
     "run_manifest",
 ]
 
-EXPERIMENT_KINDS = (
-    "ambiguity",
-    "detection",
-    "range-mse",
-    "velocity-mse",
-    "tradeoff",
-    "linkbudget",
-    "ddmap",
-    "crlb",
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Physical and frame-level configuration shared by all experiments."""
@@ -187,14 +175,11 @@ class ExperimentSpec:
     tradeoff_scnr_db: float = 10.0     # operating SCNR of the trade-off bench
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _PIPELINES:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        needs_sweep = self.kind in (
-            "detection", "range-mse", "velocity-mse", "tradeoff", "linkbudget", "crlb",
-        )
-        if needs_sweep and len(self.sweep) == 0:
+        if self.kind not in ("ambiguity", "ddmap") and len(self.sweep) == 0:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
         if not (0 < self.pfa < 1):
             raise ValueError("pfa must lie in (0, 1)")
@@ -202,6 +187,8 @@ class ExperimentSpec:
             float(m).is_integer() and m >= 1 for m in self.sweep
         ):
             raise ValueError("tradeoff frame counts must be integers >= 1")
+        if self.kind == "ddmap" and len(self.sweep) > 1:
+            raise ValueError(f"ddmap maps one SCNR, got the sweep {self.sweep}")
 
 
 @dataclass
@@ -533,7 +520,7 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     return table
 
 
-def _run_linkbudget(spec: ExperimentSpec) -> ResultTable:
+def _run_linkbudget(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     rows = link_budget_sweep(scen.link_budget, spec.sweep, scen.array,
@@ -545,7 +532,7 @@ def _run_linkbudget(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _run_ddmap(spec: ExperimentSpec) -> ResultTable:
+def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
     """Multi-target delay-Doppler bench: peaks, widths, and back-mapped physics.
 
     Beams point at the first target; per-target echo gains follow the
@@ -622,7 +609,7 @@ def _mainlobe_widths(ddm, det) -> tuple[float, float]:
     return float(delay_width), float(doppler_width)
 
 
-def _run_crlb(spec: ExperimentSpec) -> ResultTable:
+def _run_crlb(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     for scnr_db in spec.sweep:
@@ -636,7 +623,7 @@ def _run_crlb(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _run_ambiguity(spec: ExperimentSpec) -> ResultTable:
+def _run_ambiguity(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     pair = DEFAULT_PREAMBLE.pair512
@@ -650,27 +637,23 @@ def _run_ambiguity(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
+# every pipeline takes (spec, workers); the serial ones leave workers unread
+_PIPELINES = {
+    "ambiguity": _run_ambiguity,
+    "detection": _run_detection,
+    "range-mse": _run_range_mse,
+    "velocity-mse": _run_velocity_mse,
+    "tradeoff": _run_tradeoff,
+    "linkbudget": _run_linkbudget,
+    "ddmap": _run_ddmap,
+    "crlb": _run_crlb,
+}
+
+
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
     """Dispatch an ExperimentSpec to its pipeline and return the ResultTable.
 
     Results are byte-reproducible for a fixed (spec, seed) regardless of the
     worker count; workers default to 1 or the WLANRADAR_WORKERS env var.
     """
-    w = _worker_count(workers)
-    if spec.kind == "detection":
-        return _run_detection(spec, w)
-    if spec.kind == "range-mse":
-        return _run_range_mse(spec, w)
-    if spec.kind == "velocity-mse":
-        return _run_velocity_mse(spec, w)
-    if spec.kind == "tradeoff":
-        return _run_tradeoff(spec, w)
-    if spec.kind == "linkbudget":
-        return _run_linkbudget(spec)
-    if spec.kind == "ddmap":
-        return _run_ddmap(spec)
-    if spec.kind == "crlb":
-        return _run_crlb(spec)
-    if spec.kind == "ambiguity":
-        return _run_ambiguity(spec)
-    raise AssertionError(f"unhandled kind {spec.kind}")
+    return _PIPELINES[spec.kind](spec, _worker_count(workers))

@@ -4,9 +4,10 @@
     wlanradar crlb --eq range --scnr 0 --P 2048
     wlanradar ddmap --config scenario.json --out map.csv
 
-A JSON config file supplies scenario fields (see README for the schema);
-explicit flags override config values.  CSV bytes are identical for a fixed
-seed regardless of --workers.
+Each subcommand is one row of ``_COMMANDS`` and accepts only the flags its
+pipeline reads.  A JSON config file supplies scenario and experiment fields
+(see README for the schema); explicit flags override config values.  CSV bytes
+are identical for a fixed seed regardless of --workers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,26 +32,59 @@ from .radar import crlb_range, crlb_velocity, resolutions
 
 __all__ = ["build_parser", "main"]
 
-_KIND_BY_COMMAND = {
-    "ambiguity": "ambiguity",
-    "detect": "detection",
-    "range": "range-mse",
-    "velocity": "velocity-mse",
-    "tradeoff": "tradeoff",
-    "linkbudget": "linkbudget",
-    "ddmap": "ddmap",
-    "crlb": "crlb",
+
+class _Command(NamedTuple):
+    kind: str                     # ExperimentSpec kind
+    sweep_flag: str | None = None
+    sweep: tuple = ()             # the sweep when neither the flag nor the config sets one
+    reads: tuple = ()             # flags besides --config, --out and the sweep flag
+
+
+_TRIALS = ("--trials", "--seed", "--workers")
+
+_COMMANDS = {
+    "detect": _Command("detection", "--scnr", (-26.0, -24.0, -22.0, -20.0, -18.0, -16.0),
+                       (*_TRIALS, "--pfa")),
+    "range": _Command("range-mse", "--scnr", (0.0, 5.0, 10.0), _TRIALS),
+    "velocity": _Command("velocity-mse", "--scnr", (0.0, 10.0, 20.0), (*_TRIALS, "--frames")),
+    "tradeoff": _Command("tradeoff", "--frames", (2, 4, 8, 16), (*_TRIALS, "--cpi")),
+    "linkbudget": _Command("linkbudget", "--distances", tuple(np.linspace(10, 200, 20))),
+    "ddmap": _Command("ddmap", "--scnr", (), ("--seed", "--pfa")),
+    "ambiguity": _Command("ambiguity"),
+    "crlb": _Command("crlb", "--scnr", (0.0, 10.0, 20.0, 30.0, 40.0),
+                     ("--eq", "--P", "--mode", "--frames", "--frame-symbols", "--tint")),
 }
 
+# what each `crlb --eq` mode reads; --eq table runs the crlb experiment
+_CRLB_READS = {
+    "table": {"config", "scnr", "out"},
+    "range": {"scnr", "P"},
+    "velocity": {"scnr", "P", "mode", "frames", "frame_symbols"},
+    "resolution": {"tint"},
+}
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, help="JSON scenario/experiment config")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per sweep point")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--workers", type=int, help="worker processes (default 1 or env)")
-    p.add_argument("--out", type=Path, help="CSV output path (manifest alongside)")
-    p.add_argument("--pfa", type=float, help="false-alarm probability")
-    p.add_argument("--scnr", type=float, nargs="+", help="SCNR sweep values in dB")
+# add_argument keywords of every flag a row names; a sweep flag also takes nargs="+"
+_FLAGS = {
+    "--trials": dict(type=int, help="Monte Carlo trials per sweep point"),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--workers": dict(type=int, help="worker processes (default 1 or env)"),
+    "--pfa": dict(type=float, help="false-alarm probability"),
+    "--scnr": dict(type=float, help="SCNR in dB"),
+    "--distances": dict(type=float, help="separation distances in meters"),
+    "--frames": dict(type=int, help="frames per CPI (M)"),
+    "--cpi": dict(type=float, help="CPI duration in seconds"),
+    "--eq": dict(choices=tuple(_CRLB_READS), default="table", help="what to compute"),
+    "--P": dict(type=int, help="integrated preamble symbols (default 2048)"),
+    "--mode": dict(choices=("single", "multi", "exact"),
+                   help="velocity CRLB flavor (default single)"),
+    "--frame-symbols": dict(type=int, help="symbols per frame K (default 12800)"),
+    "--tint": dict(type=float, help="integration time for --eq resolution"),
+}
+
+# flags that set a Scenario field rather than an ExperimentSpec field
+_SCENARIO_FIELDS = {"frames": "n_frames", "cpi": "cpi_duration_s"}
+
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentSpec)} - {"kind", "scenario"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,41 +93,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint communication-radar link simulator benches",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for cmd in ("detect", "range", "velocity", "ambiguity", "linkbudget", "ddmap"):
-        p = sub.add_parser(cmd)
-        _add_common(p)
-        if cmd == "velocity":
-            p.add_argument("--frames", type=int, help="frames per CPI (M)")
-        if cmd == "linkbudget":
-            p.add_argument("--distances", type=float, nargs="+",
-                           help="separation distances in meters")
-
-    p = sub.add_parser("tradeoff")
-    _add_common(p)
-    p.add_argument("--frames", type=int, nargs="+", help="M values to sweep")
-    p.add_argument("--cpi", type=float, help="CPI duration in seconds")
-
-    p = sub.add_parser("crlb")
-    _add_common(p)
-    p.add_argument("--eq", choices=("range", "velocity", "resolution", "table"),
-                   default="table")
-    p.add_argument("--P", type=int, default=2048, help="integrated preamble symbols")
-    p.add_argument("--mode", default="single",
-                   choices=("single", "multi", "exact"), help="velocity CRLB flavor")
-    p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--frame-symbols", type=int, default=12800)
-    p.add_argument("--tint", type=float, help="integration time for --eq resolution")
+    for name, cmd in _COMMANDS.items():
+        # a flag left off the command line sets no attribute, so vars(args)
+        # holds exactly the flags given (plus --eq's default)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", type=Path, help="JSON scenario/experiment config")
+        p.add_argument("--out", type=Path, help="CSV output path (manifest alongside)")
+        if cmd.sweep_flag:
+            p.add_argument(cmd.sweep_flag, nargs="+", **_FLAGS[cmd.sweep_flag])
+        for flag in cmd.reads:
+            p.add_argument(flag, **_FLAGS[flag])
     return ap
 
 
-def _load_scenario(args) -> tuple[Scenario, dict]:
+def _load_config(path: Path | None) -> tuple[Scenario, dict]:
     cfg = {}
-    if getattr(args, "config", None):
+    if path is not None:
         try:
-            cfg = json.loads(Path(args.config).read_text())
+            cfg = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as e:
-            raise SystemExit(f"error: cannot read config {args.config}: {e}")
+            raise SystemExit(f"error: cannot read config {path}: {e}")
+        if not isinstance(cfg, dict):
+            raise SystemExit(f"error: config {path} is not a JSON object")
+    unknown = set(cfg) - {"scenario", "experiment"}
+    if unknown:
+        raise SystemExit(f"error: unknown config key(s) {', '.join(sorted(unknown))}")
+    experiment = cfg.get("experiment", {})
+    unknown = set(experiment) - _EXPERIMENT_KEYS
+    if unknown:
+        raise SystemExit(f"error: unknown experiment key(s) {', '.join(sorted(unknown))}")
     scen_dict = cfg.get("scenario", {})
     try:
         if scen_dict.pop("preset", None) == "two-vehicle":
@@ -100,85 +130,64 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
             scen = Scenario.from_dict(scen_dict)
     except (TypeError, ValueError) as e:
         raise SystemExit(f"error: bad scenario config: {e}")
-    return scen, cfg
+    return scen, {k: tuple(v) if isinstance(v, list) else v for k, v in experiment.items()}
 
 
-def _crlb_command(args) -> int:
-    if args.eq == "range":
-        for s in args.scnr or (0.0,):
-            v = crlb_range(10 ** (s / 10), p=args.P)
+def _crlb_command(given: dict) -> int:
+    eq = given.pop("eq")
+    unread = sorted(set(given) - _CRLB_READS[eq])
+    if unread:
+        raise SystemExit(f"error: crlb --eq {eq} does not read "
+                         + ", ".join("--" + d.replace("_", "-") for d in unread))
+    if eq == "table":
+        return _run_and_emit(_COMMANDS["crlb"], given)
+    scnr = given.get("scnr", (0.0,))
+    p = given.get("P", 2048)
+    if eq == "range":
+        for s in scnr:
+            v = crlb_range(10 ** (s / 10), p=p)
             print(f"{v:.9g} m^2  (sigma = {np.sqrt(v) * 1e3:.6g} mm) at SCNR {s:g} dB")
         return 0
-    if args.eq == "velocity":
-        for s in args.scnr or (0.0,):
-            v = crlb_velocity(10 ** (s / 10), mode=args.mode, p=args.P,
-                              m=args.frames, k=args.frame_symbols)
+    if eq == "velocity":
+        for s in scnr:
+            v = crlb_velocity(10 ** (s / 10), mode=given.get("mode", "single"), p=p,
+                              m=given.get("frames", 1), k=given.get("frame_symbols", 12800))
             print(f"{v:.9g} (m/s)^2  (sigma = {np.sqrt(v):.6g} m/s) at SCNR {s:g} dB")
         return 0
-    if args.eq == "resolution":
-        scen = Scenario()
-        tint = args.tint if args.tint is not None else scen.n_frames * scen.frame_k * scen.ts
-        try:
-            dr, dv = resolutions(scen.symbol_rate, tint, scen.wavelength)
-        except ValueError as e:
-            raise SystemExit(f"error: {e}")
-        print(f"range resolution {dr:.9g} m, velocity resolution {dv:.9g} m/s")
-        return 0
-    return _run_and_emit(args, "crlb")
-
-
-def _run_and_emit(args, kind: str) -> int:
-    scen, cfg = _load_scenario(args)
-    exp_cfg = cfg.get("experiment", {})
-
-    sweep = None
-    if getattr(args, "scnr", None) is not None:
-        sweep = tuple(args.scnr)
-    elif getattr(args, "distances", None) is not None:
-        sweep = tuple(args.distances)
-    elif kind == "tradeoff" and getattr(args, "frames", None) is not None:
-        sweep = tuple(args.frames)
-    elif "sweep" in exp_cfg:
-        sweep = tuple(exp_cfg["sweep"])
-    else:
-        defaults = {
-            "detection": (-26.0, -24.0, -22.0, -20.0, -18.0, -16.0),
-            "range-mse": (0.0, 5.0, 10.0),
-            "velocity-mse": (0.0, 10.0, 20.0),
-            "tradeoff": (2, 4, 8, 16),
-            "linkbudget": tuple(np.linspace(10, 200, 20)),
-            "crlb": (0.0, 10.0, 20.0, 30.0, 40.0),
-            "ambiguity": (),
-            "ddmap": (),
-        }
-        sweep = defaults[kind]
-
+    scen = Scenario()
+    tint = given.get("tint", scen.n_frames * scen.frame_k * scen.ts)
     try:
-        if kind == "velocity-mse" and getattr(args, "frames", None) is not None:
-            scen = Scenario.from_dict({**scen.to_dict(), "n_frames": args.frames})
-        if kind == "tradeoff" and getattr(args, "cpi", None) is not None:
-            scen = Scenario.from_dict({**scen.to_dict(), "cpi_duration_s": args.cpi})
-        if kind == "ddmap" and not getattr(args, "config", None):
-            scen = two_vehicle_scenario()
-        spec = ExperimentSpec(
-            kind=kind,
-            scenario=scen,
-            sweep=sweep,
-            trials=args.trials if args.trials is not None else exp_cfg.get("trials", 1000),
-            seed=args.seed if args.seed is not None else exp_cfg.get("seed", 0),
-            pfa=args.pfa if args.pfa is not None else exp_cfg.get("pfa", 1e-6),
-            tradeoff_scnr_db=exp_cfg.get("tradeoff_scnr_db", 10.0),
-            doppler_grid=tuple(exp_cfg.get("doppler_grid", ())),
-        )
-        table = run_experiment(spec, workers=args.workers)
+        dr, dv = resolutions(scen.symbol_rate, tint, scen.wavelength)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
+    print(f"range resolution {dr:.9g} m, velocity resolution {dv:.9g} m/s")
+    return 0
+
+
+def _run_and_emit(cmd: _Command, given: dict) -> int:
+    config = given.pop("config", None)
+    out = given.pop("out", None)
+    workers = given.pop("workers", None)
+    scen, spec_fields = _load_config(config)
+    if cmd.kind == "ddmap" and config is None:
+        scen = two_vehicle_scenario()
+    spec_fields.setdefault("sweep", cmd.sweep)
+    if cmd.sweep_flag and cmd.sweep_flag[2:] in given:
+        spec_fields["sweep"] = tuple(given.pop(cmd.sweep_flag[2:]))
+    overrides = {_SCENARIO_FIELDS[d]: given.pop(d) for d in list(given) if d in _SCENARIO_FIELDS}
+    # what is left (--trials, --seed, --pfa) names ExperimentSpec fields
+    spec_fields.update(given)
+    try:
+        spec = ExperimentSpec(kind=cmd.kind, scenario=replace(scen, **overrides), **spec_fields)
+        table = run_experiment(spec, workers=workers)
     except ValueError as e:
         raise SystemExit(f"error: {e}")
     csv_text = table.to_csv_text()
-    if args.out:
-        args.out.write_text(csv_text)
-        manifest_path = args.out.with_suffix(".manifest.json")
+    if out:
+        out.write_text(csv_text)
+        manifest_path = out.with_suffix(".manifest.json")
         manifest_path.write_text(run_manifest(spec))
-        print(f"wrote {args.out} and {manifest_path}")
+        print(f"wrote {out} and {manifest_path}")
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -190,10 +199,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    given = vars(args)
+    command = given.pop("command")
     try:
-        if args.command == "crlb":
-            return _crlb_command(args)
-        return _run_and_emit(args, _KIND_BY_COMMAND[args.command])
+        if command == "crlb":
+            return _crlb_command(given)
+        return _run_and_emit(_COMMANDS[command], given)
     except SystemExit as e:
         if e.code and isinstance(e.code, str):
             print(e.code, file=sys.stderr)

@@ -205,7 +205,8 @@ def symbol_sample(y: IqStream, symbol_rate: float, phase: int = 0) -> np.ndarray
     """Decimate an oversampled stream to symbol rate at the given phase.
 
     Sample n of the output is taken at t = n Ts + phase / rate, i.e. phase
-    counts oversampled ticks in 0..Q-1.  With Q = 1 this is the identity.
+    counts oversampled ticks in 0..Q-1; instants before a stream that starts
+    after t = 0 read as zeros.  With Q = 1 this is the identity.
     """
     q = int(round(y.rate / symbol_rate))
     if abs(y.rate - q * symbol_rate) > 1e-6 * y.rate:
@@ -213,6 +214,5 @@ def symbol_sample(y: IqStream, symbol_rate: float, phase: int = 0) -> np.ndarray
     if not (0 <= phase < q):
         raise ValueError(f"phase must lie in 0..{q - 1}")
     start = int(np.round((0 - y.t0) * y.rate)) + phase
-    while start < 0:
-        start += q
-    return y.samples[start::q]
+    pad = max(-(start // q), 0)
+    return np.concatenate([np.zeros(pad, complex), y.samples[start + pad * q :: q]])

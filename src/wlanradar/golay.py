@@ -111,7 +111,8 @@ def golay_pair_correlate(
       treated as isolated records (zeros outside).  For an echo aligned to
       the gate the response is the complementary sum R_a + R_b, i.e. an
       exact delta across every off-peak lag.  This is the form behind the
-      channel-estimate decomposition used by detection.  ``rx`` must be 1-d.
+      gated channel estimate (acceptance criterion 2) and the ambiguity
+      bench; detection reads no CEF.  ``rx`` must be 1-d.
 
     ``lags`` is an array of lag values, each the position of the a-window
     within the stream.

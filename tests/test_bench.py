@@ -95,6 +95,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="ddmap", trials=0)
 
+    def test_ddmap_takes_at_most_one_scnr(self):
+        # the map bench reads sweep[0] only
+        with pytest.raises(ValueError, match="ddmap"):
+            ExperimentSpec(kind="ddmap", sweep=(10.0, 40.0))
+        assert ExperimentSpec(kind="ddmap", sweep=(10.0,)).sweep == (10.0,)
+
     @pytest.mark.parametrize("kwargs", [
         dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0),
     ])

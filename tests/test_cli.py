@@ -1,8 +1,12 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
+from wlanradar.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "wlanradar.cli"]
 
@@ -41,18 +45,39 @@ class TestErrors:
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "cfg.json"
-        bad.write_text("{not json")
-        r = run_cli("range", "--config", str(bad), "--trials", "1")
-        assert r.returncode != 0
-        assert "config" in (r.stderr + r.stdout).lower()
+        for text in ("{not json", "[1, 2]"):
+            bad.write_text(text)
+            r = run_cli("range", "--config", str(bad), "--trials", "1")
+            assert r.returncode != 0
+            assert "config" in (r.stderr + r.stdout).lower()
 
     def test_zero_pfa_rejected(self):
-        r = run_cli("crlb", "--eq", "table", "--pfa", "0")
-        assert r.returncode != 0
+        r = run_cli("detect", "--pfa", "0")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "pfa" in r.stderr
 
     def test_zero_trials_rejected(self):
-        r = run_cli("crlb", "--eq", "table", "--trials", "0")
-        assert r.returncode != 0
+        r = run_cli("detect", "--trials", "0")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "trials" in r.stderr
+
+    def test_ddmap_takes_one_scnr(self, capsys):
+        assert main(["ddmap", "--scnr", "10", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(10.0, 40.0)" in err
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"scenrio": {"n_frames": 2}}, "scenrio"),
+        ({"experiment": {"trails": 3}}, "trails"),
+        ({"experiment": {"kind": "detection"}}, "kind"),
+        ({"experiment": {"scenario": {}}}, "scenario"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, cfg, key, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["range", "--config", str(path), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
@@ -150,3 +175,101 @@ class TestRuns:
         r = run_cli("crlb", "--scnr", "0", "--eq", "table")
         assert r.returncode == 0
         assert r.stdout.startswith("sweep,metric,value")
+
+
+def _flags_by_command() -> dict:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+# every (command, flag) pair the CLI dropped because the pipeline never read it
+REMOVED_PAIRS = [
+    ("range", "--pfa"), ("velocity", "--pfa"),
+    ("tradeoff", "--scnr"), ("tradeoff", "--pfa"),
+    *(("linkbudget", f) for f in ("--trials", "--seed", "--workers", "--pfa", "--scnr")),
+    ("ddmap", "--trials"), ("ddmap", "--workers"),
+    *(("ambiguity", f) for f in ("--trials", "--seed", "--workers", "--pfa", "--scnr")),
+    *(("crlb", f) for f in ("--trials", "--seed", "--workers", "--pfa")),
+]
+VALUES = {"--trials": "7", "--seed": "1", "--workers": "2", "--pfa": "1e-4", "--scnr": "10"}
+
+# each accepted flag but --out, --config and --workers, at two values, with
+# the command's other flags set so that each run stays small
+READ_FLAGS = [
+    ("detect --trials 1 --scnr {}", "-10", "10"),
+    ("detect --scnr 10 --trials {}", "1", "2"),
+    ("detect --scnr 10 --trials 1 --seed {}", "0", "1"),
+    ("detect --scnr 10 --trials 1 --pfa {}", "1e-4", "1e-3"),
+    ("range --trials 1 --scnr {}", "0", "10"),
+    ("range --scnr 10 --trials {}", "1", "2"),
+    ("range --scnr 10 --trials 1 --seed {}", "0", "1"),
+    ("velocity --frames 2 --trials 1 --scnr {}", "0", "10"),
+    ("velocity --scnr 10 --frames 2 --trials {}", "1", "2"),
+    ("velocity --scnr 10 --frames 2 --trials 1 --seed {}", "0", "1"),
+    ("velocity --scnr 10 --trials 1 --frames {}", "2", "3"),
+    ("tradeoff --trials 1 --frames {}", "2", "4"),
+    ("tradeoff --frames 2 --trials {}", "1", "2"),
+    ("tradeoff --frames 2 --trials 1 --seed {}", "0", "1"),
+    ("tradeoff --frames 2 --trials 1 --cpi {}", "6e-5", "8e-5"),
+    ("linkbudget --distances {}", "10", "20"),
+    ("ddmap --scnr {}", "20", "30"),
+    ("ddmap --seed {}", "0", "1"),
+    ("ddmap --pfa {}", "1e-4", "1e-3"),
+    ("crlb --scnr {}", "0", "10"),
+    ("crlb --eq {} --scnr 0", "range", "velocity"),
+    ("crlb --eq range --scnr {}", "0", "10"),
+    ("crlb --eq range --P {}", "2048", "3328"),
+    ("crlb --eq velocity --mode {}", "single", "multi"),
+    ("crlb --eq velocity --mode multi --frames {}", "1", "4"),
+    ("crlb --eq velocity --mode multi --frame-symbols {}", "12800", "6400"),
+    ("crlb --eq resolution --tint {}", "1e-3", "4.2e-3"),
+]
+
+
+def _read_flag(template: str) -> tuple[str, str]:
+    words = template.split()
+    return words[0], words[words.index("{}") - 1]
+
+
+class TestCommandTable:
+    def test_flag_count(self):
+        assert sum(len(f) for f in _flags_by_command().values()) == 46
+
+    @pytest.mark.parametrize("command, flag", REMOVED_PAIRS)
+    def test_unread_flag_rejected(self, command, flag, capsys):
+        assert main([command, flag, VALUES[flag]]) != 0
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eq, flag, value", [
+        ("table", "--P", "3328"), ("table", "--mode", "multi"),
+        ("range", "--config", "w.json"), ("range", "--out", "x.csv"),
+        ("velocity", "--tint", "1e-3"), ("resolution", "--scnr", "0"),
+    ])
+    def test_crlb_mode_rejects_unread_flag(self, eq, flag, value, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["crlb", "--eq", eq, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_every_read_flag_is_exercised(self):
+        covered = {_read_flag(t) for t, _, _ in READ_FLAGS}
+        accepted = {(c, f) for c, flags in _flags_by_command().items() for f in flags
+                    if f not in ("--out", "--config", "--workers")}
+        assert covered == accepted
+
+    @pytest.mark.parametrize("template, a, b", READ_FLAGS)
+    def test_flag_value_reaches_the_run(self, template, a, b, tmp_path, capsys):
+        def observe(value):
+            argv = template.replace("{}", value).split()
+            if argv[0] == "crlb" and "--eq" in argv:
+                assert main(argv) == 0
+                return capsys.readouterr().out
+            out = tmp_path / "run.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.with_suffix(".manifest.json").read_text()
+
+        assert observe(a) != observe(b)

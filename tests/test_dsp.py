@@ -126,6 +126,17 @@ class TestSymbolSample:
         assert np.argmax(e) == 0
         assert e[0] > e[SPEC.oversample // 2]
 
+    def test_late_stream_front_padded(self):
+        # a stream starting 5 symbols + 3 ticks after t = 0: output n at n Ts + phase ticks
+        x = np.arange(1, 81, dtype=complex)
+        y = IqStream(x, 8 * W, t0=(5 * 8 + 3) / (8 * W))
+        out = symbol_sample(y, W, 3)
+        assert np.array_equal(out, np.concatenate([np.zeros(5), x[::8]]))
+        out = symbol_sample(y, W, 4)
+        assert np.array_equal(out, np.concatenate([np.zeros(5), x[1::8]]))
+        out = symbol_sample(y, W, 2)
+        assert np.array_equal(out, np.concatenate([np.zeros(6), x[7::8]]))
+
     def test_invalid_phase(self):
         with pytest.raises(ValueError):
             symbol_sample(IqStream(np.zeros(64), 8 * W), W, 8)

@@ -220,6 +220,14 @@ class TestPipeline:
             hits += err <= 1 + 1 / (2 * Q)
         assert hits >= int(np.ceil(trials * 0.99))
 
+    def test_stream_starting_after_time_zero(self):
+        # pulse_shape's stream starts at t0 = 563 Ts; symbol k still sits at k Ts
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
+        rx = pulse_shape(frame, RRC, W, delay=587 / W)
+        for search in ((203, 971), (0, 971)):
+            timing, _ = preamble_sync(rx, RRC, W, search=search)
+            assert timing.fine_start == 587
+
     def test_override_pair_full_chain(self, reversed_preamble):
         p = reversed_preamble
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=17, preamble=p)

@@ -15,7 +15,6 @@ same per-symbol SNR.
 from __future__ import annotations
 
 import json
-import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -202,9 +201,6 @@ class ResultTable:
         self.rows.append((sweep, str(metric), float(value), int(trials),
                           float(half_width)))
 
-    def column(self, metric: str) -> list:
-        return [(r[0], r[2]) for r in self.rows if r[1] == metric]
-
     def value(self, sweep, metric: str) -> float:
         for r in self.rows:
             if r[1] == metric and r[0] == sweep:
@@ -299,7 +295,7 @@ def _rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, point, trial])
 
 
-def _detection_trial(args) -> float:
+def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
     """One end-to-end detection trial; returns 1.0 when the target is declared.
 
     The statistic is the oversampled matched-filter correlation of the raw
@@ -308,8 +304,6 @@ def _detection_trial(args) -> float:
     the per-cell false-alarm rate from the known noise variance.  ``template``
     is the preamble shaped at the scenario's oversampled rate.
     """
-    scen, scnr_db, pfa, point, trial, seed, template = args
-    rng = _rng(seed, point, trial)
     target = scen.targets[0]
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
     symbols = assemble_frame(layout, rng)
@@ -323,14 +317,12 @@ def _detection_trial(args) -> float:
     return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
 
 
-def _range_trial(args) -> float:
+def _range_trial(scen, scnr_db, rng) -> float:
     """One range-estimation trial; returns the squared range error in m^2.
 
     The true range is jittered by up to half a range bin so the Monte Carlo
     samples the sub-sample quantization error of the synchronizer.
     """
-    scen, scnr_db, point, trial, seed = args
-    rng = _rng(seed, point, trial)
     base = scen.targets[0]
     bin_m = SPEED_OF_LIGHT * scen.ts / 2
     rho = base.range_m + (rng.uniform(-0.5, 0.5)) * bin_m
@@ -349,7 +341,7 @@ def _range_trial(args) -> float:
     return float((rho_hat - rho) ** 2)
 
 
-def _velocity_trial(args) -> float:
+def _velocity_trial(scen, scnr_db, rng) -> float:
     """One multi-frame velocity trial at symbol rate; returns squared error.
 
     Each frame's known 3328-symbol training block is first compressed by the
@@ -358,8 +350,6 @@ def _velocity_trial(args) -> float:
     symbol products instead would add the |noise|^2 self-term of the
     correlator, which costs ~10 log10(1 + (M-1)/(2 zeta)) dB at low SCNR.
     """
-    scen, scnr_db, point, trial, seed = args
-    rng = _rng(seed, point, trial)
     target = scen.targets[0]
     m = scen.n_frames
     k = scen.frame_k
@@ -389,26 +379,24 @@ def _velocity_trial(args) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("WLANRADAR_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"WLANRADAR_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
-
-
 def _map_trials(fn, args_list, workers: int):
     if workers <= 1 or len(args_list) < 2 * workers:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list, chunksize=chunk))
+
+
+def _seeded_trial(trial, scen, value, seed: int, point: int, j: int) -> float:
+    return trial(scen, value, _rng(seed, point, j))
+
+
+def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
+    """Each ``(i, scen, value)`` point's ``spec.trials`` values of
+    ``trial(scen, value, rng)``, in trial order; trial j draws from _rng(seed, i, j)."""
+    return [np.array(_map_trials(partial(_seeded_trial, trial, scen, value, spec.seed, i),
+                                 range(spec.trials), workers))
+            for i, scen, value in points]
 
 
 def _binomial_halfwidth(p: float, n: int) -> float:
@@ -425,11 +413,11 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate).samples
-    for i, scnr_db in enumerate(spec.sweep):
-        args = [(scen, scnr_db, spec.pfa, i, j, spec.seed, template)
-                for j in range(spec.trials)]
-        hits = np.array(_map_trials(_detection_trial, args, workers))
-        pd = float(np.mean(hits))
+    trial = partial(_detection_trial, spec.pfa, template)  # a (scen, value, rng) trial
+    points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
+    hits = _monte_carlo(trial, spec, points, workers)
+    for scnr_db, hit in zip(spec.sweep, hits):
+        pd = float(np.mean(hit))
         table.add(scnr_db, "pd", pd, spec.trials, _binomial_halfwidth(pd, spec.trials))
         table.add(
             scnr_db, "pd_theory",
@@ -441,9 +429,9 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
 def _run_range_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    for i, scnr_db in enumerate(spec.sweep):
-        args = [(scen, scnr_db, i, j, spec.seed) for j in range(spec.trials)]
-        sq = np.array(_map_trials(_range_trial, args, workers))
+    points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
+    errors = _monte_carlo(_range_trial, spec, points, workers)
+    for scnr_db, sq in zip(spec.sweep, errors):
         table.add(scnr_db, "range_mse_m2", float(np.mean(sq)), spec.trials,
                   _mean_halfwidth(sq))
         table.add(scnr_db, "range_crlb_m2",
@@ -475,9 +463,9 @@ def _run_velocity_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     _check_moose_span(scen, [scen.frame_k])
-    for i, scnr_db in enumerate(spec.sweep):
-        args = [(scen, scnr_db, i, j, spec.seed) for j in range(spec.trials)]
-        sq = np.array(_map_trials(_velocity_trial, args, workers))
+    points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
+    errors = _monte_carlo(_velocity_trial, spec, points, workers)
+    for scnr_db, sq in zip(spec.sweep, errors):
         table.add(scnr_db, "velocity_mse_m2s2", float(np.mean(sq)), spec.trials,
                   _mean_halfwidth(sq))
         _velocity_crlb_columns(table, scen, scnr_db)
@@ -497,17 +485,19 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     t_cpi = scen.cpi_duration_s
     total_symbols = int(round(t_cpi / scen.ts))
     ks = [total_symbols // int(m) for m in spec.sweep]
-    feasible = [k > PREAMBLE_LEN + scen.header_len for k in ks]
-    _check_moose_span(scen, [k for k, ok in zip(ks, feasible) if ok])
-    for i, (m_frames, k, ok) in enumerate(zip(spec.sweep, ks, feasible)):
+    # an infeasible point keeps its index i, so later points keep their streams
+    points = [(i, replace(scen, n_frames=int(m), frame_k=k), scnr_db)
+              for i, (m, k) in enumerate(zip(spec.sweep, ks))
+              if k > PREAMBLE_LEN + scen.header_len]
+    _check_moose_span(scen, [sub.frame_k for _, sub, _ in points])
+    errors = dict(zip([i for i, _, _ in points],
+                      _monte_carlo(_velocity_trial, spec, points, workers)))
+    for i, (m_frames, k) in enumerate(zip(spec.sweep, ks)):
         m_frames = int(m_frames)
-        if not ok:
+        if i not in errors:
             table.add(m_frames, "infeasible", 1.0)
             continue
-        sub = replace(scen, n_frames=m_frames, frame_k=k)
-        args = [(sub, scnr_db, i, j, spec.seed) for j in range(spec.trials)]
-        sq = np.array(_map_trials(_velocity_trial, args, workers))
-        rmse = float(np.sqrt(np.mean(sq)))
+        rmse = float(np.sqrt(np.mean(errors[i])))
         table.add(m_frames, "velocity_rmse_mps", rmse, spec.trials)
         k_cd = k - PREAMBLE_LEN - scen.header_len
         snr = rician_snr_draws(zeta, scen.rician_k_db, scen.array,
@@ -541,6 +531,9 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
     """
     table = ResultTable()
     scen = spec.scenario
+    if not all(0 <= round(t.delay() / scen.ts) < 512 for t in scen.targets):
+        raise ValueError("a target lies outside the sliding CEF delay span 0-"
+                         f"{511 * SPEED_OF_LIGHT * scen.ts / 2:.3g} m (bins 0-511)")
     rng = _rng(spec.seed, 0, 0)
     m, k = scen.n_frames, scen.frame_k
     layout = scen.layout()
@@ -588,25 +581,18 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
 def _mainlobe_widths(ddm, det) -> tuple[float, float]:
     """(delay width in bins, Doppler width in interpolated bins/Z) at -3 dB."""
     row = np.abs(ddm.grid[:, det.doppler_bin]) ** 2
-    col = np.abs(ddm.grid[det.delay_bin, :]) ** 2
     half = row[det.delay_bin] / 2
 
-    lo = det.delay_bin
-    while lo - 1 >= 0 and row[lo - 1] >= half:
-        lo -= 1
-    hi = det.delay_bin
-    while hi + 1 < len(row) and row[hi + 1] >= half:
-        hi += 1
-    delay_width = hi - lo + 1
+    def width(cut, peak):
+        lo = hi = peak
+        while lo - 1 >= 0 and cut[lo - 1] >= half:
+            lo -= 1
+        while hi + 1 < len(cut) and cut[hi + 1] >= half:
+            hi += 1
+        return hi - lo + 1
 
-    lo = det.doppler_bin
-    while lo - 1 >= 0 and col[lo - 1] >= half:
-        lo -= 1
-    hi = det.doppler_bin
-    while hi + 1 < len(col) and col[hi + 1] >= half:
-        hi += 1
-    doppler_width = (hi - lo + 1) / ddm.zero_pad
-    return float(delay_width), float(doppler_width)
+    doppler_width = width(np.abs(ddm.grid[det.delay_bin, :]) ** 2, det.doppler_bin)
+    return float(width(row, det.delay_bin)), float(doppler_width / ddm.zero_pad)
 
 
 def _run_crlb(spec: ExperimentSpec, workers: int) -> ResultTable:
@@ -650,10 +636,12 @@ _PIPELINES = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Dispatch an ExperimentSpec to its pipeline and return the ResultTable.
 
     Results are byte-reproducible for a fixed (spec, seed) regardless of the
-    worker count; workers default to 1 or the WLANRADAR_WORKERS env var.
+    worker count.
     """
-    return _PIPELINES[spec.kind](spec, _worker_count(workers))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _PIPELINES[spec.kind](spec, workers)

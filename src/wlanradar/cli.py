@@ -67,7 +67,7 @@ _CRLB_READS = {
 _FLAGS = {
     "--trials": dict(type=int, help="Monte Carlo trials per sweep point"),
     "--seed": dict(type=int, help="base RNG seed"),
-    "--workers": dict(type=int, help="worker processes (default 1 or env)"),
+    "--workers": dict(type=int, help="worker processes (default 1)"),
     "--pfa": dict(type=float, help="false-alarm probability"),
     "--scnr": dict(type=float, help="SCNR in dB"),
     "--distances": dict(type=float, help="separation distances in meters"),
@@ -84,7 +84,11 @@ _FLAGS = {
 # flags that set a Scenario field rather than an ExperimentSpec field
 _SCENARIO_FIELDS = {"frames": "n_frames", "cpi": "cpi_duration_s"}
 
-_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentSpec)} - {"kind", "scenario"}
+# the JSON value each experiment key takes, by its annotation; a boolean is no number
+_EXPERIMENT_TYPES = {f.name: f.type for f in fields(ExperimentSpec)
+                     if f.name not in ("kind", "scenario")}
+_JSON_TYPES = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
+               "tuple": ("a list of numbers", (list,))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(path: Path | None) -> tuple[Scenario, dict]:
+def _load_config(path: Path | None, preset: str | None) -> tuple[Scenario, dict]:
+    """A config's Scenario (``preset``'s without a `scenario` key) and experiment fields."""
     cfg = {}
     if path is not None:
         try:
@@ -119,10 +124,15 @@ def _load_config(path: Path | None) -> tuple[Scenario, dict]:
     if unknown:
         raise SystemExit(f"error: unknown config key(s) {', '.join(sorted(unknown))}")
     experiment = cfg.get("experiment", {})
-    unknown = set(experiment) - _EXPERIMENT_KEYS
+    unknown = set(experiment) - set(_EXPERIMENT_TYPES)
     if unknown:
         raise SystemExit(f"error: unknown experiment key(s) {', '.join(sorted(unknown))}")
-    scen_dict = cfg.get("scenario", {})
+    for key, value in experiment.items():
+        name, types = _JSON_TYPES[_EXPERIMENT_TYPES[key]]
+        if type(value) not in types or type(value) is list and any(
+                type(v) not in (int, float) for v in value):
+            raise SystemExit(f"error: experiment {key} must be {name}, got {value!r}")
+    scen_dict = cfg.get("scenario", {"preset": preset})
     try:
         if scen_dict.pop("preset", None) == "two-vehicle":
             scen = two_vehicle_scenario(**scen_dict)
@@ -135,9 +145,12 @@ def _load_config(path: Path | None) -> tuple[Scenario, dict]:
 
 def _crlb_command(given: dict) -> int:
     eq = given.pop("eq")
-    unread = sorted(set(given) - _CRLB_READS[eq])
+    reads, label = _CRLB_READS[eq], f"--eq {eq}"
+    if eq == "velocity" and given.get("mode", "single") == "single":
+        reads, label = reads - {"frames", "frame_symbols"}, label + " --mode single"
+    unread = sorted(set(given) - reads)
     if unread:
-        raise SystemExit(f"error: crlb --eq {eq} does not read "
+        raise SystemExit(f"error: crlb {label} does not read "
                          + ", ".join("--" + d.replace("_", "-") for d in unread))
     if eq == "table":
         return _run_and_emit(_COMMANDS["crlb"], given)
@@ -167,10 +180,8 @@ def _crlb_command(given: dict) -> int:
 def _run_and_emit(cmd: _Command, given: dict) -> int:
     config = given.pop("config", None)
     out = given.pop("out", None)
-    workers = given.pop("workers", None)
-    scen, spec_fields = _load_config(config)
-    if cmd.kind == "ddmap" and config is None:
-        scen = two_vehicle_scenario()
+    workers = given.pop("workers", 1)
+    scen, spec_fields = _load_config(config, "two-vehicle" if cmd.kind == "ddmap" else None)
     spec_fields.setdefault("sweep", cmd.sweep)
     if cmd.sweep_flag and cmd.sweep_flag[2:] in given:
         spec_fields["sweep"] = tuple(given.pop(cmd.sweep_flag[2:]))

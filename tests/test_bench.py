@@ -21,6 +21,10 @@ W = 1.76e9
 TS = 1 / W
 
 
+def _draw(scen, value, rng):
+    return value + rng.random()
+
+
 class TestAmbiguity:
     def setup_method(self):
         self.pair = generate_golay_pair(512)
@@ -138,17 +142,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="Moose span"):
             run_experiment(spec)
 
+    def test_ddmap_target_outside_cef_span_rejected(self):
+        # the default Scenario's 50 m target lies past bin 511 (43.5 m)
+        with pytest.raises(ValueError, match="CEF delay span"):
+            run_experiment(ExperimentSpec(kind="ddmap", sweep=(20.0,)))
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(ExperimentSpec(kind="crlb", sweep=(0.0,), trials=1),
                            workers=workers)
-
-    @pytest.mark.parametrize("env", ["0", "-1", "abc", "1.5"])
-    def test_bad_worker_env_rejected(self, env, monkeypatch):
-        monkeypatch.setenv("WLANRADAR_WORKERS", env)
-        with pytest.raises(ValueError, match="WLANRADAR_WORKERS|workers"):
-            run_experiment(ExperimentSpec(kind="crlb", sweep=(0.0,), trials=1))
 
     def test_scenario_roundtrip(self):
         scen = two_vehicle_scenario()
@@ -174,6 +177,16 @@ class TestDeterminism:
         c = run_experiment(spec, workers=8).to_csv_text()
         assert a == b == c
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_j_of_point_i_draws_from_seed_i_j(self, workers):
+        # the driver keeps a point's own index i, whatever points it is given
+        spec = ExperimentSpec(kind="crlb", sweep=(0.0,), trials=5, seed=4)
+        points = [(0, None, 10.0), (2, None, 20.0)]
+        got = bench._monte_carlo(_draw, spec, points, workers)
+        want = [[v + np.random.default_rng([4, i, j]).random() for j in range(5)]
+                for i, _, v in points]
+        assert [list(g) for g in got] == want
+
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec(kind="detection", sweep=(-24.0, -22.0), trials=40, seed=7,
                         pfa=1e-4),
@@ -192,7 +205,11 @@ class TestDeterminism:
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
          "4e59f5b8a70efb08b5fdc0efdd084b7c9b24b758383004cec674f29418f1e863"),
-    ], ids=["detection", "range-mse", "velocity-mse", "velocity-m10", "ddmap", "tradeoff"])
+        # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
+        (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
+         "d9e926c7e887816643830f4da86c93042cfb1dbd3c01e8b07bd8043cc14fed39"),
+    ], ids=["detection", "range-mse", "velocity-mse", "velocity-m10", "ddmap", "tradeoff",
+            "tradeoff-gap"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -79,6 +78,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "3"), ("pfa", "x"), ("sweep", ["a"]), ("seed", 1.5), ("trials", True),
+        ("sweep", -20),
+    ])
+    def test_wrong_config_type_rejected(self, tmp_path, key, value, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": {key: value}}))
+        assert main(["detect", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    def test_ddmap_target_outside_cef_span_rejected(self, tmp_path, capsys):
+        # the sliding CEF maps delay bins 0-511, 0 to 43.5 m
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {"targets": [
+            {"range_m": 50.0, "velocity_mps": 20.0}]}}))
+        assert main(["ddmap", "--config", str(path), "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "CEF delay span 0-43.5 m" in err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
@@ -103,14 +123,6 @@ class TestErrors:
                     "--frames", "2")
         assert r.returncode == 1
         assert r.stderr.startswith("error:")
-
-    def test_bad_workers_env_rejected(self):
-        for env in ("abc", "0"):
-            r = run_cli("crlb", "--eq", "table",
-                        env={**os.environ, "WLANRADAR_WORKERS": env})
-            assert r.returncode == 1
-            assert r.stderr.startswith("error:")
-            assert "WLANRADAR_WORKERS" in r.stderr or "workers" in r.stderr
 
     def test_target_outside_moose_span_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -158,6 +170,14 @@ class TestRuns:
         bins = [float(ln.split(",")[2]) for ln in text.splitlines()
                 if ",delay_bin," in ln]
         assert 118.0 in bins[:2] and 168.0 in bins[:2]
+
+    def test_ddmap_config_without_scenario_maps_two_vehicles(self, tmp_path):
+        # a config with no scenario key keeps the command's two-vehicle scene
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"seed": 1}}))
+        assert main(["ddmap", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["ddmap", "--seed", "1", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_config_file_scenario(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -223,7 +243,9 @@ READ_FLAGS = [
     ("crlb --eq range --P {}", "2048", "3328"),
     ("crlb --eq velocity --mode {}", "single", "multi"),
     ("crlb --eq velocity --mode multi --frames {}", "1", "4"),
+    ("crlb --eq velocity --mode exact --frames {}", "2", "4"),
     ("crlb --eq velocity --mode multi --frame-symbols {}", "12800", "6400"),
+    ("crlb --eq velocity --mode exact --frames 2 --frame-symbols {}", "12800", "6400"),
     ("crlb --eq resolution --tint {}", "1e-3", "4.2e-3"),
 ]
 
@@ -246,6 +268,8 @@ class TestCommandTable:
         ("table", "--P", "3328"), ("table", "--mode", "multi"),
         ("range", "--config", "w.json"), ("range", "--out", "x.csv"),
         ("velocity", "--tint", "1e-3"), ("resolution", "--scnr", "0"),
+        # the single-frame bound (the default --mode single) reads neither M nor K
+        ("velocity", "--frames", "4"), ("velocity", "--frame-symbols", "6400"),
     ])
     def test_crlb_mode_rejects_unread_flag(self, eq, flag, value, tmp_path, capsys,
                                            monkeypatch):

@@ -24,3 +24,24 @@ def test_all_lists_exactly_the_public_api(name):
         and obj.__module__ == name
     }
     assert defined <= exported, sorted(defined - exported)
+
+
+def test_perfbench_layer_probes_resolve(monkeypatch):
+    # perfbench/tracing.py rebinds these names to time the layers; a rename in
+    # src would otherwise break only the traced benchmark run
+    import importlib.util
+    import sys
+    from concurrent.futures import ProcessPoolExecutor
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.LAYER_PROBES) == 13
+    for module, attr, _ in tracing.LAYER_PROBES:
+        assert module in ("bench", "airlink", "sync"), module
+        assert callable(getattr(importlib.import_module(f"wlanradar.{module}"), attr)), attr
+    # pool_counter counts pools by replacing this module global
+    assert importlib.import_module("wlanradar.bench").ProcessPoolExecutor is ProcessPoolExecutor

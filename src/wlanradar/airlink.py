@@ -261,8 +261,13 @@ def synthesize_radar_rx(
     for off, e in zip(offsets, echoes):
         out[off : off + len(e)] += e.samples
 
+    # every real part, then every imaginary part, each added in place
     sigma = np.sqrt(sigma_cn2 / 2)
-    out += sigma * (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out))
+    noise = np.empty(n_out)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        part += noise
     return IqStream(out, rate, t0)
 
 

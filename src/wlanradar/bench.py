@@ -14,9 +14,11 @@ same per-symbol SNR.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import platform
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -101,6 +103,8 @@ class Scenario:
             raise ValueError("n_frames and frame_k must be >= 1")
         if self.cpi_duration_s <= 0:
             raise ValueError("cpi_duration_s must be positive")
+        if not self.targets:
+            raise ValueError("a scenario needs at least one target")
 
     @property
     def ts(self) -> float:
@@ -387,16 +391,57 @@ def _map_trials(fn, args_list, workers: int):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def _seeded_trial(trial, scen, value, seed: int, point: int, j: int) -> float:
-    return trial(scen, value, _rng(seed, point, j))
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without it."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore it.
+
+    Trials call BLAS on vectors too short to gain from threads, and the
+    process pool is the only parallelism; forked workers inherit the count.
+    Without the bundled library this does nothing.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _seeded_trial(trial, points, seed: int, job) -> float:
+    k, j = job
+    i, scen, value = points[k]
+    return trial(scen, value, _rng(seed, i, j))
 
 
 def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
     """Each ``(i, scen, value)`` point's ``spec.trials`` values of
-    ``trial(scen, value, rng)``, in trial order; trial j draws from _rng(seed, i, j)."""
-    return [np.array(_map_trials(partial(_seeded_trial, trial, scen, value, spec.seed, i),
-                                 range(spec.trials), workers))
-            for i, scen, value in points]
+    ``trial(scen, value, rng)``, in trial order; trial j draws from _rng(seed, i, j).
+
+    All points' trials share one process pool, and run on one BLAS thread.
+    """
+    jobs = [(k, j) for k in range(len(points)) for j in range(spec.trials)]
+    with _one_blas_thread():
+        values = _map_trials(partial(_seeded_trial, trial, points, spec.seed), jobs, workers)
+    return [np.array(values[k * spec.trials : (k + 1) * spec.trials])
+            for k in range(len(points))]
 
 
 def _binomial_halfwidth(p: float, n: int) -> float:

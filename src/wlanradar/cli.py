@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .airlink import Target
 from .bench import (
     ExperimentSpec,
     Scenario,
@@ -84,11 +85,16 @@ _FLAGS = {
 # flags that set a Scenario field rather than an ExperimentSpec field
 _SCENARIO_FIELDS = {"frames": "n_frames", "cpi": "cpi_duration_s"}
 
-# the JSON value each experiment key takes, by its annotation; a boolean is no number
+# the JSON value each config key takes, by its field's annotation; a boolean is
+# no number, and `targets` is a list of objects with the Target keys
 _EXPERIMENT_TYPES = {f.name: f.type for f in fields(ExperimentSpec)
                      if f.name not in ("kind", "scenario")}
+_SCENARIO_TYPES = {**{f.name: f.type for f in fields(Scenario)}, "targets": "targets",
+                   "preset": "str"}
+_TARGET_TYPES = {f.name: f.type for f in fields(Target)}
 _JSON_TYPES = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
-               "tuple": ("a list of numbers", (list,))}
+               "tuple": ("a list of numbers", (list,)), "str": ("a string", (str,)),
+               "targets": ("a list of target objects", (list,))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +116,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _checked(block: str, values, types: dict) -> dict:
+    """``values``, once it is a JSON object whose keys and values ``types`` allows."""
+    if type(values) is not dict:
+        raise SystemExit(f"error: config {block} must be a JSON object, got {values!r}")
+    unknown = set(values) - set(types)
+    if unknown:
+        raise SystemExit(f"error: unknown {block} key(s) {', '.join(sorted(unknown))}")
+    for key, value in values.items():
+        name, json_types = _JSON_TYPES[types[key]]
+        if type(value) not in json_types or types[key] == "tuple" and any(
+                type(v) not in (int, float) for v in value):
+            raise SystemExit(f"error: {block} {key} must be {name}, got {value!r}")
+        if types[key] == "targets":
+            for n, target in enumerate(value):
+                _checked(f"scenario targets[{n}]", target, _TARGET_TYPES)
+    return values
+
+
 def _load_config(path: Path | None, preset: str | None) -> tuple[Scenario, dict]:
     """A config's Scenario (``preset``'s without a `scenario` key) and experiment fields."""
     cfg = {}
@@ -123,18 +147,14 @@ def _load_config(path: Path | None, preset: str | None) -> tuple[Scenario, dict]
     unknown = set(cfg) - {"scenario", "experiment"}
     if unknown:
         raise SystemExit(f"error: unknown config key(s) {', '.join(sorted(unknown))}")
-    experiment = cfg.get("experiment", {})
-    unknown = set(experiment) - set(_EXPERIMENT_TYPES)
-    if unknown:
-        raise SystemExit(f"error: unknown experiment key(s) {', '.join(sorted(unknown))}")
-    for key, value in experiment.items():
-        name, types = _JSON_TYPES[_EXPERIMENT_TYPES[key]]
-        if type(value) not in types or type(value) is list and any(
-                type(v) not in (int, float) for v in value):
-            raise SystemExit(f"error: experiment {key} must be {name}, got {value!r}")
-    scen_dict = cfg.get("scenario", {"preset": preset})
+    experiment = _checked("experiment", cfg.get("experiment", {}), _EXPERIMENT_TYPES)
+    scen_dict = dict(_checked("scenario", cfg.get("scenario", {}), _SCENARIO_TYPES))
+    if "scenario" in cfg:
+        preset = scen_dict.pop("preset", None)
+    if preset not in (None, "two-vehicle"):
+        raise SystemExit(f"error: unknown scenario preset {preset!r}")
     try:
-        if scen_dict.pop("preset", None) == "two-vehicle":
+        if preset == "two-vehicle":
             scen = two_vehicle_scenario(**scen_dict)
         else:
             scen = Scenario.from_dict(scen_dict)
@@ -148,6 +168,9 @@ def _crlb_command(given: dict) -> int:
     reads, label = _CRLB_READS[eq], f"--eq {eq}"
     if eq == "velocity" and given.get("mode", "single") == "single":
         reads, label = reads - {"frames", "frame_symbols"}, label + " --mode single"
+    elif eq == "velocity" and given["mode"] == "exact" and given.get("frames", 1) == 1:
+        # the exact bound at M = 1 is the single-frame one: it reads no K
+        reads, label = reads - {"frame_symbols"}, label + " --mode exact --frames 1"
     unread = sorted(set(given) - reads)
     if unread:
         raise SystemExit(f"error: crlb {label} does not read "

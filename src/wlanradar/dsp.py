@@ -133,9 +133,13 @@ def pulse_shape(
     ``delay`` (seconds) shifts the whole waveform: its nearest whole number
     of samples moves t0, and the remainder (at most half a sample either
     way) is realized by evaluating the analytic RRC on a shifted grid, so
-    synthesis is exact within the band-limited model.  Real symbols take one
-    real convolution; complex ones are shaped as real part plus j times
-    imaginary part.
+    synthesis is exact within the band-limited model.
+
+    The filter runs polyphase: output sample m Q + p is the symbol-rate
+    convolution of the symbols with taps[p::Q], sample m, which is what
+    convolving the zero-stuffed stream with the taps gives, without the
+    stuffed zeros.  Real and imaginary parts of complex symbols are shaped
+    separately, each straight into its part of the output.
 
     The returned stream's time axis places symbol n's peak at t = n Ts + delay.
     """
@@ -148,15 +152,16 @@ def pulse_shape(
     int_shift = int(np.round(dly_samples))
     taps = rrc_taps(spec, frac_shift=(dly_samples - int_shift) / q)
 
-    def shape(x):
-        up = np.zeros(len(x) * q)
-        up[::q] = x
-        return fftconvolve(up, taps)
-
+    # taps[0::q] is the longest phase and fills the buffer; a shorter phase
+    # leaves its last sample zero
+    shaped = np.zeros(len(s) * q + len(taps) - 1, dtype=complex)
+    parts = [(shaped.real, s.real)]
     if np.iscomplexobj(s):
-        shaped = shape(s.real) + 1j * shape(s.imag)
-    else:
-        shaped = shape(s)
+        parts.append((shaped.imag, s.imag))
+    for out, x in parts:
+        for p in range(q):
+            phase = np.convolve(x, taps[p::q])
+            out[p::q][: len(phase)] = phase
     half = (len(taps) - 1) // 2
     t0 = (int_shift - half) / rate
     return IqStream(shaped, rate, t0)
@@ -190,6 +195,12 @@ def apply_delay_doppler(
     RRC-shaped symbol stream; the echo is shaped directly at its delay by
     pulse_shape and carries its own time axis.  The symbols carry the
     amplitude (sqrt(Es) included).
+
+    Sample j = Q m + p sits at t = t0 + j / rate, so the Doppler ramp
+    factors into a per-symbol term gain exp(w (t0 rate + Q m)) times a
+    per-phase term exp(w p), w = j 2 pi doppler / rate: an outer product
+    of (n / Q) by Q exponentials, multiplied into the echo in place (the
+    shaped stream holds n = (len(symbols) + span) Q samples).
     """
     if delay < 0:
         raise ValueError("radar delays are nonnegative")
@@ -197,7 +208,10 @@ def apply_delay_doppler(
     if abs(doppler) >= rate / 2:
         raise ValueError("doppler exceeds the representable band")
     out = pulse_shape(symbols, spec, symbol_rate, delay=delay)
-    out.samples = gain * out.samples * np.exp(2j * np.pi * doppler * out.times())
+    q, n = spec.oversample, len(out)
+    w = 2j * np.pi * doppler / rate
+    rows = gain * np.exp(w * (out.t0 * rate + q * np.arange(n // q)))
+    out.samples *= np.outer(rows, np.exp(w * np.arange(q))).ravel()
     return out
 
 

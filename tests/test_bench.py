@@ -25,6 +25,10 @@ def _draw(scen, value, rng):
     return value + rng.random()
 
 
+def _blas_threads(scen, value, rng):
+    return bench._openblas_threads()[0]()
+
+
 class TestAmbiguity:
     def setup_method(self):
         self.pair = generate_golay_pair(512)
@@ -106,7 +110,7 @@ class TestSpecValidation:
         assert ExperimentSpec(kind="ddmap", sweep=(10.0,)).sweep == (10.0,)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0),
+        dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0), dict(targets=()),
     ])
     def test_bad_scenario_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -187,10 +191,46 @@ class TestDeterminism:
                 for i, _, v in points]
         assert [list(g) for g in got] == want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_run_on_one_blas_thread(self, workers):
+        # the pool is the only parallelism; the caller's BLAS count comes back
+        blas = bench._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy has no bundled scipy-openblas")
+        get, set_threads = blas
+        before = get()
+        set_threads(2)
+        try:
+            spec = ExperimentSpec(kind="crlb", sweep=(0.0,), trials=4, seed=4)
+            got = bench._monte_carlo(_blas_threads, spec, [(0, None, 0.0)], workers)
+            assert list(got[0]) == [1, 1, 1, 1]
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_one_pool_per_monte_carlo_call(self, monkeypatch):
+        pools = []
+
+        class CountingPool(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+        spec = ExperimentSpec(kind="crlb", sweep=(0.0,), trials=4, seed=4)
+        points = [(i, None, 10.0 * i) for i in range(3)]
+        bench._monte_carlo(_draw, spec, points, 2)
+        assert len(pools) == 1
+
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec(kind="detection", sweep=(-24.0, -22.0), trials=40, seed=7,
                         pfa=1e-4),
          "5119f39c90918fe397f2381c361152b7986534dd47028e97ad39104a28938876"),
+        # an approaching target: the echo carries a -60 kHz Doppler ramp
+        (ExperimentSpec(kind="detection", scenario=Scenario(targets=(
+            Target(range_m=80.0, velocity_mps=-150.0),)), sweep=(-24.0,), trials=100,
+            seed=3, pfa=1e-4),
+         "ca29c6c8f67bba1c6156296c744682e4810f6b36cf37b8e94601e6d0387005e8"),
         (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
          "3537c9d3b61890e1eeb51b7f098bdfae260a043ee7f99ee1fa35e734caa2b9b9"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
@@ -208,8 +248,8 @@ class TestDeterminism:
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
          "d9e926c7e887816643830f4da86c93042cfb1dbd3c01e8b07bd8043cc14fed39"),
-    ], ids=["detection", "range-mse", "velocity-mse", "velocity-m10", "ddmap", "tradeoff",
-            "tradeoff-gap"])
+    ], ids=["detection", "detection-doppler", "range-mse", "velocity-mse", "velocity-m10",
+            "ddmap", "tradeoff", "tradeoff-gap"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

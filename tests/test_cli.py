@@ -27,6 +27,11 @@ class TestCrlbCommand:
         assert r.returncode == 0
         assert "0.104" in r.stdout
 
+    def test_exact_velocity_value_reads_frame_symbols(self, capsys):
+        argv = ["crlb", "--eq", "velocity", "--mode", "exact", "--frames", "2", "--scnr", "0"]
+        assert main([*argv, "--frame-symbols", "6400"]) == 0
+        assert capsys.readouterr().out.startswith("5.64656192 (m/s)^2")
+
     def test_resolution(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "4.2e-3")
         assert r.returncode == 0
@@ -86,6 +91,21 @@ class TestErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": {key: value}}))
         assert main(["detect", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"scenario": "x"}, "scenario"),
+        ({"experiment": [1]}, "experiment"),
+        ({"scenario": {"rolloff": "a"}}, "rolloff"),
+        ({"scenario": {"targets": [{"range_m": 50.0, "rcs_dbsm": "big"}]}}, "rcs_dbsm"),
+        ({"scenario": {"targets": [{"range_m": 50.0, "speed": 1.0}]}}, "speed"),
+        ({"scenario": {"targets": []}}, "target"),
+    ])
+    def test_bad_config_block_rejected(self, tmp_path, cfg, key, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["range", "--config", str(path), "--trials", "1", "--scnr", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
@@ -270,11 +290,14 @@ class TestCommandTable:
         ("velocity", "--tint", "1e-3"), ("resolution", "--scnr", "0"),
         # the single-frame bound (the default --mode single) reads neither M nor K
         ("velocity", "--frames", "4"), ("velocity", "--frame-symbols", "6400"),
+        # the exact bound at M = 1, given or by default, reads no K
+        ("velocity --mode exact", "--frame-symbols", "6400"),
+        ("velocity --mode exact --frames 1", "--frame-symbols", "6400"),
     ])
     def test_crlb_mode_rejects_unread_flag(self, eq, flag, value, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["crlb", "--eq", eq, flag, value]) == 1
+        assert main(["crlb", "--eq", *eq.split(), flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
         assert not (tmp_path / "x.csv").exists()

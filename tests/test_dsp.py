@@ -195,6 +195,32 @@ class TestDelayDoppler:
             out = pulse_shape(s, SPEC, W)
             assert np.abs(out.samples - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("delay_symbols", [0.0, 0.3, 587.4])
+    @pytest.mark.parametrize("complex_symbols", [False, True])
+    def test_polyphase_matches_zero_stuffed_convolution(self, delay_symbols,
+                                                        complex_symbols):
+        q = SPEC.oversample
+        s = self.frame[:640] + (1j * np.roll(self.frame[:640], 3) if complex_symbols else 0)
+        dly = delay_symbols * q
+        taps = rrc_taps(SPEC, frac_shift=(dly - round(dly)) / q)
+        up = np.zeros(len(s) * q, dtype=s.dtype)
+        up[::q] = s
+        ref = np.convolve(up, taps)
+        out = pulse_shape(s, SPEC, W, delay=delay_symbols * TS)
+        assert len(out) == len(ref)
+        assert np.abs(out.samples - ref).max() < 1e-12
+        assert out.t0 == pytest.approx((round(dly) - SPEC.span * q // 2) / out.rate,
+                                       rel=1e-12)
+
+    def test_doppler_ramp_matches_direct_exponential(self):
+        # near the band edge the ramp turns by almost pi per sample
+        nu, g = -0.49 * self.tx.rate, 0.3 - 0.4j
+        s = self.frame[:64]
+        out = apply_delay_doppler(s, SPEC, W, 3.7 * TS, nu, g)
+        ref = g * pulse_shape(s, SPEC, W, delay=3.7 * TS).samples * np.exp(
+            2j * np.pi * nu * out.times())
+        assert np.abs(out.samples - ref).max() < 1e-12
+
     def test_gain_applied(self):
         g = 0.3 - 0.4j
         out = self.echo(0.0, gain=g)

@@ -307,6 +307,12 @@ def synthesize_radar_rx_symbol_rate(
     the TX symbol stream, zero outside it (e.g. ``frame.assemble_cpi`` with
     its CPI, layout and seed bound); it is called once, for the symbols the
     echoes carry into the windows.
+
+    Each target's echo is added into the result row by row, target after
+    target, so nothing else of the result's size is allocated besides one
+    real noise buffer.  The noise is drawn from ``seed`` after the echo
+    phases: every real part, row-major, then every imaginary part.  This
+    draw order is part of the byte contract of the benches that call it.
     """
     if not sigma_cn2 >= 0:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
@@ -325,7 +331,6 @@ def synthesize_radar_rx_symbol_rate(
     k0s = [int(np.floor(d)) - half for d in delays]
     k_max, k_min = max(k0s, default=0), min(k0s, default=0)
     x = symbol_windows(starts - k_max - span, length + span + k_max - k_min)
-    ramp = np.empty_like(out)
     for target, phase, d, k0 in zip(targets, beta_phases, delays, k0s):
         if unit_gains:
             h_p = np.exp(1j * phase)
@@ -334,19 +339,23 @@ def synthesize_radar_rx_symbol_rate(
         kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), rolloff)
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
         w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
-        np.outer(h_p * np.exp(w * starts), np.exp(w * np.arange(length)), out=ramp)
+        row_terms = h_p * np.exp(w * starts)
+        col_terms = np.exp(w * np.arange(length))
         lo = k_max - k0
-        for ramp_row, x_row in zip(ramp, x[:, lo : lo + length + span]):
-            # the product goes into the complex ramp: the echo is real when the symbols are
-            ramp_row *= np.convolve(x_row, kernel, "valid")
-        out += ramp
+        for r in range(len(starts)):
+            # the product stays complex: the echo is real when the symbols are
+            echo = row_terms[r] * col_terms
+            echo *= np.convolve(x[r, lo : lo + length + span], kernel, "valid")
+            out[r] += echo
+    del x   # the symbols are freed before the noise buffer is allocated
 
-    # drawn into the ramp's memory: every real part, then every imaginary part
-    noise = ramp.view(float).reshape(2, *out.shape)
-    rng.standard_normal(out=noise)
-    noise *= np.sqrt(sigma_cn2 / 2)
-    out.real += noise[0]
-    out.imag += noise[1]
+    # every real part, then every imaginary part, each row-major
+    sigma = np.sqrt(sigma_cn2 / 2)
+    noise = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        part += noise
     return out
 
 

@@ -186,10 +186,14 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
         if not (0 < self.pfa < 1):
             raise ValueError("pfa must lie in (0, 1)")
-        if self.kind == "tradeoff" and not all(
-            float(m).is_integer() and m >= 1 for m in self.sweep
-        ):
-            raise ValueError("tradeoff frame counts must be integers >= 1")
+        # the Moose estimate needs two frames: refuse one before any trial runs
+        if self.kind == "velocity-mse" and self.scenario.n_frames < 2:
+            raise ValueError("velocity-mse needs M >= 2 frames per CPI, "
+                             f"got M={self.scenario.n_frames}")
+        if self.kind == "tradeoff":
+            bad = [m for m in self.sweep if not (float(m).is_integer() and m >= 2)]
+            if bad:
+                raise ValueError(f"tradeoff frame counts must be integers >= 2, got M={bad[0]}")
         if self.kind == "ddmap" and len(self.sweep) > 1:
             raise ValueError(f"ddmap maps one SCNR, got the sweep {self.sweep}")
 
@@ -371,8 +375,11 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
     )
 
     fine, _ = fine_timing_preamble(rows[0], (expect - 32 - lo, expect + 33 - lo))
-    # an elementwise sum, not a matrix product: OpenBLAS threads a gemv this size
-    q = np.sum(rows[:, fine : fine + PREAMBLE_LEN] * DEFAULT_PREAMBLE.symbols, axis=1)
+    # compressed in place on the trial's own rows; an elementwise sum, not a
+    # matrix product: OpenBLAS threads a gemv this size
+    train = rows[:, fine : fine + PREAMBLE_LEN]
+    train *= DEFAULT_PREAMBLE.symbols
+    q = train.sum(axis=1)
     v_hat = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
                                     ts=scen.ts, wavelength=scen.wavelength)
     return float((v_hat - target.velocity_mps) ** 2)

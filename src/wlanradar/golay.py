@@ -139,11 +139,12 @@ def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarra
     n = len(ref)
     lo = int(lags.min())
     hi = int(lags.max())
-    # slice the needed span first, then zero-extend just that segment
+    # slice the needed span, and zero-extend it only where the lags leave y
     seg_lo = max(lo, 0)
     seg_hi = min(hi + n, y.shape[-1])
-    seg = np.pad(y[..., seg_lo:seg_hi],
-                 [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)])
+    seg = y[..., seg_lo:seg_hi]
+    if seg_lo > lo or seg_hi < hi + n:
+        seg = np.pad(seg, [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)])
     kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
     c = fftconvolve(seg, kernel, mode="valid", axes=-1)
     return c[..., lags - lo]

@@ -176,7 +176,12 @@ def build_delay_doppler_map(
     if zero_pad < 1:
         raise ValueError("zero_pad factor must be >= 1")
     m = h.shape[0]
-    grid = np.fft.fftshift(np.fft.fft(h.T, n=m * zero_pad, axis=1), axes=1)
+    # transformed in a C-contiguous buffer, so the cost and the grid's layout
+    # do not depend on the memory order of h
+    grid = np.zeros((h.shape[1], m * zero_pad), dtype=complex)
+    grid[:, :m] = h.T
+    np.fft.fft(grid, axis=1, out=grid)
+    grid = np.fft.fftshift(grid, axes=1)
     return DelayDopplerMap(
         grid=grid,
         ts=ts,

@@ -120,6 +120,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="tradeoff", sweep=(2, 0))
 
+    def test_one_frame_velocity_rejected(self):
+        # the Moose estimate needs two frames; no trial runs to find that out
+        with pytest.raises(ValueError, match="M=1"):
+            ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=1), sweep=(10.0,))
+        with pytest.raises(ValueError, match="M=1"):
+            ExperimentSpec(kind="tradeoff", sweep=(2, 1))
+
     def test_tradeoff_fractional_frame_count_rejected(self):
         # M = 2.5 would run, and be labelled, as M = 2
         with pytest.raises(ValueError, match="integers"):

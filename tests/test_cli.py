@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wlanradar import bench
 from wlanradar.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "wlanradar.cli"]
@@ -122,6 +123,18 @@ class TestErrors:
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
+
+    @pytest.mark.parametrize("argv", [
+        ["velocity", "--frames", "1", "--trials", "2"],
+        ["tradeoff", "--frames", "2", "1"],
+    ])
+    def test_one_frame_run_rejected_before_any_trial(self, argv, monkeypatch, capsys):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(bench, "_velocity_trial", no_trial)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "M=1" in err
 
     def test_zero_frames_rejected(self):
         r = run_cli("velocity", "--frames", "0", "--trials", "2", "--scnr", "10")

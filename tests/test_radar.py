@@ -328,6 +328,14 @@ class TestDelayDopplerMap:
         frame_axis = np.fft.fftshift(np.fft.fft(h, n=n, axis=0), axes=0).T
         assert np.array_equal(ddm.grid, frame_axis)
 
+    def test_grid_does_not_depend_on_memory_order(self):
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((8, 512)) + 1j * rng.standard_normal((8, 512))
+        grids = [build_delay_doppler_map(np.asarray(h, order=o), zero_pad=4, ts=TS,
+                                         frame_len=12800).grid for o in "CF"]
+        assert np.array_equal(grids[0], grids[1])
+        assert all(g.flags.c_contiguous for g in grids)
+
     def test_scaling_invariance_of_peak_location(self):
         h = _single_target_channel_matrix(8, 12800, 250, 5e3, sigma=0.1, seed=3)
         ddm1 = build_delay_doppler_map(h, zero_pad=8, ts=TS, frame_len=12800)

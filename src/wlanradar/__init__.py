@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .airlink import ArrayConfig, LinkBudget, Target
 from .dsp import IqStream, RrcSpec
-from .frame import CpiConfig, FrameLayout
+from .frame import FrameLayout
 from .golay import GolayPair, generate_golay_pair
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Target",
     "IqStream",
     "RrcSpec",
-    "CpiConfig",
     "FrameLayout",
     "GolayPair",
     "generate_golay_pair",

@@ -210,6 +210,33 @@ def radar_coupling(target: Target, cfg: ArrayConfig, beams: BeamPair,
     return np.sqrt(g) * beta * coupling
 
 
+def _echo_gains(targets, cfg: ArrayConfig, beams: BeamPair | None,
+                rng: np.random.Generator) -> list:
+    """Each target's complex echo gain h_p, after one draw of the beta_p phases.
+
+    With ``beams`` None the gains are beta_p alone (unit magnitude), for
+    benches that pin the SCNR directly; otherwise they are radar_coupling.
+    """
+    phases = rng.uniform(0, 2 * np.pi, size=len(targets))
+    if beams is None:
+        return [np.exp(1j * phase) for phase in phases]
+    return [radar_coupling(t, cfg, beams, phase) for t, phase in zip(targets, phases)]
+
+
+def _add_noise(out: np.ndarray, sigma_cn2: float, rng: np.random.Generator) -> None:
+    """Add white clutter-plus-noise of variance sigma_cn2 to ``out`` in place.
+
+    Every real part is drawn first, in ``out``'s row-major order, then every
+    imaginary part, into one real buffer of ``out``'s shape.
+    """
+    sigma = np.sqrt(sigma_cn2 / 2)
+    noise = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        part += noise
+
+
 def synthesize_radar_rx(
     symbols,
     spec: RrcSpec,
@@ -217,18 +244,17 @@ def synthesize_radar_rx(
     targets,
     sigma_cn2: float,
     cfg: ArrayConfig,
-    beams: BeamPair,
-    seed=None,
-    unit_gains: bool = False,
+    beams: BeamPair | None,
+    rng: np.random.Generator,
 ) -> IqStream:
     """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
 
     The symbols carry the amplitude (sqrt(Es) included).  Each target
     contributes apply_delay_doppler(symbols, spec, symbol_rate, tau_p, nu_p,
     h_p), shaped directly at its own delay, with h_p from the path gain, beam
-    coupling and a per-CPI random unit-magnitude phase beta_p.  With
-    ``unit_gains`` the couplings collapse to beta_p alone, which is handy
-    when an experiment pins the SCNR directly.
+    coupling and a per-CPI random unit-magnitude phase beta_p; with ``beams``
+    None, h_p is beta_p alone.  ``rng`` draws the phases, then the noise:
+    every real part, then every imaginary part.
 
     The output starts at t0 = -half / rate, the start of the undelayed shaped
     stream (half = the RRC half-length in samples), and runs for
@@ -238,50 +264,34 @@ def synthesize_radar_rx(
     """
     if not sigma_cn2 >= 0:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     targets = list(targets)
-    beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
+    gains = _echo_gains(targets, cfg, beams, rng)
     q = spec.oversample
     rate = symbol_rate * q
     t0 = -(spec.span * q // 2) / rate
 
-    echoes = []
-    for target, phase in zip(targets, beta_phases):
-        if unit_gains:
-            h_p = np.exp(1j * phase)
-        else:
-            h_p = radar_coupling(target, cfg, beams, phase)
-        echoes.append(apply_delay_doppler(
-            symbols, spec, symbol_rate, target.delay(), target.doppler(cfg.wavelength), h_p,
-        ))
-
+    echoes = [
+        apply_delay_doppler(symbols, spec, symbol_rate, t.delay(), t.doppler(cfg.wavelength), h_p)
+        for t, h_p in zip(targets, gains)
+    ]
     offsets = [int(round((e.t0 - t0) * rate)) for e in echoes]
     n_out = max(offsets, default=0) + len(symbols) * q + spec.span * q
     out = np.zeros(n_out, dtype=complex)
     for off, e in zip(offsets, echoes):
         out[off : off + len(e)] += e.samples
-
-    # every real part, then every imaginary part, each added in place
-    sigma = np.sqrt(sigma_cn2 / 2)
-    noise = np.empty(n_out)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=noise)
-        noise *= sigma
-        part += noise
+    _add_noise(out, sigma_cn2, rng)
     return IqStream(out, rate, t0)
 
 
 def synthesize_radar_rx_symbol_rate(
     symbol_windows,
+    spec: RrcSpec,
+    symbol_rate: float,
     targets,
     sigma_cn2: float,
     cfg: ArrayConfig,
     beams: BeamPair | None,
-    ts: float,
-    seed=None,
-    unit_gains: bool = False,
-    rolloff: float = 0.25,
-    span: int = 16,
+    rng: np.random.Generator,
     *,
     starts,
     length: int,
@@ -292,12 +302,14 @@ def synthesize_radar_rx_symbol_rate(
 
         y[k] += h_p exp(j 2 pi nu_p k Ts) * x_g(k Ts - tau_p)
 
-    with x_g the symbol stream interpolated through the analytic TX*RX
-    raised-cosine cascade, then adds white clutter-plus-noise of per-sample
-    variance sigma_cn^2.  The symbols carry the amplitude.  This is the exact
-    limit of the oversampled chain (shaping, delay, matched filter,
-    synchronized symbol sampling) and is used by the long-CPI benches where
-    the full chain would be wasteful.
+    with Ts = 1 / symbol_rate and x_g the symbol stream interpolated through
+    the analytic TX*RX raised-cosine cascade of ``spec``'s rolloff, truncated
+    to its span, then adds white clutter-plus-noise of per-sample variance
+    sigma_cn^2.  The symbols carry the amplitude; h_p is drawn as in
+    ``synthesize_radar_rx``.  This is the exact limit of the oversampled chain
+    (shaping, delay, matched filter, synchronized symbol sampling), whose
+    oversampling factor it does not read, and is used by the long-CPI benches
+    where the full chain would be wasteful.
 
     Only the windows a receiver reads are synthesized: the result is the
     len(starts) x length matrix whose row r is y[starts[r] : starts[r] + length].
@@ -305,25 +317,26 @@ def synthesize_radar_rx_symbol_rate(
     the end of the stream.  Noise is drawn per row, so windows must not
     overlap.  ``symbol_windows(starts, length)`` returns the matching rows of
     the TX symbol stream, zero outside it (e.g. ``frame.assemble_cpi`` with
-    its CPI, layout and seed bound); it is called once, for the symbols the
-    echoes carry into the windows.
+    its frame count, layout and seed bound); it is called once, for the
+    symbols the echoes carry into the windows.
 
     Each target's echo is added into the result row by row, target after
     target, so nothing else of the result's size is allocated besides one
-    real noise buffer.  The noise is drawn from ``seed`` after the echo
-    phases: every real part, row-major, then every imaginary part.  This
-    draw order is part of the byte contract of the benches that call it.
+    real noise buffer.  ``rng`` draws the echo phases, then the noise: every
+    real part, row-major, then every imaginary part.  This draw order is part
+    of the byte contract of the benches that call it.
     """
     if not sigma_cn2 >= 0:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    targets = list(targets)
-    beta_phases = rng.uniform(0, 2 * np.pi, size=len(targets))
     starts = np.asarray(starts, dtype=int)
     if length < 1 or np.any(np.diff(np.sort(starts)) < length):
         raise ValueError("read windows must be nonempty and must not overlap")
+    targets = list(targets)
+    gains = _echo_gains(targets, cfg, beams, rng)
     out = np.zeros((len(starts), length), dtype=complex)
 
+    ts = 1.0 / symbol_rate
+    span = spec.span
     half = span // 2
     delays = [t.delay() / ts for t in targets]
     # symbol i peaks at k0 + i + half and reaches samples k0 + i .. k0 + i + span,
@@ -331,12 +344,8 @@ def synthesize_radar_rx_symbol_rate(
     k0s = [int(np.floor(d)) - half for d in delays]
     k_max, k_min = max(k0s, default=0), min(k0s, default=0)
     x = symbol_windows(starts - k_max - span, length + span + k_max - k_min)
-    for target, phase, d, k0 in zip(targets, beta_phases, delays, k0s):
-        if unit_gains:
-            h_p = np.exp(1j * phase)
-        else:
-            h_p = radar_coupling(target, cfg, beams, phase)
-        kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), rolloff)
+    for target, h_p, d, k0 in zip(targets, gains, delays, k0s):
+        kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), spec.rolloff)
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
         w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
         row_terms = h_p * np.exp(w * starts)
@@ -348,14 +357,7 @@ def synthesize_radar_rx_symbol_rate(
             echo *= np.convolve(x[r, lo : lo + length + span], kernel, "valid")
             out[r] += echo
     del x   # the symbols are freed before the noise buffer is allocated
-
-    # every real part, then every imaginary part, each row-major
-    sigma = np.sqrt(sigma_cn2 / 2)
-    noise = np.empty(out.shape)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=noise)
-        noise *= sigma
-        part += noise
+    _add_noise(out, sigma_cn2, rng)
     return out
 
 

@@ -43,7 +43,6 @@ from .frame import (
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
     STF_LEN,
-    CpiConfig,
     FrameLayout,
     assemble_cpi,
     assemble_frame,
@@ -105,6 +104,7 @@ class Scenario:
             raise ValueError("cpi_duration_s must be positive")
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
+        self.rrc  # RrcSpec refuses a bad rolloff, span or oversampling factor
 
     @property
     def ts(self) -> float:
@@ -317,7 +317,7 @@ def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
-                             scen.array, None, rng, unit_gains=True)
+                             scen.array, None, rng)
 
     lag0 = int(np.round(target.delay() * rx.rate))
     w = scen.detection_window_symbols * scen.oversample
@@ -340,7 +340,7 @@ def _range_trial(scen, scnr_db, rng) -> float:
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
-                             scen.array, None, rng, unit_gains=True)
+                             scen.array, None, rng)
 
     expect = int(np.round(target.delay() / scen.ts))
     timing, _ = preamble_sync(rx, scen.rrc, scen.symbol_rate,
@@ -362,16 +362,14 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
     m = scen.n_frames
     k = scen.frame_k
     layout = scen.layout()
-    symbol_windows = partial(assemble_cpi, CpiConfig(m, k, scen.ts), layout,
-                             seed=int(rng.integers(2**63)))
+    symbol_windows = partial(assemble_cpi, m, layout, seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     # one read window per frame: the fine-timing search span plus the preamble
     expect = int(np.round(target.delay() / scen.ts))
     lo = max(expect - 32, 0)
     rows = synthesize_radar_rx_symbol_rate(
-        symbol_windows, [target], sigma_cn2, scen.array, None, scen.ts, rng,
-        unit_gains=True, rolloff=scen.rolloff, span=scen.rrc_span,
-        starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
+        symbol_windows, scen.rrc, scen.symbol_rate, [target], sigma_cn2, scen.array, None,
+        rng, starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
     )
 
     fine, _ = fine_timing_preamble(rows[0], (expect - 32 - lo, expect + 33 - lo))
@@ -598,15 +596,14 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
 
     def symbol_windows(starts, length):
-        cpi = assemble_cpi(CpiConfig(m, k, scen.ts), layout, starts, length, seed=spec.seed)
+        cpi = assemble_cpi(m, layout, starts, length, spec.seed)
         cpi /= h_ref
         return cpi
 
     # each frame's sliding CEF read: 512 lags of the 1024-symbol a|b pair
     rows = synthesize_radar_rx_symbol_rate(
-        symbol_windows, scen.targets, sigma_cn2, scen.array, beams, scen.ts, rng,
-        unit_gains=False, rolloff=scen.rolloff, span=scen.rrc_span,
-        starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
+        symbol_windows, scen.rrc, scen.symbol_rate, scen.targets, sigma_cn2, scen.array,
+        beams, rng, starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
     )
     h = estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
     ddm = build_delay_doppler_map(h, zero_pad=scen.zero_pad, ts=scen.ts,

@@ -29,7 +29,6 @@ __all__ = [
     "Preamble",
     "DEFAULT_PREAMBLE",
     "FrameLayout",
-    "CpiConfig",
     "assemble_frame",
     "assemble_cpi",
 ]
@@ -97,29 +96,9 @@ class FrameLayout:
         return self.k - PREAMBLE_LEN - self.header_len
 
 
-@dataclass(frozen=True)
-class CpiConfig:
-    """Coherent processing interval: M frames of K symbols at period Ts."""
-
-    m: int
-    k: int
-    ts: float
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("a CPI needs at least one frame")
-        if self.ts <= 0:
-            raise ValueError("symbol period must be positive")
-
-    @property
-    def t(self) -> float:
-        """CPI duration in seconds, T = M K Ts."""
-        return self.m * self.k * self.ts
-
-
 def assemble_frame(
     layout: FrameLayout,
-    seed=None,
+    seed,
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
     """One frame of K unit-energy symbols: preamble, then random BPSK header/payload.
@@ -135,11 +114,11 @@ def assemble_frame(
 
 
 def assemble_cpi(
-    cfg: CpiConfig,
+    m: int,
     layout: FrameLayout,
     starts,
     length: int,
-    seed=None,
+    seed: int,
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
     """Read windows of a CPI: M frames, identical preambles, fresh payloads.
@@ -149,17 +128,17 @@ def assemble_cpi(
     with child f of ``SeedSequence(seed)``.  Returns the len(starts) x length
     matrix whose row r is s[starts[r] : starts[r] + length], zero outside
     [0, M K).  Only the symbols inside a window are drawn, so the whole CPI,
-    ``assemble_cpi(cfg, layout, [0], cfg.m * cfg.k, seed)[0]``, is the one
-    call that pays for all M K.
+    ``assemble_cpi(m, layout, [0], m * layout.k, seed)[0]``, is the one call
+    that pays for all M K.
     """
-    if cfg.k != layout.k:
-        raise ValueError(f"CpiConfig.k={cfg.k} disagrees with FrameLayout.k={layout.k}")
+    if m < 1:
+        raise ValueError("a CPI needs at least one frame")
     k = layout.k
     out = np.zeros((len(starts), length))
     # (frame, first and end payload index, row, column) of each payload piece
     pieces = []
     for r, lo in enumerate(np.asarray(starts, dtype=int).tolist()):
-        a, b = max(lo, 0), min(lo + length, cfg.m * k)
+        a, b = max(lo, 0), min(lo + length, m * k)
         for f in range(a // k, (b - 1) // k + 1):
             u, v = max(a - f * k, 0), min(b - f * k, k)   # frame-local span
             col = f * k + u - lo
@@ -173,7 +152,7 @@ def assemble_cpi(
     # integers(0, 2) reads one 32-bit half of a PCG64 output per symbol, low
     # half first, and returns its top bit: payload symbol i sits in output
     # i // 2, which PCG64.advance reaches without drawing the ones before it
-    children = np.random.SeedSequence(seed).spawn(cfg.m)
+    children = np.random.SeedSequence(seed).spawn(m)
     frame = pos = -1
     for f, i0, i1, r, col in sorted(pieces):
         j0, j1 = i0 // 2, (i1 + 1) // 2

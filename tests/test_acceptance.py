@@ -18,7 +18,8 @@ import numpy as np
 
 from wlanradar.airlink import Target, synthesize_radar_rx_symbol_rate
 from wlanradar.bench import ExperimentSpec, Scenario, run_experiment, two_vehicle_scenario
-from wlanradar.frame import CpiConfig, FrameLayout, assemble_cpi, assemble_frame
+from wlanradar.dsp import RrcSpec
+from wlanradar.frame import FrameLayout, assemble_cpi, assemble_frame
 from wlanradar.golay import aperiodic_autocorr, generate_golay_pair
 from wlanradar.radar import (
     build_delay_doppler_map,
@@ -233,12 +234,12 @@ def test_criterion_9_multitarget_map():
         Target(range_m=25.0, velocity_mps=v0),
         Target(range_m=25.0, velocity_mps=v0 + 0.6),
     ]
-    cpi = partial(assemble_cpi, CpiConfig(m_long, k, TS), FrameLayout(k=k), seed=9)
+    cpi = partial(assemble_cpi, m_long, FrameLayout(k=k), seed=9)
     # one window over the whole CPI and its echo tail
     n_y = m_long * k + int(np.ceil(max(t.delay() / TS for t in targets))) + 16
-    y = synthesize_radar_rx_symbol_rate(cpi, targets, 1e-3, two_vehicle_scenario().array,
-                                        None, TS, seed=9, unit_gains=True,
-                                        starts=[0], length=n_y)[0]
+    y = synthesize_radar_rx_symbol_rate(cpi, RrcSpec(span=16), W, targets, 1e-3,
+                                        two_vehicle_scenario().array, None,
+                                        np.random.default_rng(9), starts=[0], length=n_y)[0]
     d_bin = int(round(targets[0].delay() / TS))
     rows = []
     for mm in range(m_long):

@@ -24,7 +24,6 @@ from wlanradar.airlink import (
 from wlanradar.dsp import RrcSpec, matched_filter, pulse_shape, rc_pulse, symbol_sample
 from wlanradar.frame import (
     DEFAULT_PREAMBLE,
-    CpiConfig,
     FrameLayout,
     assemble_cpi,
     assemble_frame,
@@ -34,6 +33,7 @@ W = 1.76e9
 TS = 1 / W
 CFG = ArrayConfig()  # 8x2, lambda @60 GHz
 RRC = RrcSpec()
+RRC16 = RrcSpec(span=16)
 
 
 def _windows_of(x):
@@ -194,18 +194,46 @@ class TestCommChannel:
         assert np.array_equal(got, expected)
 
 
+def _oversampled_echo(symbols, target, beams, rng):
+    """The oversampled chain's noiseless symbol-rate matched output."""
+    rx = synthesize_radar_rx(symbols, RRC, W, [target], 0.0, CFG, beams, rng)
+    return symbol_sample(matched_filter(rx, RRC, W), W, 0)
+
+
+def _symbol_rate_echo(symbols, target, beams, rng):
+    return synthesize_radar_rx_symbol_rate(
+        _windows_of(symbols), RRC, W, [target], 0.0, CFG, beams, rng,
+        starts=[0], length=_full_length(symbols, [target], RRC.span))[0]
+
+
 class TestSynthesis:
+    @pytest.mark.parametrize("synth", [_oversampled_echo, _symbol_rate_echo])
+    @pytest.mark.parametrize("steered", [False, True])
+    def test_echo_gain_rule(self, synth, steered):
+        # one impulse, one static target 100 symbols out: the echo peak is
+        # the gain h_p, beta_p alone without beams, the radar coupling with them
+        t = Target(range_m=100 * TS * SPEED_OF_LIGHT / 2, azimuth_deg=95.0)
+        beams = select_beams(CFG, 90.0, 90.0) if steered else None
+        symbols = np.zeros(64)
+        symbols[0] = 1.0
+        y = synth(symbols, t, beams, np.random.default_rng(11))
+        phase = np.random.default_rng(11).uniform(0, 2 * np.pi)
+        h_p = radar_coupling(t, CFG, beams, phase) if steered else np.exp(1j * phase)
+        assert np.argmax(np.abs(y)) == 100
+        assert abs(y[100]) == pytest.approx(abs(h_p) if steered else 1.0, rel=1e-6)
+        assert y[100] == pytest.approx(h_p, rel=1e-6)
+
     def test_noise_only_variance(self):
         frame = assemble_frame(FrameLayout(k=12800), seed=0)
         rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], 1.0, CFG, None,
-                                 seed=1)
+                                 np.random.default_rng(1))
         assert len(rx) >= 100_000
         assert np.mean(np.abs(rx.samples) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_noise_circularity(self):
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=4), W, [],
-                                 1.0, CFG, None, seed=2)
+                                 1.0, CFG, None, np.random.default_rng(2))
         re, im = rx.samples.real, rx.samples.imag
         assert np.var(re) == pytest.approx(np.var(im), rel=0.02)
         cross = np.mean(re * im) / np.sqrt(np.var(re) * np.var(im))
@@ -218,8 +246,7 @@ class TestSynthesis:
         assert t.doppler(CFG.wavelength) == pytest.approx(8005.5, abs=1.0)
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None,
-                                 seed=4, unit_gains=True)
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(4))
         sym = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
         assert np.argmax(np.abs(c)) == 587
@@ -233,7 +260,7 @@ class TestSynthesis:
         for rho in (3.0, 9.5, 30.0, 95.0, 300.0):
             t = Target(range_m=rho, velocity_mps=0.0)
             rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, beams,
-                                     seed=6)
+                                     np.random.default_rng(6))
             energies.append(np.sum(np.abs(rx.samples) ** 2))
             gains.append(radar_path_gain(t, CFG.wavelength))
         slope = np.polyfit(np.log10(gains), np.log10(energies), 1)[0]
@@ -242,12 +269,10 @@ class TestSynthesis:
     def test_preamble_phase_rotation_across_frames(self):
         # noiseless 2-frame CPI: preamble-to-preamble phase = 2 pi nu K Ts
         k = 3328
-        cpi = assemble_cpi(CpiConfig(2, k, TS), FrameLayout(k=k, header_len=0), [0], 2 * k,
-                           seed=7)[0]
+        cpi = assemble_cpi(2, FrameLayout(k=k, header_len=0), [0], 2 * k, 7)[0]
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
-        rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None,
-                                 seed=8, unit_gains=True)
+        rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None, np.random.default_rng(8))
         sym = symbol_sample(matched_filter(rx, spec, W), W, 0)
         d = round(t.delay() / TS)
         p0 = sym[d : d + k]
@@ -266,8 +291,7 @@ class TestSynthesis:
         d = 100.7
         t = Target(range_m=d / rate * SPEED_OF_LIGHT / 2, velocity_mps=25.0)
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=12)
-        rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None,
-                                 seed=13, unit_gains=True)
+        rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None, np.random.default_rng(13))
         n_tx = len(frame) * spec.oversample + spec.span * spec.oversample
         assert len(rx) == n_tx + 101
         assert rx.t0 == pytest.approx(-(spec.span * spec.oversample // 2) / rate)
@@ -285,12 +309,10 @@ class TestSynthesis:
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None,
-                                 seed=10, unit_gains=True)
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10))
         sym_full = symbol_sample(matched_filter(rx, RRC, W), W, 0)
         sym_fast = synthesize_radar_rx_symbol_rate(
-            _windows_of(frame), [t], 0.0, CFG, None, TS, seed=10,
-            unit_gains=True, span=RRC.span,
+            _windows_of(frame), RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10),
             starts=[0], length=_full_length(frame, [t], RRC.span),
         )[0]
         n = 4000
@@ -304,12 +326,12 @@ class TestSynthesis:
         targets = [Target(range_m=12.71, velocity_mps=33.0),
                    Target(range_m=30.2, velocity_mps=-12.0)]
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        args = (_windows_of(frame), targets, 0.0, CFG, None, TS)
-        full = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True, starts=[0],
+        args = (_windows_of(frame), RRC16, W, targets, 0.0, CFG, None)
+        full = synthesize_radar_rx_symbol_rate(*args, np.random.default_rng(4), starts=[0],
                                                length=_full_length(frame, targets, 16))[0]
         length = 300
         starts = np.array([-40, 1000, len(full) - 100])
-        rows = synthesize_radar_rx_symbol_rate(*args, seed=4, unit_gains=True,
+        rows = synthesize_radar_rx_symbol_rate(*args, np.random.default_rng(4),
                                                starts=starts, length=length)
         assert rows.shape == (len(starts), length)
         for row, lo in zip(rows, starts):
@@ -325,19 +347,20 @@ class TestSynthesis:
                    Target(range_m=10.06, velocity_mps=60.0, azimuth_deg=100.0)]
         beams = select_beams(CFG, 90.0, 90.0)
         k = 4352
-        windows = partial(assemble_cpi, CpiConfig(3, k, TS), FrameLayout(k=k), seed=8)
+        windows = partial(assemble_cpi, 3, FrameLayout(k=k), seed=8)
         starts = 2048 + np.arange(3) * k
-        rows = synthesize_radar_rx_symbol_rate(windows, targets, 0.1, CFG, beams, TS,
-                                               seed=9, starts=starts, length=1535)
+        rows = synthesize_radar_rx_symbol_rate(windows, RRC16, W, targets, 0.1, CFG, beams,
+                                               np.random.default_rng(9), starts=starts,
+                                               length=1535)
         ref = _outer_product_reference(windows, targets, 0.1, beams, 9, starts, 1535)
         assert np.array_equal(rows, ref)
 
     def test_symbol_rate_noise_draw_order(self):
         # every real part row-major, then every imaginary part
         sigma_cn2, shape = 0.5, (4, 300)
-        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], sigma_cn2, CFG,
-                                               None, TS, seed=6, starts=np.arange(4) * 400,
-                                               length=shape[1])
+        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), RRC, W, [], sigma_cn2,
+                                               CFG, None, np.random.default_rng(6),
+                                               starts=np.arange(4) * 400, length=shape[1])
         n = np.random.default_rng(6).standard_normal((2, *shape))
         assert np.array_equal(rows, np.sqrt(sigma_cn2 / 2) * (n[0] + 1j * n[1]))
 
@@ -347,12 +370,12 @@ class TestSynthesis:
         # (1.87x; 2.22x when the symbols outlive the echoes, 2.77x with a
         # whole-matrix Doppler ramp)
         k, lo, length = 12800, 555, 32 + 33 + 3328 - 1
-        windows = partial(assemble_cpi, CpiConfig(10, k, TS), FrameLayout(k=k), seed=3)
+        windows = partial(assemble_cpi, 10, FrameLayout(k=k), seed=3)
         tracemalloc.start()
         try:
             rows = synthesize_radar_rx_symbol_rate(
-                windows, [Target(range_m=50.0, velocity_mps=20.0)], 0.1, CFG, None, TS,
-                seed=4, unit_gains=True, starts=lo + np.arange(10) * k, length=length)
+                windows, RRC16, W, [Target(range_m=50.0, velocity_mps=20.0)], 0.1, CFG, None,
+                np.random.default_rng(4), starts=lo + np.arange(10) * k, length=length)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,24 +383,27 @@ class TestSynthesis:
 
     def test_symbol_rate_windows_carry_the_noise_power(self):
         # noise 0.3 plus white clutter 0.2
-        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], 0.5, CFG, None,
-                                               TS, seed=5, starts=np.arange(8) * 5000,
-                                               length=2000)
+        rows = synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), RRC, W, [], 0.5, CFG,
+                                               None, np.random.default_rng(5),
+                                               starts=np.arange(8) * 5000, length=2000)
         assert np.mean(np.abs(rows) ** 2) == pytest.approx(0.5, rel=0.05)
 
     def test_symbol_rate_overlapping_windows_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), [], 1.0,
-                                            CFG, None, TS, starts=[0, 10], length=20)
+            synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), RRC, W, [], 1.0, CFG,
+                                            None, np.random.default_rng(0), starts=[0, 10],
+                                            length=20)
 
     def test_negative_power_rejected(self):
         frame = np.ones(64)
         for sigma_cn2 in (-1.0, np.nan):
             with pytest.raises(ValueError, match="sigma_cn2"):
-                synthesize_radar_rx(frame, RRC, W, [], sigma_cn2, CFG, None)
+                synthesize_radar_rx(frame, RRC, W, [], sigma_cn2, CFG, None,
+                                    np.random.default_rng(0))
             with pytest.raises(ValueError, match="sigma_cn2"):
-                synthesize_radar_rx_symbol_rate(_windows_of(frame), [], sigma_cn2, CFG, None,
-                                                TS, starts=[0], length=20)
+                synthesize_radar_rx_symbol_rate(_windows_of(frame), RRC, W, [], sigma_cn2, CFG,
+                                                None, np.random.default_rng(0), starts=[0],
+                                                length=20)
 
 
 class TestLinkBudget:

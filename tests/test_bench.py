@@ -116,6 +116,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(rolloff=0.0), "rolloff"), (dict(rolloff=1.5), "rolloff"),
+        (dict(rrc_span=47), "span"),
+    ])
+    def test_bad_pulse_rejected(self, kwargs, match):
+        # every bench reads the pulse, the symbol-rate ones included
+        with pytest.raises(ValueError, match=match):
+            Scenario(**kwargs)
+
     def test_tradeoff_frame_count_below_one_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="tradeoff", sweep=(2, 0))

@@ -120,6 +120,20 @@ class TestErrors:
         assert err.startswith("error:") and "CEF delay span 0-43.5 m" in err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_bad_pulse_rejected_by_symbol_rate_bench(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {"rolloff": 0}}))
+        assert main(["velocity", "--config", str(path), "--trials", "1", "--scnr", "10"]) == 1
+        assert capsys.readouterr().err == ("error: bad scenario config: "
+                                           "rolloff must be in (0, 1)\n")
+
+    def test_bad_pulse_ddmap_writes_no_csv(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {"preset": "two-vehicle", "rolloff": 1.5}}))
+        assert main(["ddmap", "--config", str(path), "--out", str(tmp_path / "m.csv")]) == 1
+        assert "rolloff must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0

@@ -6,15 +6,12 @@ from wlanradar.frame import (
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
     STF_LEN,
-    CpiConfig,
     FrameLayout,
     Preamble,
     assemble_cpi,
     assemble_frame,
 )
 from wlanradar.golay import GolayPair, generate_golay_pair, golay_pair_correlate
-
-TS = 1 / 1.76e9
 
 
 class TestStf:
@@ -79,16 +76,9 @@ class TestLayout:
         with pytest.raises(ValueError):
             FrameLayout(k=4000, header_len=1024)
 
-    def test_cpi_duration(self):
-        cfg = CpiConfig(m=10, k=12800, ts=TS)
-        assert abs(cfg.t - 128000 * TS) < 1e-12 * cfg.t
-        assert abs(cfg.t - 72.7e-6) < 0.1e-6
-
     def test_cpi_validation(self):
-        with pytest.raises(ValueError):
-            CpiConfig(m=0, k=128, ts=TS)
-        with pytest.raises(ValueError):
-            CpiConfig(m=1, k=128, ts=-1.0)
+        with pytest.raises(ValueError, match="at least one frame"):
+            assemble_cpi(0, FrameLayout(k=6656), [0], 1, 0)
 
 
 class TestAssembly:
@@ -143,8 +133,7 @@ class TestPreamble:
 
 
 def _whole_cpi(m, layout, seed, preamble=DEFAULT_PREAMBLE):
-    cfg = CpiConfig(m, layout.k, TS)
-    return assemble_cpi(cfg, layout, [0], m * layout.k, seed=seed, preamble=preamble)[0]
+    return assemble_cpi(m, layout, [0], m * layout.k, seed, preamble)[0]
 
 
 class TestCpi:
@@ -153,10 +142,9 @@ class TestCpi:
         assert len(cpi) == 6656
         assert np.array_equal(cpi[:PREAMBLE_LEN], DEFAULT_PREAMBLE.symbols)
 
-    def test_total_length_and_duration(self):
+    def test_total_length(self):
         cpi = _whole_cpi(10, FrameLayout(k=12800), seed=1)
         assert len(cpi) == 128000
-        assert CpiConfig(10, 12800, TS).t == pytest.approx(128000 * TS)
 
     def test_preambles_identical_payloads_differ(self):
         m = 4
@@ -192,7 +180,6 @@ class TestCpi:
                     else DEFAULT_PREAMBLE)
         k = 3700
         layout = FrameLayout(k=k, header_len=16)
-        cpi = CpiConfig(m, k, TS)
         whole = _whole_cpi(m, layout, 33, preamble)
         padded = np.concatenate([np.zeros(2 * k), whole, np.zeros(2 * k)])
         p = PREAMBLE_LEN
@@ -207,11 +194,7 @@ class TestCpi:
             ([2 * k - 9, p + 3, -4], 12),      # starts out of order
         ]
         for starts, length in cases:
-            rows = assemble_cpi(cpi, layout, starts, length, seed=33, preamble=preamble)
+            rows = assemble_cpi(m, layout, starts, length, 33, preamble)
             ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
             assert rows.shape == ref.shape and rows.dtype == ref.dtype
             assert rows.tobytes() == ref.tobytes(), (starts, length)
-
-    def test_inconsistent_k_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_cpi(CpiConfig(2, 12800, TS), FrameLayout(k=6656), [0], 1, seed=0)

@@ -26,6 +26,19 @@ def test_all_lists_exactly_the_public_api(name):
     assert defined <= exported, sorted(defined - exported)
 
 
+def test_no_seed_or_rng_default():
+    # a defaulted seed draws OS entropy unseen: every caller passes its own
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr in mod.__all__:
+            fn = getattr(mod, attr)
+            if not inspect.isfunction(fn):
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                if p.name in ("seed", "rng"):
+                    assert p.default is p.empty, f"{name}.{attr}({p.name}={p.default!r})"
+
+
 def test_perfbench_layer_probes_resolve(monkeypatch):
     # perfbench/tracing.py rebinds these names to time the layers; a rename in
     # src would otherwise break only the traced benchmark run

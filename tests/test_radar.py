@@ -85,8 +85,7 @@ class TestMatchedPreambleStatistic:
         for seed in range(8):
             rng = np.random.default_rng([7, 0, seed])
             rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
-                                     10 ** 2.2, scen.array, None, rng,
-                                     unit_gains=True)
+                                     10 ** 2.2, scen.array, None, rng)
             lag0 = int(np.round(target.delay() * rx.rate))
             got = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
             assert got == _lag_loop_statistic(rx, template, lag0 + np.arange(-w, w + 1))
@@ -197,7 +196,7 @@ class TestRangeEstimate:
         target = Target(range_m=50.0, velocity_mps=0.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, rrc, W, [target], 0.0,
-                                 Scenario().array, None, seed=1, unit_gains=True)
+                                 Scenario().array, None, np.random.default_rng(1))
         timing, _ = preamble_sync(rx, rrc, W, search=(587 - 384, 587 + 384))
         rho_hat = estimate_range(timing.delay_symbols(), TS)
         bound = SPEED_OF_LIGHT * TS / (2 * 2 * rrc.oversample)

@@ -213,8 +213,7 @@ class TestPipeline:
             target = Target(range_m=d_symbols * TS * SPEED_OF_LIGHT / 2)
             frame = assemble_frame(FrameLayout(k=4352, header_len=0), rng)
             # sigma_cn^2 = 1: SCNR = 0 dB with unit gain
-            rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None,
-                                     seed=rng, unit_gains=True)
+            rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None, rng)
             timing, _ = preamble_sync(rx, RRC, W, search=(587 - 384, 587 + 384))
             err = abs(timing.delay_symbols() - d_symbols)
             hits += err <= 1 + 1 / (2 * Q)
@@ -234,7 +233,7 @@ class TestPipeline:
         # a noiseless echo 587 symbols out, through the radar channel model
         target = Target(range_m=587 * TS * SPEED_OF_LIGHT / 2)
         rx = synthesize_radar_rx(frame, RRC, W, [target], 0.0, Scenario().array, None,
-                                 seed=18, unit_gains=True)
+                                 np.random.default_rng(18))
         timing, sym = preamble_sync(rx, RRC, W, search=(587 - 384, 587 + 384), preamble=p)
         assert timing.fine_start == 587
         h = estimate_channel_cef(sym, timing.fine_start + STF_LEN, preamble=p)

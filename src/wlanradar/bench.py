@@ -194,8 +194,8 @@ class ExperimentSpec:
             bad = [m for m in self.sweep if not (float(m).is_integer() and m >= 2)]
             if bad:
                 raise ValueError(f"tradeoff frame counts must be integers >= 2, got M={bad[0]}")
-        if self.kind == "ddmap" and len(self.sweep) > 1:
-            raise ValueError(f"ddmap maps one SCNR, got the sweep {self.sweep}")
+        if self.kind == "ddmap" and len(self.sweep) != 1:
+            raise ValueError(f"ddmap maps exactly one SCNR, got the sweep {self.sweep}")
 
 
 @dataclass
@@ -592,7 +592,7 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
     beams = select_beams(scen.array, ref.azimuth_deg, ref.elevation_deg)
     h_ref = abs(radar_coupling(ref, scen.array, beams, 0.0))
     # normalize all couplings by the reference magnitude, then pin the SCNR
-    scnr_db = spec.sweep[0] if len(spec.sweep) else 20.0
+    scnr_db = spec.sweep[0]
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
 
     def symbol_windows(starts, length):

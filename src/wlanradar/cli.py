@@ -50,7 +50,7 @@ _COMMANDS = {
     "velocity": _Command("velocity-mse", "--scnr", (0.0, 10.0, 20.0), (*_TRIALS, "--frames")),
     "tradeoff": _Command("tradeoff", "--frames", (2, 4, 8, 16), (*_TRIALS, "--cpi")),
     "linkbudget": _Command("linkbudget", "--distances", tuple(np.linspace(10, 200, 20))),
-    "ddmap": _Command("ddmap", "--scnr", (), ("--seed", "--pfa")),
+    "ddmap": _Command("ddmap", "--scnr", (20.0,), ("--seed", "--pfa")),
     "ambiguity": _Command("ambiguity"),
     "crlb": _Command("crlb", "--scnr", (0.0, 10.0, 20.0, 30.0, 40.0),
                      ("--eq", "--P", "--mode", "--frames", "--frame-symbols", "--tint")),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 __all__ = [
     "GolayPair",
@@ -135,19 +135,28 @@ def golay_pair_correlate(
 
 
 def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y."""
+    """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y.
+
+    A linear convolution with conj(ref[::-1]) through one zero-padded
+    transform of the needed span, the same length and spectrum product as
+    ``fftconvolve(..., mode="valid")``, inverted in place.
+    """
     n = len(ref)
     lo = int(lags.min())
     hi = int(lags.max())
-    # slice the needed span, and zero-extend it only where the lags leave y
+    span = hi + n - lo
+    nfft = sp_fft.next_fast_len(span + n - 1, False)
+    # the span starts at lag lo; only the part inside y is copied, so the
+    # lags that leave y read the buffer's zeros
     seg_lo = max(lo, 0)
-    seg_hi = min(hi + n, y.shape[-1])
-    seg = y[..., seg_lo:seg_hi]
-    if seg_lo > lo or seg_hi < hi + n:
-        seg = np.pad(seg, [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)])
-    kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
-    c = fftconvolve(seg, kernel, mode="valid", axes=-1)
-    return c[..., lags - lo]
+    seg_hi = max(seg_lo, min(hi + n, y.shape[-1]))
+    buf = np.zeros(y.shape[:-1] + (nfft,), dtype=complex)
+    buf[..., seg_lo - lo : seg_hi - lo] = y[..., seg_lo:seg_hi]
+    spec = sp_fft.fft(buf, axis=-1, overwrite_x=True)
+    spec *= sp_fft.fft(np.conj(ref[::-1]), nfft)
+    full = sp_fft.ifft(spec, axis=-1, overwrite_x=True)
+    # valid output j is full output j + n - 1
+    return full[..., lags - lo + n - 1]
 
 
 def _segment_corr(seg: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ velocity and trade-off benches refuse targets at or beyond that span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -157,6 +158,11 @@ class DelayDopplerMap:
         return np.arange(self.grid.shape[0]) * self.ts * SPEED_OF_LIGHT / 2.0
 
 
+# delay rows per transform block of the map: two (block, M*Z) scratch buffers
+# that stay cache-sized at the benches' M*Z
+_MAP_BLOCK_ROWS = 16
+
+
 def build_delay_doppler_map(
     h: np.ndarray,
     frame_len: int,
@@ -175,13 +181,25 @@ def build_delay_doppler_map(
         raise ValueError("need an M x L matrix with M >= 2 frames")
     if zero_pad < 1:
         raise ValueError("zero_pad factor must be >= 1")
-    m = h.shape[0]
-    # transformed in a C-contiguous buffer, so the cost and the grid's layout
-    # do not depend on the memory order of h
-    grid = np.zeros((h.shape[1], m * zero_pad), dtype=complex)
-    grid[:, :m] = h.T
-    np.fft.fft(grid, axis=1, out=grid)
-    grid = np.fft.fftshift(grid, axes=1)
+    m, rows = h.shape
+    n = m * zero_pad
+    # fftshift rolls by n // 2: spectrum bin j < n - n // 2 lands in column
+    # j + n // 2, and the rest wrap round to the front
+    half = n - n // 2
+    # each block of delay rows is transformed in a zero-padded scratch buffer
+    # whose tail stays zero, and its two halves go straight to their shifted
+    # columns: no full-size zero fill and no rolled copy of the grid
+    grid = np.empty((rows, n), dtype=complex)
+    block = min(rows, _MAP_BLOCK_ROWS)
+    padded = np.zeros((block, n), dtype=complex)
+    spectrum = np.empty((block, n), dtype=complex)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        b = r1 - r0
+        padded[:b, :m] = h[:, r0:r1].T
+        np.fft.fft(padded[:b], axis=1, out=spectrum[:b])
+        grid[r0:r1, n // 2:] = spectrum[:b, :half]
+        grid[r0:r1, :n // 2] = spectrum[:b, half:]
     return DelayDopplerMap(
         grid=grid,
         ts=ts,
@@ -216,7 +234,8 @@ def detect_targets_map(
     only the last (highest-index) cell can be kept.  Detections are sorted
     by descending power, ties in row-major (delay, Doppler) order.
     """
-    power = np.abs(ddm.grid) ** 2
+    power = np.abs(ddm.grid)
+    np.square(power, out=power)
     cell_var = ddm.n_frames * bin_noise_var
     chi = cfar_threshold(cell_var, pfa)
 
@@ -230,18 +249,19 @@ def detect_targets_map(
     is_peak[1:] &= power[1:] >= power[:-1]
     is_peak[:-1] &= power[:-1] > power[1:]
 
-    l_bin, d_bin = np.nonzero(is_peak)
-    p = power[l_bin, d_bin]
+    cells = np.flatnonzero(is_peak)
+    p = power.ravel()[cells]
     order = np.argsort(-p, kind="stable")
-    l_bin, d_bin, p = l_bin[order], d_bin[order], p[order]
-    return list(map(
-        MapDetection,
+    cells, p = cells[order], p[order]
+    l_bin, d_bin = np.divmod(cells, power.shape[1])
+    # tuple.__new__ fills each MapDetection without a Python-level __new__ call
+    return list(map(tuple.__new__, repeat(MapDetection), zip(
         l_bin.tolist(),
         d_bin.tolist(),
         ddm.range_axis_m()[l_bin].tolist(),
         ddm.velocity_axis_mps()[d_bin].tolist(),
         p.tolist(),
-    ))
+    )))
 
 
 # ----------------------------------------------------------------------------

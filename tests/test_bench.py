@@ -109,6 +109,13 @@ class TestSpecValidation:
             ExperimentSpec(kind="ddmap", sweep=(10.0, 40.0))
         assert ExperimentSpec(kind="ddmap", sweep=(10.0,)).sweep == (10.0,)
 
+    def test_ddmap_without_scnr_rejected(self):
+        # the map's SCNR default lives in the CLI's command table, not here
+        with pytest.raises(ValueError, match="exactly one SCNR"):
+            ExperimentSpec(kind="ddmap")
+        with pytest.raises(ValueError, match="exactly one SCNR"):
+            ExperimentSpec(kind="ddmap", sweep=())
+
     @pytest.mark.parametrize("kwargs", [
         dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0), dict(targets=()),
     ])
@@ -258,6 +265,10 @@ class TestDeterminism:
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
+        # the map bench's own scale: M = 64, a 512 x 1024 grid
+        (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(n_frames=64),
+                        sweep=(20.0,), trials=1, seed=3, pfa=1e-4),
+         "0b6f4a970f26868c6e8956401ebd2381a95c0c0b3bb417d341e20d5aa9c5f1c7"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
          "4e59f5b8a70efb08b5fdc0efdd084b7c9b24b758383004cec674f29418f1e863"),
@@ -265,7 +276,7 @@ class TestDeterminism:
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
          "d9e926c7e887816643830f4da86c93042cfb1dbd3c01e8b07bd8043cc14fed39"),
     ], ids=["detection", "detection-doppler", "range-mse", "velocity-mse", "velocity-m10",
-            "ddmap", "tradeoff", "tradeoff-gap"])
+            "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a
         # decision or a digit has to change these digests on purpose

@@ -218,6 +218,19 @@ class TestRuns:
                 if ",delay_bin," in ln]
         assert 118.0 in bins[:2] and 168.0 in bins[:2]
 
+    def test_ddmap_default_scnr_comes_from_the_command_table(self, tmp_path, capsys):
+        # the manifest records the 20 dB the map ran at, and a config that
+        # empties the sweep is refused rather than mapped at a hidden SCNR
+        out = tmp_path / "map.csv"
+        assert main(["ddmap", "--seed", "3", "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["experiment"]["sweep"] == [20.0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"sweep": []}}))
+        assert main(["ddmap", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 1
+        assert "exactly one SCNR" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_ddmap_config_without_scenario_maps_two_vehicles(self, tmp_path):
         # a config with no scenario key keeps the command's two-vehicle scene
         cfg = tmp_path / "cfg.json"

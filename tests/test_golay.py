@@ -140,6 +140,35 @@ class TestPairCorrelator:
             for j in range(3):
                 assert np.array_equal(g[i, j], golay_pair_correlate(rows[i, j], self.pair, lags))
 
+    @pytest.mark.parametrize("shape, lags", [
+        ((1500,), np.arange(100, 477)),               # inside the stream
+        ((1500,), np.arange(-40, 530)),               # leaves it at both ends
+        ((4, 1535), np.arange(512)),                  # the map bench's stacked reads
+        ((4, 1535), np.arange(-7, 600)),
+        ((3, 1300), np.array([250, 5, -3, 276, 17])),  # unordered, non-contiguous
+    ])
+    def test_sliding_mode_equals_fftconvolve(self, shape, lags):
+        # bit for bit the valid-mode fftconvolve of the zero-extended span
+        # against conj([a b] reversed)
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(len(lags))
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.concatenate([self.pair.a, self.pair.b])
+        n = len(ref)
+        lo, hi = lags.min(), lags.max()
+        seg_lo, seg_hi = max(lo, 0), min(hi + n, shape[-1])
+        pad = [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)]
+        seg = np.pad(y[..., seg_lo:seg_hi], pad)
+        kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
+        expected = fftconvolve(seg, kernel, mode="valid", axes=-1)[..., lags - lo] / n
+        assert np.array_equal(golay_pair_correlate(y, self.pair, lags), expected)
+
+    @pytest.mark.parametrize("lags", [np.arange(-3000, -2000), np.arange(4100, 4200)])
+    def test_sliding_mode_is_zero_off_the_stream(self, lags):
+        y = np.ones(4000, dtype=complex)
+        assert np.array_equal(golay_pair_correlate(y, self.pair, lags), np.zeros(len(lags)))
+
     def test_gated_mode_rejects_stacked_rows(self):
         with pytest.raises(ValueError):
             golay_pair_correlate(np.zeros((2, 1100)), self.pair, np.arange(4), gate=0)

@@ -39,22 +39,56 @@ def test_no_seed_or_rng_default():
                     assert p.default is p.empty, f"{name}.{attr}({p.name}={p.default!r})"
 
 
-def test_perfbench_layer_probes_resolve(monkeypatch):
-    # perfbench/tracing.py rebinds these names to time the layers; a rename in
-    # src would otherwise break only the traced benchmark run
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py, loaded from its path as the traced bench run loads it."""
     import importlib.util
     import sys
-    from concurrent.futures import ProcessPoolExecutor
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_layer_probes_resolve(tracing):
+    # perfbench/tracing.py rebinds these names to time the layers; a rename in
+    # src would otherwise break only the traced benchmark run
+    from concurrent.futures import ProcessPoolExecutor
+
     assert len(tracing.LAYER_PROBES) == 13
     for module, attr, _ in tracing.LAYER_PROBES:
         assert module in ("bench", "airlink", "sync"), module
         assert callable(getattr(importlib.import_module(f"wlanradar.{module}"), attr)), attr
     # pool_counter counts pools by replacing this module global
     assert importlib.import_module("wlanradar.bench").ProcessPoolExecutor is ProcessPoolExecutor
+
+
+def test_perfbench_map_probe_counts_detections(tracing, monkeypatch):
+    # the traced run reads .delay_bin and .velocity_mps of every map
+    # detection: a changed return type would otherwise crash only that run
+    from wlanradar import bench
+
+    spec = bench.ExperimentSpec(kind="ddmap", scenario=bench.two_vehicle_scenario(),
+                                sweep=(20.0,), trials=1, seed=3, pfa=1e-4)
+    scen = spec.scenario
+    one_bin = scen.wavelength / (2 * scen.n_frames * scen.frame_k * scen.ts)
+    truth = {round(t.delay() / scen.ts): (t.velocity_mps, one_bin) for t in scen.targets}
+    seen = []
+    detect = bench.detect_targets_map
+
+    def counting_detect(*args, **kwargs):
+        dets = detect(*args, **kwargs)
+        seen.append(len(dets))
+        return dets
+
+    monkeypatch.setattr(bench, "detect_targets_map", counting_detect)
+    tracer = tracing.Tracer()
+    with tracing.layer_probes(tracer, truth):
+        bench.run_experiment(spec)
+    assert len(seen) == 1 and seen[0] > 2
+    assert tracer.counts["radar.map_detections"] == seen[0]
+    assert tracer.counts["radar.map_true_found"] == 2

@@ -335,6 +335,26 @@ class TestDelayDopplerMap:
         assert np.array_equal(grids[0], grids[1])
         assert all(g.flags.c_contiguous for g in grids)
 
+    @pytest.mark.parametrize("m, z, rows", [
+        (5, 3, 512),      # odd M*Z
+        (10, 16, 512),    # even M*Z, not a power of two
+        (6, 3, 512),
+        (5, 4, 512),      # odd M, even M*Z
+        (10, 16, 100),    # a last block shorter than the others
+        (10, 16, 7),      # fewer rows than one block
+        (64, 16, 512),    # the map bench's M
+    ])
+    def test_blocks_equal_shifted_frame_axis_fft(self, m, z, rows):
+        # the blocked transform writes each row's spectrum halves into their
+        # shifted columns: the same bits as fftshift of the frame-axis FFT
+        rng = np.random.default_rng(m * z + rows)
+        h = rng.standard_normal((m, rows)) + 1j * rng.standard_normal((m, rows))
+        grid = build_delay_doppler_map(h, zero_pad=z, ts=TS, frame_len=12800).grid
+        ref = np.fft.fftshift(np.fft.fft(h, n=m * z, axis=0), axes=0).T
+        assert grid.shape == (rows, m * z)
+        assert np.array_equal(grid, ref)
+        assert grid.flags.c_contiguous and grid.flags.owndata
+
     def test_scaling_invariance_of_peak_location(self):
         h = _single_target_channel_matrix(8, 12800, 250, 5e3, sigma=0.1, seed=3)
         ddm1 = build_delay_doppler_map(h, zero_pad=8, ts=TS, frame_len=12800)

@@ -100,6 +100,10 @@ class Scenario:
     def __post_init__(self):
         if self.n_frames < 1 or self.frame_k < 1:
             raise ValueError("n_frames and frame_k must be >= 1")
+        if not self.symbol_rate > 0:
+            raise ValueError("symbol_rate must be positive")
+        if not self.carrier_hz > 0:
+            raise ValueError("carrier_hz must be positive")
         if self.cpi_duration_s <= 0:
             raise ValueError("cpi_duration_s must be positive")
         if not self.targets:
@@ -618,7 +622,7 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
         table.add(i, "velocity_mps", d.velocity_mps)
         table.add(i, "power_db", 10 * np.log10(d.power / dets[0].power))
 
-    if dets:
+    if len(dets):
         dl, dw = _mainlobe_widths(ddm, dets[0])
         table.add(0, "delay_3db_bins", dl)
         table.add(0, "doppler_3db_bins", dw)

@@ -13,6 +13,13 @@ chi_D = -noise_var * ln(P_FA) exact:
 * CEF statistic: |h_hat[peak bin]|^2 -> background variance sigma_cn^2 / (2P)
   with P = 512.
 
+Delay-Doppler map
+-----------------
+detect_targets_map returns one np.recarray of the structured dtype
+MapDetection: delay_bin and doppler_bin (int64), range_m, velocity_mps and
+power (float64), one record per kept cell in descending power.  A map with
+no cell above the threshold gives a zero-length array.
+
 Velocity
 --------
 estimate_velocity_moose returns the velocity in m/s.  It is unambiguous only
@@ -23,8 +30,6 @@ velocity and trade-off benches refuse targets at or beyond that span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import ncx2
@@ -181,6 +186,10 @@ def build_delay_doppler_map(
         raise ValueError("need an M x L matrix with M >= 2 frames")
     if zero_pad < 1:
         raise ValueError("zero_pad factor must be >= 1")
+    if frame_len < 1:
+        raise ValueError("frame_len must be >= 1")
+    if not (ts > 0 and wavelength > 0):
+        raise ValueError("ts and wavelength must be positive")
     m, rows = h.shape
     n = m * zero_pad
     # fftshift rolls by n // 2: spectrum bin j < n - n // 2 lands in column
@@ -210,19 +219,21 @@ def build_delay_doppler_map(
     )
 
 
-class MapDetection(NamedTuple):
-    delay_bin: int
-    doppler_bin: int            # column in the shifted grid
-    range_m: float
-    velocity_mps: float
-    power: float
+# one map detection: a record of the array detect_targets_map returns
+MapDetection = np.dtype([
+    ("delay_bin", np.int64),
+    ("doppler_bin", np.int64),      # column in the shifted grid
+    ("range_m", np.float64),
+    ("velocity_mps", np.float64),
+    ("power", np.float64),
+])
 
 
 def detect_targets_map(
     ddm: DelayDopplerMap,
     pfa: float,
     bin_noise_var: float,
-) -> list[MapDetection]:
+) -> np.recarray:
     """Threshold the map at constant false-alarm rate and keep local maxima.
 
     ``bin_noise_var`` is the per-bin variance of the channel-estimate noise;
@@ -231,37 +242,46 @@ def detect_targets_map(
     is >= its lower-index neighbour and > its upper-index neighbour along
     each axis (Doppler wrapped, delay clipped: the first and last delay rows
     have one neighbour each).  On a plateau of equal cells along an axis
-    only the last (highest-index) cell can be kept.  Detections are sorted
-    by descending power, ties in row-major (delay, Doppler) order.
+    only the last (highest-index) cell can be kept.
+
+    Returns one ``np.recarray`` of dtype ``MapDetection``, one record per
+    kept cell, sorted by descending power, ties in row-major (delay, Doppler)
+    order; a map with no kept cell gives a zero-length array.
     """
-    power = np.abs(ddm.grid)
+    power = np.abs(ddm.grid, order="C")
     np.square(power, out=power)
     cell_var = ddm.n_frames * bin_noise_var
     chi = cfar_threshold(cell_var, pfa)
 
+    # the neighbour tests compare shifted views of the flat row-major arrays,
+    # which run contiguous, through one reused comparison buffer
+    n = power.shape[1]
     is_peak = power > chi
-    # Doppler (axis 1) wraps: column 0's lower neighbour is the last column
-    is_peak[:, 1:] &= power[:, 1:] >= power[:, :-1]
-    is_peak[:, 0] &= power[:, 0] >= power[:, -1]
-    is_peak[:, :-1] &= power[:, :-1] > power[:, 1:]
-    is_peak[:, -1] &= power[:, -1] > power[:, 0]
-    # delay (axis 0) is clipped
-    is_peak[1:] &= power[1:] >= power[:-1]
-    is_peak[:-1] &= power[:-1] > power[1:]
+    cmp = np.empty_like(is_peak)
+    flat, flat_peak, flat_cmp = power.ravel(), is_peak.ravel(), cmp.ravel()
+    # Doppler (axis 1) wraps: column 0's lower neighbour is the last column,
+    # so the flat comparisons that straddle two rows are redone per column
+    np.greater_equal(flat[1:], flat[:-1], out=flat_cmp[1:])
+    np.greater_equal(power[:, 0], power[:, -1], out=cmp[:, 0])
+    is_peak &= cmp
+    np.greater(flat[:-1], flat[1:], out=flat_cmp[:-1])
+    np.greater(power[:, -1], power[:, 0], out=cmp[:, -1])
+    is_peak &= cmp
+    # delay (axis 0) is clipped: a shift by one row of the flat arrays
+    np.greater_equal(flat[n:], flat[:-n], out=flat_cmp[n:])
+    flat_peak[n:] &= flat_cmp[n:]
+    np.greater(flat[:-n], flat[n:], out=flat_cmp[:-n])
+    flat_peak[:-n] &= flat_cmp[:-n]
 
     cells = np.flatnonzero(is_peak)
-    p = power.ravel()[cells]
+    p = flat[cells]
     order = np.argsort(-p, kind="stable")
     cells, p = cells[order], p[order]
-    l_bin, d_bin = np.divmod(cells, power.shape[1])
-    # tuple.__new__ fills each MapDetection without a Python-level __new__ call
-    return list(map(tuple.__new__, repeat(MapDetection), zip(
-        l_bin.tolist(),
-        d_bin.tolist(),
-        ddm.range_axis_m()[l_bin].tolist(),
-        ddm.velocity_axis_mps()[d_bin].tolist(),
-        p.tolist(),
-    )))
+    l_bin, d_bin = np.divmod(cells, n)
+    return np.rec.fromarrays(
+        [l_bin, d_bin, ddm.range_axis_m()[l_bin], ddm.velocity_axis_mps()[d_bin], p],
+        dtype=MapDetection,
+    )
 
 
 # ----------------------------------------------------------------------------

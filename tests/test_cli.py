@@ -134,6 +134,24 @@ class TestErrors:
         assert "rolloff must be in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [("symbol_rate", 0), ("carrier_hz", -60e9)])
+    @pytest.mark.parametrize("argv", [
+        ["linkbudget"],
+        ["crlb", "--eq", "table"],
+        ["velocity", "--trials", "1", "--scnr", "10"],
+    ])
+    def test_nonpositive_rate_or_carrier_rejected(self, tmp_path, field, value, argv,
+                                                   capsys):
+        # a zero symbol rate gave inf SNR rows or a ZeroDivisionError, and a
+        # negative carrier a negative wavelength
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {field: value}}))
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: bad scenario config: "
+                                           f"{field} must be positive\n")
+        assert not out.exists()
+
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
@@ -217,6 +235,13 @@ class TestRuns:
         bins = [float(ln.split(",")[2]) for ln in text.splitlines()
                 if ",delay_bin," in ln]
         assert 118.0 in bins[:2] and 168.0 in bins[:2]
+
+    def test_ddmap_without_detections_writes_header_only(self, tmp_path):
+        # at -40 dB and Pfa 1e-12 no map cell clears the threshold
+        out = tmp_path / "map.csv"
+        assert main(["ddmap", "--scnr", "-40", "--pfa", "1e-12", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "sweep,metric,value,trials,half_width\n"
 
     def test_ddmap_default_scnr_comes_from_the_command_table(self, tmp_path, capsys):
         # the manifest records the 20 dB the map ran at, and a config that

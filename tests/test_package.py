@@ -92,3 +92,16 @@ def test_perfbench_map_probe_counts_detections(tracing, monkeypatch):
     assert len(seen) == 1 and seen[0] > 2
     assert tracer.counts["radar.map_detections"] == seen[0]
     assert tracer.counts["radar.map_true_found"] == 2
+
+
+def test_perfbench_map_probe_on_no_detections(tracing):
+    # a map with no cell above the threshold gives a zero-length array
+    import numpy as np
+
+    from wlanradar.radar import MapDetection
+
+    tracer = tracing.Tracer()
+    tracing._map_detections({118: (60.0, 0.5), 168: (30.0, 0.5)})(
+        tracer, np.recarray(0, dtype=MapDetection))
+    assert tracer.counts["radar.map_detections"] == 0
+    assert tracer.counts["radar.map_true_found"] == 0

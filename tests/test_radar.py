@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
-from wlanradar.bench import Scenario
+from wlanradar.bench import Scenario, _mainlobe_widths
 from wlanradar.dsp import IqStream, pulse_shape
 from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 from wlanradar.radar import (
     DelayDopplerMap,
+    MapDetection,
     build_delay_doppler_map,
     cfar_threshold,
     crlb_range,
@@ -286,6 +287,17 @@ class TestDelayDopplerMap:
         with pytest.raises(ValueError):
             build_delay_doppler_map(np.zeros((1, 512)), frame_len=12800)
 
+    def test_rejects_bad_frame_len_ts_and_wavelength(self):
+        # a negative frame_len would flip the velocity axis, a negative ts
+        # the range axis, and frame_len=0 would fail only inside detection
+        h = np.zeros((4, 512))
+        with pytest.raises(ValueError, match="frame_len"):
+            build_delay_doppler_map(h, frame_len=-12800)
+        with pytest.raises(ValueError, match="must be positive"):
+            build_delay_doppler_map(h, frame_len=12800, ts=-TS)
+        with pytest.raises(ValueError, match="must be positive"):
+            build_delay_doppler_map(h, frame_len=12800, wavelength=0.0)
+
     def test_stationary_target_at_zero_doppler(self):
         h = _single_target_channel_matrix(10, 12800, 118, 0.0)
         ddm = build_delay_doppler_map(h, zero_pad=16, ts=TS, frame_len=12800)
@@ -413,6 +425,37 @@ class TestMapDetection:
             (11, 5), (30, 0), (20, 8), (40, 15), (0, 3), (63, 3),
         ]
         assert [d.power for d in dets] == [9.0, 6.25, 4.0, 3.24, 1.0, 1.0]
+
+    def test_returns_records_sorted_by_power(self):
+        rng = np.random.default_rng(12)
+        grid = rng.integers(0, 4, (40, 24)) + 1j * rng.integers(0, 3, (40, 24))
+        dets = detect_targets_map(_map(grid), 0.5, bin_noise_var=0.5)
+        assert isinstance(dets, np.recarray) and dets.dtype == MapDetection
+        assert [dets.dtype[f].kind for f in dets.dtype.names] == ["i", "i", "f", "f", "f"]
+        assert len(dets) > 20 and np.all(np.diff(dets.power) <= 0)
+
+    def test_fortran_ordered_grid_gives_the_same_detections(self):
+        # the neighbour tests run on flat row-major views of the power
+        rng = np.random.default_rng(12)
+        grid = rng.integers(0, 4, (40, 24)) + 1j * rng.integers(0, 3, (40, 24))
+        dets = detect_targets_map(_map(grid), 0.5, bin_noise_var=0.5)
+        f_dets = detect_targets_map(_map(np.asfortranarray(grid)), 0.5, bin_noise_var=0.5)
+        assert np.array_equal(dets, f_dets)
+
+    def test_all_zero_grid_gives_empty_array(self):
+        dets = detect_targets_map(_map(np.zeros((64, 16))), 1e-4, bin_noise_var=1.0)
+        assert isinstance(dets, np.recarray) and dets.dtype == MapDetection
+        assert len(dets) == 0
+
+    def test_single_peak_gives_one_record(self):
+        grid = np.zeros((64, 16))
+        grid[12, 6] = 2.0
+        ddm = _map(grid)
+        dets = detect_targets_map(ddm, 1e-4, bin_noise_var=1e-3)
+        assert len(dets) == 1
+        assert (dets[0].delay_bin, dets[0].doppler_bin, dets[0].power) == (12, 6, 4.0)
+        # an isolated cell is its own -3 dB main lobe along both axes
+        assert _mainlobe_widths(ddm, dets[0]) == (1.0, 1.0)
 
     def test_noise_only_false_cell_count(self):
         m, sigma2 = 4, 1.0

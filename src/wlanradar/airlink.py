@@ -250,16 +250,17 @@ def synthesize_radar_rx(
     """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
 
     The symbols carry the amplitude (sqrt(Es) included).  Each target
-    contributes apply_delay_doppler(symbols, spec, symbol_rate, tau_p, nu_p,
-    h_p), shaped directly at its own delay, with h_p from the path gain, beam
-    coupling and a per-CPI random unit-magnitude phase beta_p; with ``beams``
-    None, h_p is beta_p alone.  ``rng`` draws the phases, then the noise:
-    every real part, then every imaginary part.
+    contributes apply_delay_doppler(out, symbols, spec, symbol_rate, tau_p,
+    nu_p, h_p), shaped directly at its own delay, with h_p from the path
+    gain, beam coupling and a per-CPI random unit-magnitude phase beta_p;
+    with ``beams`` None, h_p is beta_p alone.  ``rng`` draws the phases,
+    then the noise: every real part, then every imaginary part.
 
-    The output starts at t0 = -half / rate, the start of the undelayed shaped
-    stream (half = the RRC half-length in samples), and runs for
-    max_p round(tau_p rate) + len(symbols) Q + span Q samples; each echo is
-    added at its start-time offset.  An empty target list yields pure
+    The output is one buffer, allocated once: it starts at t0 = -half / rate,
+    the start of the undelayed shaped stream (half = the RRC half-length in
+    samples), and runs for max_p round(tau_p rate) + len(symbols) Q + span Q
+    samples.  Every echo is added straight into it, target after target, and
+    the noise after them.  An empty target list yields pure
     clutter-plus-noise of the undelayed shaped duration.
     """
     if not sigma_cn2 >= 0:   # NaN fails too
@@ -270,15 +271,11 @@ def synthesize_radar_rx(
     rate = symbol_rate * q
     t0 = -(spec.span * q // 2) / rate
 
-    echoes = [
-        apply_delay_doppler(symbols, spec, symbol_rate, t.delay(), t.doppler(cfg.wavelength), h_p)
-        for t, h_p in zip(targets, gains)
-    ]
-    offsets = [int(round((e.t0 - t0) * rate)) for e in echoes]
-    n_out = max(offsets, default=0) + len(symbols) * q + spec.span * q
-    out = np.zeros(n_out, dtype=complex)
-    for off, e in zip(offsets, echoes):
-        out[off : off + len(e)] += e.samples
+    shifts = [int(np.round(t.delay() * rate)) for t in targets]
+    out = np.zeros(max(shifts, default=0) + (len(symbols) + spec.span) * q, dtype=complex)
+    for t, h_p in zip(targets, gains):
+        apply_delay_doppler(out, symbols, spec, symbol_rate, t.delay(),
+                            t.doppler(cfg.wavelength), h_p)
     _add_noise(out, sigma_cn2, rng)
     return IqStream(out, rate, t0)
 

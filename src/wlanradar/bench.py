@@ -19,8 +19,8 @@ import json
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -118,8 +118,9 @@ class Scenario:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    @property
+    @cached_property
     def rrc(self) -> RrcSpec:
+        """The pulse, built once per scenario, so every trial shares its taps' energy."""
         return RrcSpec(self.rolloff, self.rrc_span, self.oversample)
 
     @property
@@ -136,6 +137,10 @@ class Scenario:
             k=self.frame_k if k is None else k,
             header_len=self.header_len if header_len is None else header_len,
         )
+
+    def __getstate__(self) -> dict:
+        # a pickled Scenario holds its fields alone; the cached rrc is rebuilt
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -179,20 +179,21 @@ def _crlb_command(given: dict) -> int:
         return _run_and_emit(_COMMANDS["crlb"], given)
     scnr = given.get("scnr", (0.0,))
     p = given.get("P", 2048)
-    if eq == "range":
-        for s in scnr:
-            v = crlb_range(10 ** (s / 10), p=p)
-            print(f"{v:.9g} m^2  (sigma = {np.sqrt(v) * 1e3:.6g} mm) at SCNR {s:g} dB")
-        return 0
-    if eq == "velocity":
-        for s in scnr:
-            v = crlb_velocity(10 ** (s / 10), mode=given.get("mode", "single"), p=p,
-                              m=given.get("frames", 1), k=given.get("frame_symbols", 12800))
-            print(f"{v:.9g} (m/s)^2  (sigma = {np.sqrt(v):.6g} m/s) at SCNR {s:g} dB")
-        return 0
-    scen = Scenario()
-    tint = given.get("tint", scen.n_frames * scen.frame_k * scen.ts)
     try:
+        if eq == "range":
+            for s in scnr:
+                v = crlb_range(10 ** (s / 10), p=p)
+                print(f"{v:.9g} m^2  (sigma = {np.sqrt(v) * 1e3:.6g} mm) at SCNR {s:g} dB")
+            return 0
+        if eq == "velocity":
+            for s in scnr:
+                v = crlb_velocity(10 ** (s / 10), mode=given.get("mode", "single"), p=p,
+                                  m=given.get("frames", 1),
+                                  k=given.get("frame_symbols", 12800))
+                print(f"{v:.9g} (m/s)^2  (sigma = {np.sqrt(v):.6g} m/s) at SCNR {s:g} dB")
+            return 0
+        scen = Scenario()
+        tint = given.get("tint", scen.n_frames * scen.frame_k * scen.ts)
         dr, dv = resolutions(scen.symbol_rate, tint, scen.wavelength)
     except ValueError as e:
         raise SystemExit(f"error: {e}")

@@ -7,12 +7,15 @@ vanish away from the peak up to the truncation floor of the finite span.
 
 A delayed echo is shaped directly at its delay: the integer-sample part
 moves the stream's start time and the fractional part evaluates the
-analytic RRC on a shifted grid, so no stream is ever resampled.
+analytic RRC on a shifted grid, so no stream is ever resampled.  Echoes
+are not streams of their own: apply_delay_doppler adds each one into a
+received buffer the caller owns, phase by phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -75,6 +78,13 @@ class RrcSpec:
         if self.oversample < 1:
             raise ValueError("oversample factor must be >= 1")
 
+    @cached_property
+    def energy(self) -> float:
+        """Energy of the unshifted, unnormalized RRC taps, computed once per spec."""
+        q = self.oversample
+        n = self.span * q + 1
+        return np.sum(_rrc_kernel((np.arange(n) - (n - 1) / 2) / q, self.rolloff) ** 2)
+
 
 def _rrc_kernel(t: np.ndarray, beta: float) -> np.ndarray:
     """Root-raised-cosine impulse response on a time grid in symbol units."""
@@ -100,16 +110,14 @@ def _rrc_kernel(t: np.ndarray, beta: float) -> np.ndarray:
 def rrc_taps(spec: RrcSpec, frac_shift: float = 0.0) -> np.ndarray:
     """Unit-energy RRC taps; ``frac_shift`` (in symbols) delays the kernel.
 
-    With frac_shift = 0 the taps are symmetric about the center.
+    With frac_shift = 0 the taps are symmetric about the center.  Every
+    shift is scaled by the unshifted kernel's energy, so shifted variants
+    keep its passband gain rather than being re-scaled individually.
     """
     q = spec.oversample
     n = spec.span * q + 1
     t = (np.arange(n) - (n - 1) / 2) / q - frac_shift
-    taps = _rrc_kernel(t, spec.rolloff)
-    # normalize the unshifted kernel's energy so shifted variants keep the
-    # same passband gain rather than being re-scaled individually
-    ref = _rrc_kernel((np.arange(n) - (n - 1) / 2) / q, spec.rolloff)
-    return taps / np.sqrt(np.sum(ref**2))
+    return _rrc_kernel(t, spec.rolloff) / np.sqrt(spec.energy)
 
 
 def rc_pulse(t_symbols, rolloff: float) -> np.ndarray:
@@ -120,6 +128,33 @@ def rc_pulse(t_symbols, rolloff: float) -> np.ndarray:
     sing = np.abs(den) < 1e-10
     out = np.where(sing, np.pi / 4 * np.sinc(1 / (2 * rolloff)), out / np.where(sing, 1.0, den))
     return out
+
+
+def _delayed_taps(spec: RrcSpec, rate: float, delay: float) -> tuple[int, np.ndarray]:
+    """Split ``delay`` into its nearest whole number of samples at ``rate``
+    and the RRC taps shifted by the remainder (at most half a sample)."""
+    dly_samples = delay * rate
+    int_shift = int(np.round(dly_samples))
+    return int_shift, rrc_taps(spec, frac_shift=(dly_samples - int_shift) / spec.oversample)
+
+
+def _polyphase(s: np.ndarray, taps: np.ndarray, q: int):
+    """Yield (p, y_p) for p = 0..q-1, y_p the symbol-rate convolution of the
+    symbols with taps[p::q]: sample m Q + p of the zero-stuffed stream
+    convolved with the taps, without the stuffed zeros.
+
+    Real and imaginary parts of complex symbols are convolved separately
+    and joined into one complex y_p.  taps[0::q] is the longest phase; a
+    shorter phase yields one sample fewer.
+    """
+    for p in range(q):
+        sub = taps[p::q]
+        y = np.convolve(s.real, sub)
+        if np.iscomplexobj(s):
+            re, y = y, np.empty(len(y), dtype=complex)
+            y.real = re
+            y.imag = np.convolve(s.imag, sub)
+        yield p, y
 
 
 def pulse_shape(
@@ -133,13 +168,8 @@ def pulse_shape(
     ``delay`` (seconds) shifts the whole waveform: its nearest whole number
     of samples moves t0, and the remainder (at most half a sample either
     way) is realized by evaluating the analytic RRC on a shifted grid, so
-    synthesis is exact within the band-limited model.
-
-    The filter runs polyphase: output sample m Q + p is the symbol-rate
-    convolution of the symbols with taps[p::Q], sample m, which is what
-    convolving the zero-stuffed stream with the taps gives, without the
-    stuffed zeros.  Real and imaginary parts of complex symbols are shaped
-    separately, each straight into its part of the output.
+    synthesis is exact within the band-limited model.  The filter runs
+    polyphase (see ``_polyphase``).
 
     The returned stream's time axis places symbol n's peak at t = n Ts + delay.
     """
@@ -148,20 +178,10 @@ def pulse_shape(
         raise ValueError("no symbols to shape")
     q = spec.oversample
     rate = symbol_rate * q
-    dly_samples = delay * rate
-    int_shift = int(np.round(dly_samples))
-    taps = rrc_taps(spec, frac_shift=(dly_samples - int_shift) / q)
-
-    # taps[0::q] is the longest phase and fills the buffer; a shorter phase
-    # leaves its last sample zero
+    int_shift, taps = _delayed_taps(spec, rate, delay)
     shaped = np.zeros(len(s) * q + len(taps) - 1, dtype=complex)
-    parts = [(shaped.real, s.real)]
-    if np.iscomplexobj(s):
-        parts.append((shaped.imag, s.imag))
-    for out, x in parts:
-        for p in range(q):
-            phase = np.convolve(x, taps[p::q])
-            out[p::q][: len(phase)] = phase
+    for p, y in _polyphase(s, taps, q):
+        shaped[p::q][: len(y)] = y
     half = (len(taps) - 1) // 2
     t0 = (int_shift - half) / rate
     return IqStream(shaped, rate, t0)
@@ -182,37 +202,53 @@ def matched_filter(y: IqStream, spec: RrcSpec, symbol_rate: float | None = None)
 
 
 def apply_delay_doppler(
+    out: np.ndarray,
     symbols,
     spec: RrcSpec,
     symbol_rate: float,
     delay: float,
     doppler: float,
     gain: complex = 1.0,
-) -> IqStream:
-    """One echo of the shaped symbols (stop-and-hop echo model).
+) -> None:
+    """Add one echo of the shaped symbols into ``out`` (stop-and-hop echo model).
 
-    out(t) = gain * x(t - delay) * exp(j 2 pi doppler t), where x is the
-    RRC-shaped symbol stream; the echo is shaped directly at its delay by
-    pulse_shape and carries its own time axis.  The symbols carry the
-    amplitude (sqrt(Es) included).
+    The echo is gain * x(t - delay) * exp(j 2 pi doppler t), where x is the
+    RRC-shaped symbol stream; the symbols carry the amplitude (sqrt(Es)
+    included).  ``out`` is a complex buffer at rate Q * symbol_rate whose
+    sample 0 sits at t0 = -(span Q / 2) / rate, the start of the undelayed
+    shaped stream, so the echo, shaped directly at its delay as by
+    pulse_shape, starts at sample round(delay rate) and runs for
+    (len(symbols) + span) Q samples; an echo that does not fit raises.
 
-    Sample j = Q m + p sits at t = t0 + j / rate, so the Doppler ramp
-    factors into a per-symbol term gain exp(w (t0 rate + Q m)) times a
-    per-phase term exp(w p), w = j 2 pi doppler / rate: an outer product
-    of (n / Q) by Q exponentials, multiplied into the echo in place (the
-    shaped stream holds n = (len(symbols) + span) Q samples).
+    Echo sample j = Q m + p sits at t = t_e + j / rate, t_e its start time,
+    so the Doppler ramp factors into a per-symbol term
+    gain exp(w (t_e rate + Q m)) times a per-phase term exp(w p),
+    w = j 2 pi doppler / rate.  Each polyphase output is scaled by its two
+    terms and added straight into its strided slice of ``out``: no
+    whole-stream temporary is made.
     """
     if delay < 0:
         raise ValueError("radar delays are nonnegative")
-    rate = symbol_rate * spec.oversample
+    s = np.asarray(symbols)
+    if s.size == 0:
+        raise ValueError("no symbols to shape")
+    q = spec.oversample
+    rate = symbol_rate * q
     if abs(doppler) >= rate / 2:
         raise ValueError("doppler exceeds the representable band")
-    out = pulse_shape(symbols, spec, symbol_rate, delay=delay)
-    q, n = spec.oversample, len(out)
+    int_shift, taps = _delayed_taps(spec, rate, delay)
+    n_rows = len(s) + spec.span
+    if int_shift + n_rows * q > len(out):
+        raise ValueError(f"an echo at sample {int_shift} runs past the "
+                         f"{len(out)}-sample output buffer")
+    half = (len(taps) - 1) // 2
+    t0 = (int_shift - half) / rate
     w = 2j * np.pi * doppler / rate
-    rows = gain * np.exp(w * (out.t0 * rate + q * np.arange(n // q)))
-    out.samples *= np.outer(rows, np.exp(w * np.arange(q))).ravel()
-    return out
+    rows = gain * np.exp(w * (t0 * rate + q * np.arange(n_rows)))
+    ph = np.exp(w * np.arange(q))
+    for p, y in _polyphase(s, taps, q):
+        ramp = rows[: len(y)] * ph[p]
+        out[int_shift + p :: q][: len(y)] += np.multiply(y, ramp, out=ramp)
 
 
 def symbol_sample(y: IqStream, symbol_rate: float, phase: int = 0) -> np.ndarray:

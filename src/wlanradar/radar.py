@@ -300,6 +300,8 @@ def crlb_range(scnr: float, p: int = 2048, bandwidth: float = 1.76e9) -> float:
     """
     if scnr <= 0:
         raise ValueError("SCNR must be positive (linear)")
+    if p < 1:
+        raise ValueError(f"P must be at least one symbol, got {p}")
     return SPEED_OF_LIGHT**2 / (8 * _ETA2 * bandwidth**2 * p * scnr)
 
 
@@ -323,9 +325,15 @@ def crlb_velocity(
                     xi = (P M zeta + 1) / (2 P M zeta^2); converts the
                     angular-frequency bound through omega = 2 pi nu Ts and
                     v = lambda nu / 2.
+
+    With M > 1 the training blocks must not overlap: K >= P.
     """
     if scnr <= 0:
         raise ValueError("SCNR must be positive (linear)")
+    if p < 1:
+        raise ValueError(f"P must be at least one symbol, got {p}")
+    if mode in ("multi", "exact") and m > 1 and k < p:
+        raise ValueError(f"frames of K={k} symbols cannot hold P={p} training symbols each")
     if mode == "single":
         return 6 * wavelength**2 / ((4 * np.pi) ** 2 * p**3 * ts**2 * scnr)
     if mode == "multi":

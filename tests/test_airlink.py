@@ -10,6 +10,7 @@ from wlanradar.airlink import (
     BeamPair,
     LinkBudget,
     Target,
+    _add_noise,
     beam_coupling,
     dft_codebook,
     link_budget_sweep,
@@ -69,6 +70,27 @@ def _outer_product_reference(windows, targets, sigma_cn2, beams, seed, starts, l
     noise = rng.standard_normal((2, len(starts), length)) * np.sqrt(sigma_cn2 / 2)
     out.real += noise[0]
     out.imag += noise[1]
+    return out
+
+
+def _whole_echo_reference(symbols, spec, targets, sigma_cn2, beams, seed):
+    """The oversampled synthesizer written with whole-stream echoes: each
+    target's shaped stream times its outer-product Doppler ramp, added at its
+    offset into a zeroed buffer, then the noise."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0, 2 * np.pi, size=len(targets))
+    q = spec.oversample
+    rate = W * q
+    shifts = [int(np.round(t.delay() * rate)) for t in targets]
+    out = np.zeros(max(shifts) + (len(symbols) + spec.span) * q, dtype=complex)
+    for t, phase, shift in zip(targets, phases, shifts):
+        h_p = np.exp(1j * phase) if beams is None else radar_coupling(t, CFG, beams, phase)
+        x = pulse_shape(symbols, spec, W, delay=t.delay())
+        w = 2j * np.pi * t.doppler(CFG.wavelength) / rate
+        rows = h_p * np.exp(w * (x.t0 * rate + q * np.arange(len(x) // q)))
+        echo = x.samples * np.outer(rows, np.exp(w * np.arange(q))).ravel()
+        out[shift : shift + len(echo)] += echo
+    _add_noise(out, sigma_cn2, rng)
     return out
 
 
@@ -305,6 +327,41 @@ class TestSynthesis:
         ref = np.concatenate([np.zeros(101), shifted])
         ref = gain * ref * np.exp(2j * np.pi * t.doppler(CFG.wavelength) * rx.times())
         assert np.abs(rx.samples - ref).max() < 1e-3
+
+    @pytest.mark.parametrize("complex_symbols", [False, True])
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("sigma_cn2", [0.0, 0.2])
+    def test_one_buffer_equals_whole_echo_reference(self, complex_symbols, steered,
+                                                    sigma_cn2):
+        # two targets 100.3 and 37.8 samples out, closing and receding: the
+        # echoes shaped straight into the one buffer keep every byte
+        spec = RrcSpec(span=16)
+        rate = W * spec.oversample
+        targets = [Target(range_m=100.3 / rate * SPEED_OF_LIGHT / 2, velocity_mps=30.0),
+                   Target(range_m=37.8 / rate * SPEED_OF_LIGHT / 2, velocity_mps=-45.0,
+                          azimuth_deg=100.0)]
+        frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=14)
+        symbols = frame + 1j * np.roll(frame, 7) if complex_symbols else frame
+        beams = select_beams(CFG, 90.0, 90.0) if steered else None
+        rx = synthesize_radar_rx(symbols, spec, W, targets, sigma_cn2, CFG, beams,
+                                 np.random.default_rng(15))
+        ref = _whole_echo_reference(symbols, spec, targets, sigma_cn2, beams, 15)
+        assert np.array_equal(rx.samples, ref)
+        assert rx.t0 == -(spec.span * spec.oversample // 2) / rate
+
+    def test_oversampled_peak_memory(self):
+        # a detection trial's call: besides the stream it returns, only one
+        # real noise buffer and per-phase pieces are alive at once (1.51x;
+        # 2.38x with a whole-stream echo, its ramp and its copy)
+        frame = assemble_frame(FrameLayout(k=3840, header_len=0), seed=16)
+        tracemalloc.start()
+        try:
+            rx = synthesize_radar_rx(frame, RRC, W, [Target(range_m=50.0, velocity_mps=20.0)],
+                                     0.1, CFG, None, np.random.default_rng(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * rx.samples.nbytes
 
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestSpecValidation:
         scen = two_vehicle_scenario()
         again = Scenario.from_dict(scen.to_dict())
         assert again == scen
+
+    def test_scenario_builds_its_pulse_once(self):
+        # every trial reads the same RrcSpec, and so the same tap energy; a
+        # pickled scenario still holds its fields alone
+        scen = two_vehicle_scenario()
+        assert scen.rrc is scen.rrc
+        assert "rrc" not in scen.to_dict()
+        again = pickle.loads(pickle.dumps(scen))
+        assert again == scen and again.rrc == scen.rrc
+        assert set(scen.__getstate__()) == {f.name for f in dataclasses.fields(Scenario)}
 
 
 class TestDeterminism:

@@ -33,6 +33,24 @@ class TestCrlbCommand:
         assert main([*argv, "--frame-symbols", "6400"]) == 0
         assert capsys.readouterr().out.startswith("5.64656192 (m/s)^2")
 
+    @pytest.mark.parametrize("argv, match", [
+        ("--eq range --P 0", "P must be at least one symbol"),
+        ("--eq velocity --P 0", "P must be at least one symbol"),
+        ("--eq range --P -5", "P must be at least one symbol"),
+        ("--eq velocity --mode multi --frames 0", "M >= 1"),
+        ("--eq velocity --mode exact --frames 0", "M >= 1"),
+        # two training blocks of P = 2048 symbols cannot sit 100 symbols apart
+        ("--eq velocity --mode exact --frames 2 --frame-symbols 100", "K=100"),
+        ("--eq velocity --mode multi --frames 2 --frame-symbols 100", "K=100"),
+    ])
+    def test_bad_bound_input_fails_loudly(self, argv, match, capsys):
+        # these gave ZeroDivisionError or ValueError tracebacks, or printed a
+        # negative or overlapping-block bound with exit 0
+        assert main(["crlb", *argv.split()]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and match in err
+
     def test_resolution(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "4.2e-3")
         assert r.returncode == 0

@@ -4,6 +4,7 @@ import pytest
 from wlanradar.dsp import (
     IqStream,
     RrcSpec,
+    _rrc_kernel,
     apply_delay_doppler,
     matched_filter,
     pulse_shape,
@@ -22,6 +23,18 @@ class TestRrcTaps:
     def test_unit_energy(self):
         taps = rrc_taps(SPEC)
         assert abs(np.sum(taps**2) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("frac_shift", [0.0, 0.3, -0.41])
+    def test_energy_is_the_unshifted_kernels(self, frac_shift):
+        # each spec computes the normalization once; the taps keep their bytes
+        spec = RrcSpec(rolloff=0.3, span=16, oversample=4)
+        n = spec.span * spec.oversample + 1
+        t = (np.arange(n) - (n - 1) / 2) / spec.oversample
+        ref = _rrc_kernel(t, spec.rolloff)
+        taps = rrc_taps(spec, frac_shift)
+        assert "energy" in vars(spec)
+        assert np.array_equal(taps, _rrc_kernel(t - frac_shift, spec.rolloff)
+                              / np.sqrt(np.sum(ref**2)))
 
     def test_symmetry(self):
         taps = rrc_taps(SPEC)
@@ -148,17 +161,20 @@ class TestDelayDoppler:
         self.tx = pulse_shape(self.frame, SPEC, W)
 
     def echo(self, delay, doppler=0.0, gain=1.0):
-        return apply_delay_doppler(self.frame, SPEC, W, delay, doppler, gain)
+        """The echo added into a zeroed buffer that starts at the undelayed
+        stream's t0 and ends where the echo does."""
+        out = np.zeros(len(self.tx) + round(delay * self.tx.rate), dtype=complex)
+        apply_delay_doppler(out, self.frame, SPEC, W, delay, doppler, gain)
+        return IqStream(out, self.tx.rate, self.tx.t0)
 
     def test_identity(self):
         out = self.echo(0.0)
-        assert out.t0 == self.tx.t0
         assert np.allclose(out.samples, self.tx.samples)
 
     def test_integer_shift_exact(self):
         out = self.echo(7 / self.tx.rate)
-        assert out.t0 == pytest.approx(self.tx.t0 + 7 / self.tx.rate, abs=1e-6 / self.tx.rate)
-        assert np.allclose(out.samples, self.tx.samples, rtol=0, atol=1e-12)
+        assert np.all(out.samples[:7] == 0)
+        assert np.allclose(out.samples[7:], self.tx.samples, rtol=0, atol=1e-12)
 
     def test_doppler_phase_slope(self):
         nu = 8e3
@@ -169,7 +185,8 @@ class TestDelayDoppler:
 
     def test_fractional_delay_matches_band_limited_shift(self):
         # reference: the undelayed stream shifted through its band-limited
-        # interpolant (an FFT phase ramp), on the echo's own time axis
+        # interpolant (an FFT phase ramp); the echo starts round(d) samples
+        # into the buffer
         rate = self.tx.rate
         pad = 512
         x = np.concatenate([np.zeros(pad), self.tx.samples, np.zeros(pad)])
@@ -177,9 +194,31 @@ class TestDelayDoppler:
         for d in (12.37, 12.5, 12.81):
             out = self.echo(d / rate)
             ref = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * d))
-            start = pad + int(round((out.t0 - self.tx.t0) * rate))
-            err = np.abs(out.samples - ref[start : start + len(out)])
+            start = round(d)
+            assert np.all(out.samples[:start] == 0)
+            err = np.abs(out.samples[start:] - ref[pad + start : pad + len(out)])
             assert err.max() < 1e-3
+
+    def test_echoes_add_into_the_buffer(self):
+        # two calls into one buffer equal the sum of two calls into separate ones
+        n = len(self.tx) + 40
+        args = [(self.frame, SPEC, W, 12.37 / self.tx.rate, 8e3, 0.3 - 0.4j),
+                (self.frame[::-1], SPEC, W, 40 / self.tx.rate, -5e3, 1.0)]
+        both = np.zeros(n, dtype=complex)
+        parts = np.zeros((2, n), dtype=complex)
+        for a, part in zip(args, parts):
+            apply_delay_doppler(both, *a)
+            apply_delay_doppler(part, *a)
+        assert np.array_equal(both, parts[0] + parts[1])
+
+    def test_overrunning_echo_rejected(self):
+        delay = 12.37 / self.tx.rate
+        out = np.zeros(len(self.tx) + 11, dtype=complex)
+        with pytest.raises(ValueError, match="runs past"):
+            apply_delay_doppler(out, self.frame, SPEC, W, delay, 0.0)
+        assert not out.any()
+        apply_delay_doppler(np.zeros(len(out) + 1, dtype=complex), self.frame, SPEC, W,
+                            delay, 0.0)
 
     def test_real_symbols_match_complex_shaping(self):
         # reference: one complex convolution of the zero-stuffed symbols
@@ -216,10 +255,13 @@ class TestDelayDoppler:
         # near the band edge the ramp turns by almost pi per sample
         nu, g = -0.49 * self.tx.rate, 0.3 - 0.4j
         s = self.frame[:64]
-        out = apply_delay_doppler(s, SPEC, W, 3.7 * TS, nu, g)
-        ref = g * pulse_shape(s, SPEC, W, delay=3.7 * TS).samples * np.exp(
-            2j * np.pi * nu * out.times())
-        assert np.abs(out.samples - ref).max() < 1e-12
+        x = pulse_shape(s, SPEC, W, delay=3.7 * TS)
+        shift = round(3.7 * SPEC.oversample)
+        out = np.zeros(shift + len(x), dtype=complex)
+        apply_delay_doppler(out, s, SPEC, W, 3.7 * TS, nu, g)
+        ref = g * x.samples * np.exp(2j * np.pi * nu * x.times())
+        assert np.all(out[:shift] == 0)
+        assert np.abs(out[shift:] - ref).max() < 1e-12
 
     def test_gain_applied(self):
         g = 0.3 - 0.4j

@@ -248,6 +248,21 @@ class TestCrlb:
         with pytest.raises(ValueError):
             crlb_velocity(-1.0)
 
+    @pytest.mark.parametrize("mode", ["single", "multi", "exact"])
+    def test_empty_training_rejected(self, mode):
+        with pytest.raises(ValueError, match="P must be"):
+            crlb_velocity(1.0, mode, p=0, m=2, k=12800)
+        with pytest.raises(ValueError, match="P must be"):
+            crlb_range(1.0, p=-5)
+
+    @pytest.mark.parametrize("mode", ["multi", "exact"])
+    def test_overlapping_training_blocks_rejected(self, mode):
+        # one frame has no spacing to overlap; from two frames on K >= P
+        crlb_velocity(1.0, mode, p=2048, m=1, k=100)
+        crlb_velocity(1.0, mode, p=2048, m=2, k=2048)
+        with pytest.raises(ValueError, match="K=2047"):
+            crlb_velocity(1.0, mode, p=2048, m=2, k=2047)
+
 
 class TestResolutions:
     def test_range_resolution(self):

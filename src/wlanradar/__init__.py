@@ -6,7 +6,7 @@ closed-form CRLB/resolution benchmarks."""
 __version__ = "0.1.0"
 
 from .airlink import ArrayConfig, LinkBudget, Target
-from .dsp import IqStream, RrcSpec
+from .dsp import RrcSpec
 from .frame import FrameLayout
 from .golay import GolayPair, generate_golay_pair
 
@@ -15,7 +15,6 @@ __all__ = [
     "ArrayConfig",
     "LinkBudget",
     "Target",
-    "IqStream",
     "RrcSpec",
     "FrameLayout",
     "GolayPair",

@@ -16,11 +16,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dsp import IqStream, RrcSpec, apply_delay_doppler, rc_pulse
+from .dsp import RrcSpec, apply_delay_doppler, rc_pulse
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -56,8 +56,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_horizontal < 1 or self.n_vertical < 1:
             raise ValueError("array needs at least one element per axis")
-        if self.spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("spacing and wavelength must be positive")
+        if not (0 < self.spacing < np.inf and 0 < self.wavelength < np.inf):
+            raise ValueError("spacing and wavelength must be positive and finite")
 
     @property
     def n_elements(self) -> int:
@@ -75,6 +75,8 @@ class Target:
     elevation_deg: float = 90.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"target fields must be finite, got {self}")
         if self.range_m <= 0:
             raise ValueError("target range must be positive")
 
@@ -246,7 +248,7 @@ def synthesize_radar_rx(
     cfg: ArrayConfig,
     beams: BeamPair | None,
     rng: np.random.Generator,
-) -> IqStream:
+) -> np.ndarray:
     """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
 
     The symbols carry the amplitude (sqrt(Es) included).  Each target
@@ -256,28 +258,26 @@ def synthesize_radar_rx(
     with ``beams`` None, h_p is beta_p alone.  ``rng`` draws the phases,
     then the noise: every real part, then every imaginary part.
 
-    The output is one buffer, allocated once: it starts at t0 = -half / rate,
-    the start of the undelayed shaped stream (half = the RRC half-length in
-    samples), and runs for max_p round(tau_p rate) + len(symbols) Q + span Q
-    samples.  Every echo is added straight into it, target after target, and
-    the noise after them.  An empty target list yields pure
-    clutter-plus-noise of the undelayed shaped duration.
+    The output is one buffer on dsp's clock, allocated once: it starts at
+    the start of the undelayed shaped stream and runs for
+    max_p round(tau_p rate) + len(symbols) Q + span Q samples.  Every echo
+    is added straight into it, target after target, and the noise after
+    them.  An empty target list yields pure clutter-plus-noise of the
+    undelayed shaped duration.
     """
-    if not sigma_cn2 >= 0:   # NaN fails too
-        raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
+    if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
+        raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
     targets = list(targets)
     gains = _echo_gains(targets, cfg, beams, rng)
     q = spec.oversample
     rate = symbol_rate * q
-    t0 = -(spec.span * q // 2) / rate
-
     shifts = [int(np.round(t.delay() * rate)) for t in targets]
     out = np.zeros(max(shifts, default=0) + (len(symbols) + spec.span) * q, dtype=complex)
     for t, h_p in zip(targets, gains):
         apply_delay_doppler(out, symbols, spec, symbol_rate, t.delay(),
                             t.doppler(cfg.wavelength), h_p)
     _add_noise(out, sigma_cn2, rng)
-    return IqStream(out, rate, t0)
+    return out
 
 
 def synthesize_radar_rx_symbol_rate(
@@ -323,8 +323,8 @@ def synthesize_radar_rx_symbol_rate(
     real part, row-major, then every imaginary part.  This draw order is part
     of the byte contract of the benches that call it.
     """
-    if not sigma_cn2 >= 0:   # NaN fails too
-        raise ValueError(f"sigma_cn2 must be >= 0, got {sigma_cn2}")
+    if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
+        raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
     starts = np.asarray(starts, dtype=int)
     if length < 1 or np.any(np.diff(np.sort(starts)) < length):
         raise ValueError("read windows must be nonempty and must not overlap")

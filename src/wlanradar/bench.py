@@ -102,9 +102,11 @@ class Scenario:
             raise ValueError("n_frames and frame_k must be >= 1")
         if not self.symbol_rate > 0:
             raise ValueError("symbol_rate must be positive")
+        if self.symbol_rate == np.inf:   # a JSON config may hold Infinity
+            raise ValueError("symbol_rate must be finite")
         if not self.carrier_hz > 0:
             raise ValueError("carrier_hz must be positive")
-        if self.cpi_duration_s <= 0:
+        if not self.cpi_duration_s > 0:
             raise ValueError("cpi_duration_s must be positive")
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
@@ -195,6 +197,9 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
         if not (0 < self.pfa < 1):
             raise ValueError("pfa must lie in (0, 1)")
+        for name in ("sweep", "doppler_grid", "tradeoff_scnr_db"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} values must be finite, got {getattr(self, name)}")
         # the Moose estimate needs two frames: refuse one before any trial runs
         if self.kind == "velocity-mse" and self.scenario.n_frames < 2:
             raise ValueError("velocity-mse needs M >= 2 frames per CPI, "
@@ -328,7 +333,7 @@ def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
                              scen.array, None, rng)
 
-    lag0 = int(np.round(target.delay() * rx.rate))
+    lag0 = int(np.round(target.delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
     stat, _ = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
     return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
@@ -352,8 +357,7 @@ def _range_trial(scen, scnr_db, rng) -> float:
                              scen.array, None, rng)
 
     expect = int(np.round(target.delay() / scen.ts))
-    timing, _ = preamble_sync(rx, scen.rrc, scen.symbol_rate,
-                              search=(expect - 3 * 128, expect + 3 * 128))
+    timing, _ = preamble_sync(rx, scen.rrc, search=(expect - 3 * 128, expect + 3 * 128))
     rho_hat = estimate_range(timing.delay_symbols(), scen.ts)
     return float((rho_hat - rho) ** 2)
 
@@ -471,7 +475,7 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate).samples
+    template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
     trial = partial(_detection_trial, spec.pfa, template)  # a (scen, value, rng) trial
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     hits = _monte_carlo(trial, spec, points, workers)

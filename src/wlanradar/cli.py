@@ -154,10 +154,9 @@ def _load_config(path: Path | None, preset: str | None) -> tuple[Scenario, dict]
     if preset not in (None, "two-vehicle"):
         raise SystemExit(f"error: unknown scenario preset {preset!r}")
     try:
-        if preset == "two-vehicle":
-            scen = two_vehicle_scenario(**scen_dict)
-        else:
-            scen = Scenario.from_dict(scen_dict)
+        # one conversion of the target dicts: the preset's fields are the base
+        base = two_vehicle_scenario().to_dict() if preset == "two-vehicle" else {}
+        scen = Scenario.from_dict({**base, **scen_dict})
     except (TypeError, ValueError) as e:
         raise SystemExit(f"error: bad scenario config: {e}")
     return scen, {k: tuple(v) if isinstance(v, list) else v for k, v in experiment.items()}

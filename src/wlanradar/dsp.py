@@ -1,12 +1,15 @@
 """Continuous-time layer: RRC pulse shaping, matched filtering, delays.
 
-All waveforms travel as IqStream (complex samples + rate + start time).
-TX and RX use the same unit-energy root-raised-cosine filter, so the
-cascade is a Nyquist raised cosine: symbol-spaced samples of the cascade
-vanish away from the peak up to the truncation floor of the finite span.
+Oversampled streams are plain complex arrays on one clock: at rate
+Q * symbol_rate, sample j sits at t = (j - span Q / 2) / (Q symbol_rate),
+the start of the undelayed shaped stream, so symbol n's peak lies at
+sample span Q / 2 + n Q.  TX and RX use the same unit-energy
+root-raised-cosine filter, so the cascade is a Nyquist raised cosine:
+symbol-spaced samples of the cascade vanish away from the peak up to the
+truncation floor of the finite span.
 
 A delayed echo is shaped directly at its delay: the integer-sample part
-moves the stream's start time and the fractional part evaluates the
+moves where it starts on the clock and the fractional part evaluates the
 analytic RRC on a shifted grid, so no stream is ever resampled.  Echoes
 are not streams of their own: apply_delay_doppler adds each one into a
 received buffer the caller owns, phase by phase.
@@ -21,7 +24,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 __all__ = [
-    "IqStream",
     "RrcSpec",
     "rrc_taps",
     "rc_pulse",
@@ -30,31 +32,6 @@ __all__ = [
     "apply_delay_doppler",
     "symbol_sample",
 ]
-
-
-@dataclass
-class IqStream:
-    """Complex baseband sample record.
-
-    ``t0`` is the time of samples[0]; sample j sits at t0 + j / rate.
-    """
-
-    samples: np.ndarray
-    rate: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("sample rate must be positive")
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("stream contains non-finite samples")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -157,48 +134,50 @@ def _polyphase(s: np.ndarray, taps: np.ndarray, q: int):
         yield p, y
 
 
+def _checked_symbols(symbols) -> np.ndarray:
+    """The symbols to shape as an array, refused when empty or not finite."""
+    s = np.asarray(symbols)
+    if s.size == 0:
+        raise ValueError("no symbols to shape")
+    if not np.isfinite(s).all():
+        raise ValueError("symbols must be finite")
+    return s
+
+
 def pulse_shape(
     symbols,
     spec: RrcSpec,
     symbol_rate: float,
     delay: float = 0.0,
-) -> IqStream:
+) -> np.ndarray:
     """Shape symbols with the TX RRC at rate Q * symbol_rate; they carry the amplitude.
 
-    ``delay`` (seconds) shifts the whole waveform: its nearest whole number
-    of samples moves t0, and the remainder (at most half a sample either
-    way) is realized by evaluating the analytic RRC on a shifted grid, so
-    synthesis is exact within the band-limited model.  The filter runs
-    polyphase (see ``_polyphase``).
-
-    The returned stream's time axis places symbol n's peak at t = n Ts + delay.
+    Returns (len(symbols) + span) Q samples.  ``delay`` (seconds) shifts the
+    whole waveform: the samples start round(delay rate) samples after the
+    clock's origin, where apply_delay_doppler adds the same echo, and the
+    remainder (at most half a sample either way) is realized by evaluating
+    the analytic RRC on a shifted grid, so synthesis is exact within the
+    band-limited model.  Undelayed, the samples lie on the clock as they
+    are.  The filter runs polyphase (see ``_polyphase``).
     """
-    s = np.asarray(symbols)
-    if s.size == 0:
-        raise ValueError("no symbols to shape")
+    s = _checked_symbols(symbols)
     q = spec.oversample
-    rate = symbol_rate * q
-    int_shift, taps = _delayed_taps(spec, rate, delay)
+    _, taps = _delayed_taps(spec, symbol_rate * q, delay)
     shaped = np.zeros(len(s) * q + len(taps) - 1, dtype=complex)
     for p, y in _polyphase(s, taps, q):
         shaped[p::q][: len(y)] = y
-    half = (len(taps) - 1) // 2
-    t0 = (int_shift - half) / rate
-    return IqStream(shaped, rate, t0)
+    return shaped
 
 
-def matched_filter(y: IqStream, spec: RrcSpec, symbol_rate: float | None = None) -> IqStream:
-    """Convolve with the RX RRC; group delay folded into t0 so time is preserved."""
-    if symbol_rate is not None:
-        if abs(y.rate - symbol_rate * spec.oversample) > 1e-6 * y.rate:
-            raise ValueError(
-                f"stream rate {y.rate} is not oversample={spec.oversample} "
-                f"times the symbol rate {symbol_rate}"
-            )
+def matched_filter(y, spec: RrcSpec) -> np.ndarray:
+    """Convolve a stream with the RX RRC; the output is on the input's clock.
+
+    The full convolution's first span Q / 2 samples, the filter's group
+    delay, are skipped: the result is a view whose sample j sits at the
+    time of input sample j.
+    """
     taps = rrc_taps(spec)
-    out = fftconvolve(y.samples, taps)
-    half = (len(taps) - 1) // 2
-    return IqStream(out, y.rate, y.t0 - half / y.rate)
+    return fftconvolve(y, taps)[(len(taps) - 1) // 2 :]
 
 
 def apply_delay_doppler(
@@ -214,11 +193,11 @@ def apply_delay_doppler(
 
     The echo is gain * x(t - delay) * exp(j 2 pi doppler t), where x is the
     RRC-shaped symbol stream; the symbols carry the amplitude (sqrt(Es)
-    included).  ``out`` is a complex buffer at rate Q * symbol_rate whose
-    sample 0 sits at t0 = -(span Q / 2) / rate, the start of the undelayed
-    shaped stream, so the echo, shaped directly at its delay as by
+    included).  ``out`` is a complex buffer on the clock at rate
+    Q * symbol_rate, so the echo, shaped directly at its delay as by
     pulse_shape, starts at sample round(delay rate) and runs for
-    (len(symbols) + span) Q samples; an echo that does not fit raises.
+    (len(symbols) + span) Q samples; an echo that does not fit raises, as
+    do non-finite symbols, delay, Doppler or gain.
 
     Echo sample j = Q m + p sits at t = t_e + j / rate, t_e its start time,
     so the Doppler ramp factors into a per-symbol term
@@ -227,15 +206,15 @@ def apply_delay_doppler(
     terms and added straight into its strided slice of ``out``: no
     whole-stream temporary is made.
     """
-    if delay < 0:
-        raise ValueError("radar delays are nonnegative")
-    s = np.asarray(symbols)
-    if s.size == 0:
-        raise ValueError("no symbols to shape")
+    if not 0 <= delay < np.inf:
+        raise ValueError(f"radar delays are finite and nonnegative, got {delay}")
+    s = _checked_symbols(symbols)
     q = spec.oversample
     rate = symbol_rate * q
-    if abs(doppler) >= rate / 2:
+    if not abs(doppler) < rate / 2:
         raise ValueError("doppler exceeds the representable band")
+    if not np.isfinite(gain):
+        raise ValueError(f"echo gain must be finite, got {gain}")
     int_shift, taps = _delayed_taps(spec, rate, delay)
     n_rows = len(s) + spec.span
     if int_shift + n_rows * q > len(out):
@@ -251,18 +230,13 @@ def apply_delay_doppler(
         out[int_shift + p :: q][: len(y)] += np.multiply(y, ramp, out=ramp)
 
 
-def symbol_sample(y: IqStream, symbol_rate: float, phase: int = 0) -> np.ndarray:
-    """Decimate an oversampled stream to symbol rate at the given phase.
+def symbol_sample(y, spec: RrcSpec, phase: int) -> np.ndarray:
+    """Decimate a stream on the clock to symbol rate at the given phase.
 
-    Sample n of the output is taken at t = n Ts + phase / rate, i.e. phase
-    counts oversampled ticks in 0..Q-1; instants before a stream that starts
-    after t = 0 read as zeros.  With Q = 1 this is the identity.
+    Sample n of the output is y[span Q / 2 + phase + n Q], taken at
+    t = n Ts + phase Ts / Q: phase counts oversampled ticks in 0..Q-1.
     """
-    q = int(round(y.rate / symbol_rate))
-    if abs(y.rate - q * symbol_rate) > 1e-6 * y.rate:
-        raise ValueError("stream rate is not an integer multiple of the symbol rate")
-    if not (0 <= phase < q):
+    q = spec.oversample
+    if not 0 <= phase < q:
         raise ValueError(f"phase must lie in 0..{q - 1}")
-    start = int(np.round((0 - y.t0) * y.rate)) + phase
-    pad = max(-(start // q), 0)
-    return np.concatenate([np.zeros(pad, complex), y.samples[start + pad * q :: q]])
+    return y[spec.span * q // 2 + phase :: q]

@@ -35,7 +35,6 @@ import numpy as np
 from scipy.stats import ncx2
 
 from .airlink import SPEED_OF_LIGHT
-from .dsp import IqStream
 from .sync import _xcorr_peak
 
 __all__ = [
@@ -61,29 +60,31 @@ def cfar_threshold(noise_var: float, pfa: float) -> float:
     ``noise_var`` is the variance of the complex Gaussian statistic background
     (post-correlation), not the raw stream variance.
     """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
+    if not noise_var > 0:   # NaN fails too
+        raise ValueError(f"noise variance must be positive, got {noise_var}")
     if not (0 < pfa <= 1):
         raise ValueError("pfa must lie in (0, 1]")
     return -noise_var * np.log(pfa)
 
 
 def matched_preamble_statistic(
-    rx: IqStream,
+    rx: np.ndarray,
     template: np.ndarray,
     window: tuple[int, int],
 ) -> tuple[float, int]:
     """Preamble detection statistic: peak |cross-correlation|^2 / template energy.
 
-    ``template`` is the shaped transmitted preamble at the stream rate; the
-    statistic background on white noise of per-sample variance sigma^2 is an
-    exponential with mean sigma^2, so cfar_threshold(sigma_cn^2, pfa) applies
-    directly.  The peak is searched over the lags l in [lo, hi) at which the
-    template fits inside the stream, the first lag winning a tie; a window
-    with no such lag raises ValueError.  Returns (statistic, lag of the peak).
+    ``rx`` is the received stream and ``template`` the shaped transmitted
+    preamble at its rate; the statistic background on white noise of
+    per-sample variance sigma^2 is an exponential with mean sigma^2, so
+    cfar_threshold(sigma_cn^2, pfa) applies directly.  The peak is searched
+    over the lags l in [lo, hi) at which the template fits inside the
+    stream, the first lag winning a tie; a window with no such lag, or a
+    non-finite sample in the searched span, raises ValueError.  Returns
+    (statistic, lag of the peak).
     """
     t = np.asarray(template, dtype=complex)
-    lag, c = _xcorr_peak(rx.samples, t, window)
+    lag, c = _xcorr_peak(rx, t, window)
     return float(np.abs(c) ** 2 / np.real(np.vdot(t, t))), lag
 
 
@@ -298,8 +299,8 @@ def crlb_range(scnr: float, p: int = 2048, bandwidth: float = 1.76e9) -> float:
     ``p`` is the number of preamble symbols integrated (2048 for the STF,
     1024 for the CEF pair); ``scnr`` is linear.
     """
-    if scnr <= 0:
-        raise ValueError("SCNR must be positive (linear)")
+    if not scnr > 0:   # NaN fails too
+        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
     if p < 1:
         raise ValueError(f"P must be at least one symbol, got {p}")
     return SPEED_OF_LIGHT**2 / (8 * _ETA2 * bandwidth**2 * p * scnr)
@@ -328,8 +329,8 @@ def crlb_velocity(
 
     With M > 1 the training blocks must not overlap: K >= P.
     """
-    if scnr <= 0:
-        raise ValueError("SCNR must be positive (linear)")
+    if not scnr > 0:   # NaN fails too
+        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
     if p < 1:
         raise ValueError(f"P must be at least one symbol, got {p}")
     if mode in ("multi", "exact") and m > 1 and k < p:
@@ -369,8 +370,8 @@ def detection_probability(scnr: float, pfa: float, n_symbols: int) -> float:
     information-theoretic ceiling for single-frame preamble detection and is
     attached to detection benches as a reference column.
     """
-    if scnr <= 0:
-        raise ValueError("SCNR must be positive (linear)")
+    if not scnr > 0:   # NaN fails too
+        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
     if not (0 < pfa < 1):
         raise ValueError("pfa must lie in (0, 1)")
     return float(ncx2.sf(-2 * np.log(pfa), 2, 2 * n_symbols * scnr))

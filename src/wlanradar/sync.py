@@ -20,57 +20,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqStream, RrcSpec, matched_filter, symbol_sample
+from .dsp import RrcSpec, matched_filter, symbol_sample
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
 __all__ = [
     "TimingEstimate",
-    "SymbolTiming",
     "estimate_symbol_timing",
     "fine_timing_preamble",
     "estimate_channel_cef",
     "preamble_sync",
 ]
 
-
-
-@dataclass(frozen=True)
-class SymbolTiming:
-    """Fractional-delay estimate from the Q-phase energy search."""
-
-    phase: int            # chosen oversampling phase, 0..Q-1
-    oversample: int
-
-
 @dataclass(frozen=True)
 class TimingEstimate:
     """Fine frame timing on the symbol-rate grid plus the fractional part."""
 
     fine_start: int
-    symbol_timing: SymbolTiming
+    phase: int            # chosen oversampling phase, 0..Q-1
+    oversample: int
 
     def delay_symbols(self) -> float:
         """Unambiguous delay in symbol periods, integer plus sub-sample phase."""
-        st = self.symbol_timing
-        return self.fine_start + st.phase / st.oversample
+        return self.fine_start + self.phase / self.oversample
 
 
-def estimate_symbol_timing(y: IqStream, spec: RrcSpec, symbol_rate: float) -> SymbolTiming:
-    """Pick the oversampling phase maximizing symbol-spaced energy.
+def estimate_symbol_timing(y, spec: RrcSpec) -> int:
+    """The oversampling phase maximizing symbol-spaced energy of a stream on the clock.
 
     The stream must contain at least a few STF repetitions.  When no phase
-    stands out from the others (no signal, or Q = 1) phase 0 is reported.
+    stands out from the others (no signal, or Q = 1) phase 0 is reported; a
+    non-finite sample among those read raises.
     """
     q = spec.oversample
     energies = np.empty(q)
     for phase in range(q):
-        sym = symbol_sample(y, symbol_rate, phase)
+        sym = symbol_sample(y, spec, phase)
         energies[phase] = np.mean(np.abs(sym) ** 2) if len(sym) else 0.0
+    if not np.isfinite(energies).all():
+        raise ValueError("stream contains non-finite samples")
     mean = energies.mean()
     if mean <= 0 or energies.max() / mean < 1.02:
-        return SymbolTiming(phase=0, oversample=q)
-    return SymbolTiming(phase=int(np.argmax(energies)), oversample=q)
+        return 0
+    return int(np.argmax(energies))
 
 
 def _xcorr_peak(y: np.ndarray, template: np.ndarray,
@@ -86,7 +78,11 @@ def _xcorr_peak(y: np.ndarray, template: np.ndarray,
         raise ValueError("search window too short for the template")
     seg = y[lo : hi + len(template) - 1]
     c = np.correlate(seg, template, mode="valid")
-    peak = int(np.argmax(np.abs(c) ** 2))  # argmax returns the first maximum
+    # argmax returns the first maximum, or the first NaN: a non-finite sample
+    # in the searched span leaves the peak non-finite
+    peak = int(np.argmax(np.abs(c) ** 2))
+    if not np.isfinite(c[peak]):
+        raise ValueError("the searched span contains non-finite samples")
     return lo + peak, c[peak]
 
 
@@ -127,9 +123,8 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
 
 
 def preamble_sync(
-    rx: IqStream,
+    rx,
     spec: RrcSpec,
-    symbol_rate: float,
     search: tuple[int, int],
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> tuple[TimingEstimate, np.ndarray]:
@@ -138,11 +133,12 @@ def preamble_sync(
     Fine timing correlates the full preamble (fine_timing_preamble) over the
     symbol lags ``search`` = [lo, hi), the window around the expected echo.
 
-    Returns (timing, symbol-rate samples).  Sample k of the returned sequence
-    sits at t = k Ts + phase Ts / Q on the stream clock.
+    ``rx`` is an oversampled stream on dsp's clock.  Returns (timing,
+    symbol-rate samples).  Sample k of the returned sequence sits at
+    t = k Ts + phase Ts / Q.
     """
-    mf = matched_filter(rx, spec, symbol_rate)
-    st = estimate_symbol_timing(mf, spec, symbol_rate)
-    sym = symbol_sample(mf, symbol_rate, st.phase)
+    mf = matched_filter(rx, spec)
+    phase = estimate_symbol_timing(mf, spec)
+    sym = symbol_sample(mf, spec, phase)
     fine, _ = fine_timing_preamble(sym, search, preamble)
-    return TimingEstimate(fine, st), sym
+    return TimingEstimate(fine, phase, spec.oversample), sym

@@ -86,9 +86,10 @@ def _whole_echo_reference(symbols, spec, targets, sigma_cn2, beams, seed):
     for t, phase, shift in zip(targets, phases, shifts):
         h_p = np.exp(1j * phase) if beams is None else radar_coupling(t, CFG, beams, phase)
         x = pulse_shape(symbols, spec, W, delay=t.delay())
+        t0 = (shift - spec.span * q // 2) / rate   # the time of the echo's first sample
         w = 2j * np.pi * t.doppler(CFG.wavelength) / rate
-        rows = h_p * np.exp(w * (x.t0 * rate + q * np.arange(len(x) // q)))
-        echo = x.samples * np.outer(rows, np.exp(w * np.arange(q))).ravel()
+        rows = h_p * np.exp(w * (t0 * rate + q * np.arange(len(x) // q)))
+        echo = x * np.outer(rows, np.exp(w * np.arange(q))).ravel()
         out[shift : shift + len(echo)] += echo
     _add_noise(out, sigma_cn2, rng)
     return out
@@ -189,6 +190,20 @@ class TestGains:
         with pytest.raises(ValueError):
             Target(range_m=0.0)
 
+    @pytest.mark.parametrize("field", ["range_m", "velocity_mps", "rcs_dbsm",
+                                       "azimuth_deg", "elevation_deg"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_target_rejected(self, field, bad):
+        # a NaN velocity would otherwise ride the Doppler ramp into the stream
+        with pytest.raises(ValueError, match="finite"):
+            Target(**{"range_m": 50.0, field: bad})
+
+    @pytest.mark.parametrize("kwargs", [dict(spacing=np.nan), dict(spacing=0.0),
+                                        dict(wavelength=np.inf), dict(wavelength=np.nan)])
+    def test_bad_array_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="spacing and wavelength"):
+            ArrayConfig(**kwargs)
+
 
 class TestCommChannel:
     def test_los_limit_deterministic(self):
@@ -219,7 +234,7 @@ class TestCommChannel:
 def _oversampled_echo(symbols, target, beams, rng):
     """The oversampled chain's noiseless symbol-rate matched output."""
     rx = synthesize_radar_rx(symbols, RRC, W, [target], 0.0, CFG, beams, rng)
-    return symbol_sample(matched_filter(rx, RRC, W), W, 0)
+    return symbol_sample(matched_filter(rx, RRC), RRC, 0)
 
 
 def _symbol_rate_echo(symbols, target, beams, rng):
@@ -250,13 +265,13 @@ class TestSynthesis:
         rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], 1.0, CFG, None,
                                  np.random.default_rng(1))
         assert len(rx) >= 100_000
-        assert np.mean(np.abs(rx.samples) ** 2) == pytest.approx(1.0, rel=0.02)
+        assert np.mean(np.abs(rx) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_noise_circularity(self):
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=4), W, [],
                                  1.0, CFG, None, np.random.default_rng(2))
-        re, im = rx.samples.real, rx.samples.imag
+        re, im = rx.real, rx.imag
         assert np.var(re) == pytest.approx(np.var(im), rel=0.02)
         cross = np.mean(re * im) / np.sqrt(np.var(re) * np.var(im))
         assert abs(cross) < 0.02
@@ -269,7 +284,7 @@ class TestSynthesis:
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
         rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(4))
-        sym = symbol_sample(matched_filter(rx, RRC, W), W, 0)
+        sym = symbol_sample(matched_filter(rx, RRC), RRC, 0)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
         assert np.argmax(np.abs(c)) == 587
 
@@ -283,7 +298,7 @@ class TestSynthesis:
             t = Target(range_m=rho, velocity_mps=0.0)
             rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, beams,
                                      np.random.default_rng(6))
-            energies.append(np.sum(np.abs(rx.samples) ** 2))
+            energies.append(np.sum(np.abs(rx) ** 2))
             gains.append(radar_path_gain(t, CFG.wavelength))
         slope = np.polyfit(np.log10(gains), np.log10(energies), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.01)
@@ -295,7 +310,7 @@ class TestSynthesis:
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
         rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None, np.random.default_rng(8))
-        sym = symbol_sample(matched_filter(rx, spec, W), W, 0)
+        sym = symbol_sample(matched_filter(rx, spec), spec, 0)
         d = round(t.delay() / TS)
         p0 = sym[d : d + k]
         p1 = sym[d + k : d + 2 * k]
@@ -316,17 +331,18 @@ class TestSynthesis:
         rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None, np.random.default_rng(13))
         n_tx = len(frame) * spec.oversample + spec.span * spec.oversample
         assert len(rx) == n_tx + 101
-        assert rx.t0 == pytest.approx(-(spec.span * spec.oversample // 2) / rate)
 
         tx = pulse_shape(frame, spec, W)
         pad = 256
-        x = np.concatenate([np.zeros(pad), tx.samples, np.zeros(pad)])
+        x = np.concatenate([np.zeros(pad), tx, np.zeros(pad)])
         f = np.fft.fftfreq(len(x))
         shifted = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * (d - 101)))[pad:-pad]
         gain = np.exp(1j * np.random.default_rng(13).uniform(0, 2 * np.pi, size=1)[0])
         ref = np.concatenate([np.zeros(101), shifted])
-        ref = gain * ref * np.exp(2j * np.pi * t.doppler(CFG.wavelength) * rx.times())
-        assert np.abs(rx.samples - ref).max() < 1e-3
+        # rx is on the clock: sample j at (j - span Q / 2) / rate
+        times = (np.arange(len(rx)) - spec.span * spec.oversample // 2) / rate
+        ref = gain * ref * np.exp(2j * np.pi * t.doppler(CFG.wavelength) * times)
+        assert np.abs(rx - ref).max() < 1e-3
 
     @pytest.mark.parametrize("complex_symbols", [False, True])
     @pytest.mark.parametrize("steered", [False, True])
@@ -346,8 +362,7 @@ class TestSynthesis:
         rx = synthesize_radar_rx(symbols, spec, W, targets, sigma_cn2, CFG, beams,
                                  np.random.default_rng(15))
         ref = _whole_echo_reference(symbols, spec, targets, sigma_cn2, beams, 15)
-        assert np.array_equal(rx.samples, ref)
-        assert rx.t0 == -(spec.span * spec.oversample // 2) / rate
+        assert np.array_equal(rx, ref)
 
     def test_oversampled_peak_memory(self):
         # a detection trial's call: besides the stream it returns, only one
@@ -361,13 +376,13 @@ class TestSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * rx.samples.nbytes
+        assert peak <= 1.75 * rx.nbytes
 
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
         rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10))
-        sym_full = symbol_sample(matched_filter(rx, RRC, W), W, 0)
+        sym_full = symbol_sample(matched_filter(rx, RRC), RRC, 0)
         sym_fast = synthesize_radar_rx_symbol_rate(
             _windows_of(frame), RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10),
             starts=[0], length=_full_length(frame, [t], RRC.span),
@@ -453,7 +468,7 @@ class TestSynthesis:
 
     def test_negative_power_rejected(self):
         frame = np.ones(64)
-        for sigma_cn2 in (-1.0, np.nan):
+        for sigma_cn2 in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma_cn2"):
                 synthesize_radar_rx(frame, RRC, W, [], sigma_cn2, CFG, None,
                                     np.random.default_rng(0))

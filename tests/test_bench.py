@@ -117,8 +117,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="exactly one SCNR"):
             ExperimentSpec(kind="ddmap", sweep=())
 
+    @pytest.mark.parametrize("kind, field", [
+        ("detection", "sweep"), ("range-mse", "sweep"), ("velocity-mse", "sweep"),
+        ("crlb", "sweep"), ("linkbudget", "sweep"), ("tradeoff", "sweep"),
+        ("ambiguity", "doppler_grid"), ("tradeoff", "tradeoff_scnr_db"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, kind, field, bad):
+        # -inf dB would inject infinite noise and NaN would run NaN rows
+        value = bad if field == "tradeoff_scnr_db" else (2.0, bad)
+        kwargs = {"sweep": (2.0, 4.0), field: value}
+        with pytest.raises(ValueError, match=f"{field} values must be finite"):
+            ExperimentSpec(kind=kind, **kwargs)
+
     @pytest.mark.parametrize("kwargs", [
         dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0), dict(targets=()),
+        dict(symbol_rate=np.inf), dict(cpi_duration_s=np.nan),
     ])
     def test_bad_scenario_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -267,6 +281,9 @@ class TestDeterminism:
          "ca29c6c8f67bba1c6156296c744682e4810f6b36cf37b8e94601e6d0387005e8"),
         (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
          "3537c9d3b61890e1eeb51b7f098bdfae260a043ee7f99ee1fa35e734caa2b9b9"),
+        # enough trials, down to -6 dB, to pin the symbol-timing phase choices
+        (ExperimentSpec(kind="range-mse", sweep=(-6.0, 0.0, 10.0), trials=40, seed=6),
+         "c7cceb19f6a20e696581dbecdbfb10c1361df8c6262e03b36e5aa522ae1d82d2"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
          "f9fe1b72fde29f6c59a3408cbc4561a0fe469937b3cad166615d28420c4e1e9b"),
@@ -286,7 +303,8 @@ class TestDeterminism:
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
          "d9e926c7e887816643830f4da86c93042cfb1dbd3c01e8b07bd8043cc14fed39"),
-    ], ids=["detection", "detection-doppler", "range-mse", "velocity-mse", "velocity-m10",
+    ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
+            "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])
     def test_golden_csv_bytes(self, spec, digest):
         # CSV bytes are a published result: a numerics change that moves a

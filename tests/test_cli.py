@@ -170,6 +170,28 @@ class TestErrors:
                                            f"{field} must be positive\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "detect --trials 1 --scnr=-inf",
+        "range --trials 1 --scnr=-inf",
+        "velocity --trials 1 --scnr=-inf",
+        "detect --trials 1 --scnr nan",
+        "ddmap --scnr nan",
+        "crlb --scnr nan",
+        "crlb --eq range --scnr nan",
+        "crlb --eq velocity --scnr nan",
+        "linkbudget --distances nan",
+        "linkbudget --distances inf",
+    ])
+    def test_nonfinite_sweep_fails_before_any_trial(self, argv, tmp_path, capsys):
+        # -inf dB gave a ZeroDivisionError traceback; NaN wrote NaN rows and exit 0
+        out = tmp_path / "o.csv"
+        out_flag = [] if "--eq" in argv else ["--out", str(out)]
+        assert main([*argv.split(), *out_flag]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and ("finite" in err or "SCNR" in err)
+        assert not out.exists()
+
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
@@ -281,6 +303,27 @@ class TestRuns:
         assert main(["ddmap", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
         assert main(["ddmap", "--seed", "1", "--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_preset_with_targets_maps_those_targets(self, tmp_path):
+        # the preset's targets are replaced by the config's, converted as
+        # without a preset
+        targets = [{"range_m": 12.0, "velocity_mps": 20.0},
+                   {"range_m": 25.0, "velocity_mps": -10.0, "azimuth_deg": 95.0}]
+        csvs = []
+        for n, scenario in enumerate([{"preset": "two-vehicle", "targets": targets},
+                                      {"targets": targets}]):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({"scenario": scenario}))
+            out = tmp_path / f"m{n}.csv"
+            assert main(["ddmap", "--config", str(cfg), "--seed", "2", "--pfa", "1e-4",
+                         "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        bins = [float(ln.split(",")[2]) for ln in csvs[0].decode().splitlines()
+                if ",delay_bin," in ln]
+        # the 12 m beam reference in bin 141 leads; the preset's own vehicles
+        # (bins 118 and 168) are gone
+        assert bins[0] == 141.0 and not {118.0, 168.0} & set(bins)
 
     def test_config_file_scenario(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wlanradar.dsp import (
-    IqStream,
     RrcSpec,
     _rrc_kernel,
     apply_delay_doppler,
@@ -17,6 +16,13 @@ from wlanradar.frame import FrameLayout, assemble_frame
 W = 1.76e9
 TS = 1 / W
 SPEC = RrcSpec()
+HALF = SPEC.span * SPEC.oversample // 2   # the clock's origin: sample j at (j - HALF) / rate
+
+
+def _times(x, spec=SPEC):
+    """The clock's time of each sample of a stream that starts at the origin."""
+    rate = W * spec.oversample
+    return (np.arange(len(x)) - spec.span * spec.oversample // 2) / rate
 
 
 class TestRrcTaps:
@@ -67,35 +73,40 @@ class TestPulseShape:
     def test_single_symbol_is_impulse_response(self):
         out = pulse_shape([1.0], SPEC, W)
         taps = rrc_taps(SPEC)
-        assert np.allclose(out.samples[: len(taps)], taps)
-        assert np.abs(out.samples[len(taps) :]).max() < 1e-12
+        assert np.allclose(out[: len(taps)], taps)
+        assert np.abs(out[len(taps) :]).max() < 1e-12
 
     def test_energy_per_symbol(self):
         frame = assemble_frame(FrameLayout(k=6656), seed=3)
         out = pulse_shape(frame, SPEC, W)
-        per_symbol = np.sum(np.abs(out.samples) ** 2) / len(frame)
+        per_symbol = np.sum(np.abs(out) ** 2) / len(frame)
         assert per_symbol == pytest.approx(1.0, rel=0.01)
 
     def test_q1_degenerates_to_symbol_rate(self):
+        # one sample per symbol: the plain convolution with the taps
         spec1 = RrcSpec(oversample=1)
-        out = pulse_shape([1.0, -1.0, 1.0], spec1, W)
-        assert out.rate == W
+        s = np.array([1.0, -1.0, 1.0])
+        out = pulse_shape(s, spec1, W)
+        assert len(out) == len(s) + spec1.span
+        assert np.array_equal(out, np.convolve(s, rrc_taps(spec1)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pulse_shape([], SPEC, W)
 
     def test_time_axis_places_symbols(self):
+        # the delayed stream starts round(delay rate) samples after the origin
         out = pulse_shape([1.0], SPEC, W, delay=5 * TS)
-        t_peak = out.times()[np.argmax(np.abs(out.samples))]
+        rate = W * SPEC.oversample
+        t_peak = _times(out)[np.argmax(np.abs(out))] + round(5 * TS * rate) / rate
         assert t_peak == pytest.approx(5 * TS, abs=TS / SPEC.oversample / 2)
 
 
 class TestMatchedFilter:
     def test_round_trip_symbol_recovery(self):
         frame = assemble_frame(FrameLayout(k=6656), seed=11)
-        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC, W)
-        sym = symbol_sample(rx, W, 0)
+        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC)
+        sym = symbol_sample(rx, SPEC, 0)
         assert np.abs(sym[: len(frame)] - frame).max() < 1e-3
 
     def test_noise_variance_preserved(self):
@@ -104,8 +115,8 @@ class TestMatchedFilter:
         rng = np.random.default_rng(4)
         n = 1_000_000
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        out = matched_filter(IqStream(noise, W * SPEC.oversample), SPEC)
-        body = out.samples[len(rrc_taps(SPEC)) : -len(rrc_taps(SPEC))]
+        out = matched_filter(noise, SPEC)
+        body = out[len(rrc_taps(SPEC)) : -len(rrc_taps(SPEC))]
         assert np.mean(np.abs(body) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_inband_tone_unit_gain_through_cascade(self):
@@ -113,46 +124,59 @@ class TestMatchedFilter:
         f = 0.2 * W
         n = np.arange(4096)
         tone = np.exp(2j * np.pi * f * n * TS)
-        rx = matched_filter(pulse_shape(tone, SPEC, W), SPEC, W)
-        sym = symbol_sample(rx, W, 0)
+        rx = matched_filter(pulse_shape(tone, SPEC, W), SPEC)
+        sym = symbol_sample(rx, SPEC, 0)
         body = sym[SPEC.span : 4096 - SPEC.span]
         gain = np.abs(body / tone[SPEC.span : 4096 - SPEC.span])
         assert np.abs(gain - 1.0).max() < 2e-3
 
-    def test_rate_mismatch_rejected(self):
-        stream = IqStream(np.zeros(64), rate=3 * W)
-        with pytest.raises(ValueError):
-            matched_filter(stream, SPEC, W)
+    def test_output_is_on_the_input_clock(self):
+        # the full convolution without the group delay's first span Q / 2
+        # samples, as a view of it
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        out = matched_filter(y, SPEC)
+        full = fftconvolve(y, rrc_taps(SPEC))
+        assert out.base is not None
+        assert np.array_equal(out, full[HALF:])
+        # an impulse at sample j peaks at sample j
+        x = np.zeros(300, dtype=complex)
+        x[137] = 1.0
+        assert np.argmax(np.abs(matched_filter(x, SPEC))) == 137
 
 
 class TestSymbolSample:
     def test_q1_identity(self):
-        x = np.arange(10, dtype=complex)
-        out = symbol_sample(IqStream(x, W), W, 0)
-        assert np.array_equal(out, x)
+        # at Q = 1 every sample past the origin's offset is a symbol instant
+        spec1 = RrcSpec(oversample=1)
+        x = np.arange(10 + spec1.span // 2, dtype=complex)
+        out = symbol_sample(x, spec1, 0)
+        assert np.array_equal(out, x[spec1.span // 2 :])
 
     def test_wrong_phase_lowers_energy(self):
         frame = assemble_frame(FrameLayout(k=6656), seed=2)
-        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC, W)
-        e = [np.mean(np.abs(symbol_sample(rx, W, p)[:6000]) ** 2)
+        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC)
+        e = [np.mean(np.abs(symbol_sample(rx, SPEC, p)[:6000]) ** 2)
              for p in range(SPEC.oversample)]
         assert np.argmax(e) == 0
         assert e[0] > e[SPEC.oversample // 2]
 
-    def test_late_stream_front_padded(self):
-        # a stream starting 5 symbols + 3 ticks after t = 0: output n at n Ts + phase ticks
-        x = np.arange(1, 81, dtype=complex)
-        y = IqStream(x, 8 * W, t0=(5 * 8 + 3) / (8 * W))
-        out = symbol_sample(y, W, 3)
-        assert np.array_equal(out, np.concatenate([np.zeros(5), x[::8]]))
-        out = symbol_sample(y, W, 4)
-        assert np.array_equal(out, np.concatenate([np.zeros(5), x[1::8]]))
-        out = symbol_sample(y, W, 2)
-        assert np.array_equal(out, np.concatenate([np.zeros(6), x[7::8]]))
+    @pytest.mark.parametrize("phase", [0, 3, 7])
+    def test_samples_at_symbol_instants(self, phase):
+        # output n is sample HALF + phase + n Q: t = n Ts + phase ticks
+        x = np.arange(1, 481, dtype=complex)
+        out = symbol_sample(x, SPEC, phase)
+        assert np.array_equal(out, x[HALF + phase :: SPEC.oversample])
+        assert np.allclose(_times(x)[HALF + phase :: SPEC.oversample],
+                           np.arange(len(out)) * TS + phase * TS / SPEC.oversample,
+                           rtol=0, atol=1e-6 * TS)
 
     def test_invalid_phase(self):
-        with pytest.raises(ValueError):
-            symbol_sample(IqStream(np.zeros(64), 8 * W), W, 8)
+        for phase in (-1, 8):
+            with pytest.raises(ValueError):
+                symbol_sample(np.zeros(640), SPEC, phase)
 
 
 class TestDelayDoppler:
@@ -160,50 +184,52 @@ class TestDelayDoppler:
         self.frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=6)
         self.tx = pulse_shape(self.frame, SPEC, W)
 
+    rate = W * SPEC.oversample
+
     def echo(self, delay, doppler=0.0, gain=1.0):
-        """The echo added into a zeroed buffer that starts at the undelayed
-        stream's t0 and ends where the echo does."""
-        out = np.zeros(len(self.tx) + round(delay * self.tx.rate), dtype=complex)
+        """The echo added into a zeroed buffer that starts at the clock's
+        origin and ends where the echo does."""
+        out = np.zeros(len(self.tx) + round(delay * self.rate), dtype=complex)
         apply_delay_doppler(out, self.frame, SPEC, W, delay, doppler, gain)
-        return IqStream(out, self.tx.rate, self.tx.t0)
+        return out
 
     def test_identity(self):
         out = self.echo(0.0)
-        assert np.allclose(out.samples, self.tx.samples)
+        assert np.allclose(out, self.tx)
 
     def test_integer_shift_exact(self):
-        out = self.echo(7 / self.tx.rate)
-        assert np.all(out.samples[:7] == 0)
-        assert np.allclose(out.samples[7:], self.tx.samples, rtol=0, atol=1e-12)
+        out = self.echo(7 / self.rate)
+        assert np.all(out[:7] == 0)
+        assert np.allclose(out[7:], self.tx, rtol=0, atol=1e-12)
 
     def test_doppler_phase_slope(self):
         nu = 8e3
         out = self.echo(0.0, nu)
-        ratio = out.samples[1000:5000] / self.tx.samples[1000:5000]
+        ratio = out[1000:5000] / self.tx[1000:5000]
         slope = np.polyfit(np.arange(4000), np.unwrap(np.angle(ratio)), 1)[0]
-        assert slope * self.tx.rate / (2 * np.pi) == pytest.approx(nu, rel=1e-9)
+        assert slope * self.rate / (2 * np.pi) == pytest.approx(nu, rel=1e-9)
 
     def test_fractional_delay_matches_band_limited_shift(self):
         # reference: the undelayed stream shifted through its band-limited
         # interpolant (an FFT phase ramp); the echo starts round(d) samples
         # into the buffer
-        rate = self.tx.rate
+        rate = self.rate
         pad = 512
-        x = np.concatenate([np.zeros(pad), self.tx.samples, np.zeros(pad)])
+        x = np.concatenate([np.zeros(pad), self.tx, np.zeros(pad)])
         f = np.fft.fftfreq(len(x))
         for d in (12.37, 12.5, 12.81):
             out = self.echo(d / rate)
             ref = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * d))
             start = round(d)
-            assert np.all(out.samples[:start] == 0)
-            err = np.abs(out.samples[start:] - ref[pad + start : pad + len(out)])
+            assert np.all(out[:start] == 0)
+            err = np.abs(out[start:] - ref[pad + start : pad + len(out)])
             assert err.max() < 1e-3
 
     def test_echoes_add_into_the_buffer(self):
         # two calls into one buffer equal the sum of two calls into separate ones
         n = len(self.tx) + 40
-        args = [(self.frame, SPEC, W, 12.37 / self.tx.rate, 8e3, 0.3 - 0.4j),
-                (self.frame[::-1], SPEC, W, 40 / self.tx.rate, -5e3, 1.0)]
+        args = [(self.frame, SPEC, W, 12.37 / self.rate, 8e3, 0.3 - 0.4j),
+                (self.frame[::-1], SPEC, W, 40 / self.rate, -5e3, 1.0)]
         both = np.zeros(n, dtype=complex)
         parts = np.zeros((2, n), dtype=complex)
         for a, part in zip(args, parts):
@@ -212,7 +238,7 @@ class TestDelayDoppler:
         assert np.array_equal(both, parts[0] + parts[1])
 
     def test_overrunning_echo_rejected(self):
-        delay = 12.37 / self.tx.rate
+        delay = 12.37 / self.rate
         out = np.zeros(len(self.tx) + 11, dtype=complex)
         with pytest.raises(ValueError, match="runs past"):
             apply_delay_doppler(out, self.frame, SPEC, W, delay, 0.0)
@@ -232,7 +258,7 @@ class TestDelayDoppler:
             up[::q] = s
             ref = fftconvolve(up, taps.astype(complex))
             out = pulse_shape(s, SPEC, W)
-            assert np.abs(out.samples - ref).max() < 1e-12
+            assert np.abs(out - ref).max() < 1e-12
 
     @pytest.mark.parametrize("delay_symbols", [0.0, 0.3, 587.4])
     @pytest.mark.parametrize("complex_symbols", [False, True])
@@ -247,26 +273,29 @@ class TestDelayDoppler:
         ref = np.convolve(up, taps)
         out = pulse_shape(s, SPEC, W, delay=delay_symbols * TS)
         assert len(out) == len(ref)
-        assert np.abs(out.samples - ref).max() < 1e-12
-        assert out.t0 == pytest.approx((round(dly) - SPEC.span * q // 2) / out.rate,
-                                       rel=1e-12)
+        assert np.abs(out - ref).max() < 1e-12
+        # the same echo, added into a buffer on the clock, starts round(dly) samples in
+        echo = np.zeros(round(dly) + len(out), dtype=complex)
+        apply_delay_doppler(echo, s, SPEC, W, delay_symbols * TS, 0.0)
+        assert np.all(echo[: round(dly)] == 0)
+        assert np.abs(echo[round(dly) :] - ref).max() < 1e-12
 
     def test_doppler_ramp_matches_direct_exponential(self):
         # near the band edge the ramp turns by almost pi per sample
-        nu, g = -0.49 * self.tx.rate, 0.3 - 0.4j
+        nu, g = -0.49 * self.rate, 0.3 - 0.4j
         s = self.frame[:64]
         x = pulse_shape(s, SPEC, W, delay=3.7 * TS)
         shift = round(3.7 * SPEC.oversample)
         out = np.zeros(shift + len(x), dtype=complex)
         apply_delay_doppler(out, s, SPEC, W, 3.7 * TS, nu, g)
-        ref = g * x.samples * np.exp(2j * np.pi * nu * x.times())
+        ref = g * x * np.exp(2j * np.pi * nu * (_times(x) + shift / self.rate))
         assert np.all(out[:shift] == 0)
         assert np.abs(out[shift:] - ref).max() < 1e-12
 
     def test_gain_applied(self):
         g = 0.3 - 0.4j
         out = self.echo(0.0, gain=g)
-        assert np.allclose(out.samples, g * self.tx.samples)
+        assert np.allclose(out, g * self.tx)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -274,14 +303,23 @@ class TestDelayDoppler:
 
     def test_excess_doppler_rejected(self):
         with pytest.raises(ValueError):
-            self.echo(0.0, self.tx.rate)
+            self.echo(0.0, self.rate)
 
-
-class TestIqStream:
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            IqStream(np.array([1.0, np.inf]), W)
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            IqStream(np.zeros(4), 0.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_rejected(self, bad):
+        # what a stream could be made of is refused where it enters, so no
+        # shaped stream or echo holds a non-finite sample
+        frame = self.frame.copy()
+        frame[100] = bad
+        out = np.zeros(len(self.tx) + 64, dtype=complex)
+        with pytest.raises(ValueError, match="symbols"):
+            pulse_shape(frame, SPEC, W)
+        with pytest.raises(ValueError, match="symbols"):
+            apply_delay_doppler(out, frame, SPEC, W, 0.0, 0.0)
+        with pytest.raises(ValueError, match="doppler"):
+            apply_delay_doppler(out, self.frame, SPEC, W, 0.0, bad)
+        with pytest.raises(ValueError, match="gain"):
+            apply_delay_doppler(out, self.frame, SPEC, W, 0.0, 0.0, bad)
+        with pytest.raises(ValueError, match="delay"):
+            apply_delay_doppler(out, self.frame, SPEC, W, bad, 0.0)
+        assert not out.any()

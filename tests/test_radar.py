@@ -3,7 +3,7 @@ import pytest
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario, _mainlobe_widths
-from wlanradar.dsp import IqStream, pulse_shape
+from wlanradar.dsp import pulse_shape
 from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 from wlanradar.radar import (
     DelayDopplerMap,
@@ -42,8 +42,9 @@ class TestCfar:
             cfar_threshold(1.0, bad_pfa)
 
     def test_bad_noise_var(self):
-        with pytest.raises(ValueError):
-            cfar_threshold(0.0, 0.5)
+        for noise_var in (0.0, -1.0, np.nan):   # NaN fails too
+            with pytest.raises(ValueError, match="noise variance"):
+                cfar_threshold(noise_var, 0.5)
 
     def test_false_alarm_calibration_quick(self):
         rng = np.random.default_rng(0)
@@ -61,7 +62,7 @@ def _lag_loop_statistic(rx, template, lags):
     """Brute-force reference: one np.vdot per admissible lag, first maximum wins."""
     t = np.asarray(template, dtype=complex)
     energy = np.real(np.vdot(t, t))
-    y = rx.samples
+    y = rx
     best_val, best_lag = -1.0, int(lags[0])
     for lag in lags:
         if lag < 0 or lag + len(t) > len(y):
@@ -79,7 +80,7 @@ class TestMatchedPreambleStatistic:
         # the detection bench's chain: a shaped preamble echo at -22 dB SCNR,
         # searched +-3 symbols around the expected lag
         scen = Scenario()
-        template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W).samples
+        template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W)
         target = scen.targets[0]
         layout = FrameLayout(k=scen.detection_frame_k, header_len=0)
         w = scen.detection_window_symbols * scen.oversample
@@ -87,7 +88,7 @@ class TestMatchedPreambleStatistic:
             rng = np.random.default_rng([7, 0, seed])
             rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
                                      10 ** 2.2, scen.array, None, rng)
-            lag0 = int(np.round(target.delay() * rx.rate))
+            lag0 = int(np.round(target.delay() * W * scen.oversample))
             got = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
             assert got == _lag_loop_statistic(rx, template, lag0 + np.arange(-w, w + 1))
 
@@ -95,14 +96,13 @@ class TestMatchedPreambleStatistic:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         t = rng.standard_normal(40)
-        rx = IqStream(y, W)
-        got = matched_preamble_statistic(rx, t, (-20, 290))
-        assert got == _lag_loop_statistic(rx, t, np.arange(-20, 290))
+        got = matched_preamble_statistic(y, t, (-20, 290))
+        assert got == _lag_loop_statistic(y, t, np.arange(-20, 290))
         assert 0 <= got[1] <= 260
 
     def test_first_lag_wins_a_tie(self):
         # lags 0 and 3 both see the full template
-        rx = IqStream(np.array([1, 1, 0, 1, 1], dtype=complex), W)
+        rx = np.array([1, 1, 0, 1, 1], dtype=complex)
         t = np.ones(2)
         assert matched_preamble_statistic(rx, t, (0, 4)) == (2.0, 0)
         assert _lag_loop_statistic(rx, t, np.arange(4)) == (2.0, 0)
@@ -110,9 +110,17 @@ class TestMatchedPreambleStatistic:
 
     @pytest.mark.parametrize("window", [(-10, 0), (299, 310), (5, 5)])
     def test_no_admissible_lag_rejected(self, window):
-        rx = IqStream(np.ones(300, dtype=complex), W)
         with pytest.raises(ValueError):
-            matched_preamble_statistic(rx, np.ones(2), window)
+            matched_preamble_statistic(np.ones(300, dtype=complex), np.ones(2), window)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sample_in_the_span_rejected(self, bad):
+        # a caller's stream is checked where the search reads it
+        rx = np.ones(300, dtype=complex)
+        rx[280] = bad
+        assert matched_preamble_statistic(rx, np.ones(2), (0, 200)) == (2.0, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            matched_preamble_statistic(rx, np.ones(2), (0, 290))
 
 
 class TestMoose:
@@ -198,7 +206,7 @@ class TestRangeEstimate:
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, rrc, W, [target], 0.0,
                                  Scenario().array, None, np.random.default_rng(1))
-        timing, _ = preamble_sync(rx, rrc, W, search=(587 - 384, 587 + 384))
+        timing, _ = preamble_sync(rx, rrc, search=(587 - 384, 587 + 384))
         rho_hat = estimate_range(timing.delay_symbols(), TS)
         bound = SPEED_OF_LIGHT * TS / (2 * 2 * rrc.oversample)
         assert abs(rho_hat - 50.0) <= bound
@@ -243,10 +251,12 @@ class TestCrlb:
         assert a == pytest.approx(b, rel=0.01)
 
     def test_nonpositive_scnr_rejected(self):
-        with pytest.raises(ValueError):
-            crlb_range(0.0)
-        with pytest.raises(ValueError):
-            crlb_velocity(-1.0)
+        for scnr in (0.0, -1.0, np.nan):   # NaN fails too
+            with pytest.raises(ValueError, match="SCNR"):
+                crlb_range(scnr)
+            for mode in ("single", "multi", "exact"):
+                with pytest.raises(ValueError, match="SCNR"):
+                    crlb_velocity(scnr, mode, m=2, k=12800)
 
     @pytest.mark.parametrize("mode", ["single", "multi", "exact"])
     def test_empty_training_rejected(self, mode):
@@ -457,6 +467,13 @@ class TestMapDetection:
         f_dets = detect_targets_map(_map(np.asfortranarray(grid)), 0.5, bin_noise_var=0.5)
         assert np.array_equal(dets, f_dets)
 
+    def test_nan_noise_variance_rejected(self):
+        # a NaN threshold would keep no cell and report an empty map
+        grid = np.zeros((64, 16))
+        grid[12, 6] = 2.0
+        with pytest.raises(ValueError, match="noise variance"):
+            detect_targets_map(_map(grid), 1e-4, bin_noise_var=np.nan)
+
     def test_all_zero_grid_gives_empty_array(self):
         dets = detect_targets_map(_map(np.zeros((64, 16))), 1e-4, bin_noise_var=1.0)
         assert isinstance(dets, np.recarray) and dets.dtype == MapDetection
@@ -509,6 +526,11 @@ class TestMapDetection:
 
 
 class TestDetectionTheory:
+    @pytest.mark.parametrize("scnr", [0.0, -1.0, np.nan])
+    def test_nonpositive_scnr_rejected(self, scnr):
+        with pytest.raises(ValueError, match="SCNR"):
+            detection_probability(scnr, 1e-6, 3328)
+
     def test_monotone_in_scnr(self):
         vals = [detection_probability(10 ** (s / 10), 1e-6, 3328)
                 for s in (-26, -22, -18, -14)]

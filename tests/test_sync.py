@@ -3,7 +3,7 @@ import pytest
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
-from wlanradar.dsp import IqStream, RrcSpec, matched_filter, pulse_shape
+from wlanradar.dsp import RrcSpec, apply_delay_doppler, matched_filter, pulse_shape
 from wlanradar.frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -37,6 +37,12 @@ def _noisy_frame_symbols(delay: int, scnr_db: float, rng, k: int = 4352,
     return y
 
 
+def _shaped_at(frame, delay: float) -> np.ndarray:
+    """The frame shaped at ``delay`` and placed on the clock, where
+    pulse_shape's delayed stream starts: round(delay rate) samples in."""
+    return np.concatenate([np.zeros(round(delay * W * Q)), pulse_shape(frame, RRC, W, delay)])
+
+
 @pytest.fixture
 def reversed_preamble(tmp_path):
     """Preamble whose 512 pair is the time-reversed standard pair, loaded from files."""
@@ -50,29 +56,33 @@ def reversed_preamble(tmp_path):
 class TestSymbolTiming:
     def test_zero_delay(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        rx = matched_filter(pulse_shape(frame, RRC, W), RRC, W)
-        st = estimate_symbol_timing(rx, RRC, W)
-        assert st.phase == 0
+        rx = matched_filter(pulse_shape(frame, RRC, W), RRC)
+        assert estimate_symbol_timing(rx, RRC) == 0
 
     def test_quarter_symbol_delay(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=1)
-        rx = matched_filter(pulse_shape(frame, RRC, W, delay=0.25 * TS), RRC, W)
-        st = estimate_symbol_timing(rx, RRC, W)
-        assert st.phase == Q // 4
+        rx = matched_filter(_shaped_at(frame, 0.25 * TS), RRC)
+        assert estimate_symbol_timing(rx, RRC) == Q // 4
 
     def test_half_symbol_wraps_negative(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=2)
-        rx = matched_filter(pulse_shape(frame, RRC, W, delay=0.5 * TS), RRC, W)
-        st = estimate_symbol_timing(rx, RRC, W)
+        rx = matched_filter(_shaped_at(frame, 0.5 * TS), RRC)
         # a half-symbol delay sits between phases Q/2 - 1 and Q/2
-        assert st.phase in (Q // 2 - 1, Q // 2)
+        assert estimate_symbol_timing(rx, RRC) in (Q // 2 - 1, Q // 2)
 
     def test_noise_only_flagged(self):
         rng = np.random.default_rng(3)
         noise = (rng.standard_normal(80_000) + 1j * rng.standard_normal(80_000))
-        st = estimate_symbol_timing(IqStream(noise, W * Q), RRC, W)
         # no phase stands out: the phase-0 fallback
-        assert st.phase == 0
+        assert estimate_symbol_timing(noise, RRC) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_rejected(self, bad):
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
+        rx = matched_filter(pulse_shape(frame, RRC, W), RRC)
+        rx[1000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_symbol_timing(rx, RRC)
 
 
 class TestFineTiming:
@@ -104,6 +114,17 @@ class TestFineTiming:
     def test_window_too_short_rejected(self):
         with pytest.raises(ValueError):
             fine_timing_preamble(np.zeros(100, complex), (0, 10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_in_the_span_rejected(self, bad):
+        # only the samples the search reads matter
+        rng = np.random.default_rng(8)
+        y = _noisy_frame_symbols(587, 80.0, rng)
+        y[4500] = bad
+        assert fine_timing_preamble(y, (587 - 384, 587 + 384))[0] == 587
+        y[1000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fine_timing_preamble(y, (587 - 384, 587 + 384))
 
 
 class TestChannelEstimate:
@@ -214,18 +235,23 @@ class TestPipeline:
             frame = assemble_frame(FrameLayout(k=4352, header_len=0), rng)
             # sigma_cn^2 = 1: SCNR = 0 dB with unit gain
             rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None, rng)
-            timing, _ = preamble_sync(rx, RRC, W, search=(587 - 384, 587 + 384))
+            timing, _ = preamble_sync(rx, RRC, search=(587 - 384, 587 + 384))
             err = abs(timing.delay_symbols() - d_symbols)
             hits += err <= 1 + 1 / (2 * Q)
         assert hits >= int(np.ceil(trials * 0.99))
 
     def test_stream_starting_after_time_zero(self):
-        # pulse_shape's stream starts at t0 = 563 Ts; symbol k still sits at k Ts
+        # pulse_shape's delayed stream starts 587 Q samples after the clock's
+        # origin, at 563 Ts; placed there, symbol k still sits at k Ts
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        rx = pulse_shape(frame, RRC, W, delay=587 / W)
+        rx = _shaped_at(frame, 587 * TS)
+        echo = np.zeros(len(rx), dtype=complex)
+        apply_delay_doppler(echo, frame, RRC, W, 587 / W, 0.0)
+        assert np.array_equal(rx, echo)
         for search in ((203, 971), (0, 971)):
-            timing, _ = preamble_sync(rx, RRC, W, search=search)
+            timing, _ = preamble_sync(rx, RRC, search=search)
             assert timing.fine_start == 587
+            assert timing.delay_symbols() == 587
 
     def test_override_pair_full_chain(self, reversed_preamble):
         p = reversed_preamble
@@ -234,7 +260,7 @@ class TestPipeline:
         target = Target(range_m=587 * TS * SPEED_OF_LIGHT / 2)
         rx = synthesize_radar_rx(frame, RRC, W, [target], 0.0, Scenario().array, None,
                                  np.random.default_rng(18))
-        timing, sym = preamble_sync(rx, RRC, W, search=(587 - 384, 587 + 384), preamble=p)
+        timing, sym = preamble_sync(rx, RRC, search=(587 - 384, 587 + 384), preamble=p)
         assert timing.fine_start == 587
         h = estimate_channel_cef(sym, timing.fine_start + STF_LEN, preamble=p)
         assert np.argmax(np.abs(h)) == 256

@@ -16,7 +16,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -99,6 +99,9 @@ class LinkBudget:
     rician_k_db: float = 10.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.eirp_dbm > 43.0:
             raise ValueError("EIRP above the 43 dBm regulatory maximum")
 

@@ -108,6 +108,9 @@ class Scenario:
             raise ValueError("carrier_hz must be positive")
         if not self.cpi_duration_s > 0:
             raise ValueError("cpi_duration_s must be positive")
+        for f in fields(LinkBudget):   # a JSON config may hold NaN or Infinity
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
         self.rrc  # RrcSpec refuses a bad rolloff, span or oversampling factor

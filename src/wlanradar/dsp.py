@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 __all__ = [
     "RrcSpec",
@@ -177,7 +177,21 @@ def matched_filter(y, spec: RrcSpec) -> np.ndarray:
     time of input sample j.
     """
     taps = rrc_taps(spec)
-    return fftconvolve(y, taps)[(len(taps) - 1) // 2 :]
+    return _fft_convolve(np.asarray(y, dtype=complex), taps)[(len(taps) - 1) // 2 :]
+
+
+def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of complex ``x`` with ``kernel`` along the last axis.
+
+    One zero-padded complex transform of x, the product with the kernel's
+    spectrum and an inverse in place: the same transform length and product
+    as SciPy's ``fftconvolve``, so the bits equal its output.
+    """
+    n = x.shape[-1] + len(kernel) - 1
+    nfft = sp_fft.next_fast_len(n, False)
+    spec = sp_fft.fft(x, nfft, axis=-1)
+    spec *= sp_fft.fft(kernel, nfft)
+    return sp_fft.ifft(spec, axis=-1, overwrite_x=True)[..., :n]
 
 
 def apply_delay_doppler(

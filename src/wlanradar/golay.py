@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
+
+from .dsp import _fft_convolve
 
 __all__ = [
     "GolayPair",
@@ -137,24 +138,22 @@ def golay_pair_correlate(
 def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y.
 
-    A linear convolution with conj(ref[::-1]) through one zero-padded
-    transform of the needed span, the same length and spectrum product as
-    ``fftconvolve(..., mode="valid")``, inverted in place.
+    The full convolution of the needed span with conj(ref[::-1]), read at
+    the lags: bit for bit ``fftconvolve(span, conj(ref[::-1]), mode="valid")``.
     """
     n = len(ref)
     lo = int(lags.min())
     hi = int(lags.max())
-    span = hi + n - lo
-    nfft = sp_fft.next_fast_len(span + n - 1, False)
-    # the span starts at lag lo; only the part inside y is copied, so the
-    # lags that leave y read the buffer's zeros
-    seg_lo = max(lo, 0)
-    seg_hi = max(seg_lo, min(hi + n, y.shape[-1]))
-    buf = np.zeros(y.shape[:-1] + (nfft,), dtype=complex)
-    buf[..., seg_lo - lo : seg_hi - lo] = y[..., seg_lo:seg_hi]
-    spec = sp_fft.fft(buf, axis=-1, overwrite_x=True)
-    spec *= sp_fft.fft(np.conj(ref[::-1]), nfft)
-    full = sp_fft.ifft(spec, axis=-1, overwrite_x=True)
+    # the span starts at lag lo; one that leaves y is a zero-extended copy
+    # of the part inside it, so the lags that leave y read its zeros
+    if 0 <= lo and hi + n <= y.shape[-1]:
+        span = y[..., lo : hi + n]
+    else:
+        seg_lo = max(lo, 0)
+        seg_hi = max(seg_lo, min(hi + n, y.shape[-1]))
+        span = np.zeros(y.shape[:-1] + (hi + n - lo,), dtype=complex)
+        span[..., seg_lo - lo : seg_hi - lo] = y[..., seg_lo:seg_hi]
+    full = _fft_convolve(span, np.conj(ref[::-1]))
     # valid output j is full output j + n - 1
     return full[..., lags - lo + n - 1]
 

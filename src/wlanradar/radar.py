@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ncx2
 
 from .airlink import SPEED_OF_LIGHT
 from .sync import _xcorr_peak
@@ -374,4 +373,6 @@ def detection_probability(scnr: float, pfa: float, n_symbols: int) -> float:
         raise ValueError(f"SCNR must be positive (linear), got {scnr}")
     if not (0 < pfa < 1):
         raise ValueError("pfa must lie in (0, 1)")
+    from scipy.stats import ncx2   # loaded only by the runs that report pd_theory
+
     return float(ncx2.sf(-2 * np.log(pfa), 2, 2 * n_symbols * scnr))

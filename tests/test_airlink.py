@@ -499,6 +499,13 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(eirp_dbm=50.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["eirp_dbm", "noise_figure_db", "pl_exponent",
+                                       "rician_k_db"])
+    def test_nonfinite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinkBudget(**{field: value})
+
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
             link_budget_sweep(LinkBudget(), [0.0], CFG, W)

@@ -170,6 +170,20 @@ class TestErrors:
                                            f"{field} must be positive\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, argv", [
+        ("noise_figure_db", ["linkbudget", "--distances", "50"]),
+        ("rician_k_db", ["tradeoff", "--trials", "1"]),
+    ])
+    def test_nonfinite_link_budget_field_rejected(self, tmp_path, field, argv, capsys):
+        # json.loads takes NaN: these wrote nan rows with exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"scenario": {{"{field}": NaN}}}}')
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: bad scenario config: "
+                                           f"{field} must be finite, got nan\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         "detect --trials 1 --scnr=-inf",
         "range --trials 1 --scnr=-inf",

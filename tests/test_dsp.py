@@ -3,6 +3,7 @@ import pytest
 
 from wlanradar.dsp import (
     RrcSpec,
+    _fft_convolve,
     _rrc_kernel,
     apply_delay_doppler,
     matched_filter,
@@ -145,6 +146,18 @@ class TestMatchedFilter:
         x = np.zeros(300, dtype=complex)
         x[137] = 1.0
         assert np.argmax(np.abs(matched_filter(x, SPEC))) == 137
+
+
+@pytest.mark.parametrize("shape", [(500,), (3, 1535)])
+def test_fft_convolve_equals_fftconvolve(shape):
+    # bit for bit scipy.signal.fftconvolve, the reference, along the last axis
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kernel = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    expected = fftconvolve(x, kernel.reshape((1,) * (x.ndim - 1) + (-1,)), axes=-1)
+    assert np.array_equal(_fft_convolve(x, kernel), expected)
 
 
 class TestSymbolSample:

@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +39,24 @@ def test_no_seed_or_rng_default():
             for p in inspect.signature(fn).parameters.values():
                 if p.name in ("seed", "rng"):
                     assert p.default is p.empty, f"{name}.{attr}({p.name}={p.default!r})"
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    # a fresh interpreter: scipy.stats loads only when detection_probability runs
+    code = """
+import sys
+import wlanradar.bench, wlanradar.cli
+print(sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats"))))
+from wlanradar.radar import detection_probability
+pd = detection_probability(0.01, 1e-4, 256)
+print("scipy.stats" in sys.modules)
+import numpy as np
+from scipy.stats import ncx2
+print(pd == float(ncx2.sf(-2 * np.log(1e-4), 2, 2 * 256 * 0.01)))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.splitlines() == ["[]", "True", "True"]
 
 
 @pytest.fixture

@@ -60,7 +60,7 @@ from .radar import (
     matched_preamble_statistic,
     moose_ambiguity_limit,
 )
-from .sync import estimate_channel_cef, fine_timing_preamble, preamble_sync
+from .sync import estimate_channel_cef, fine_timing_preamble, preamble_delay
 
 __all__ = [
     "Scenario",
@@ -342,8 +342,9 @@ def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
     return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
 
 
-def _range_trial(scen, scnr_db, rng) -> float:
-    """One range-estimation trial; returns the squared range error in m^2.
+def _range_trial(template, scen, scnr_db, rng) -> tuple[float, float]:
+    """One range-estimation trial against ``template``, the shaped preamble;
+    returns the squared range errors in m^2 of the peak and of its parabola.
 
     The true range is jittered by up to half a range bin so the Monte Carlo
     samples the sub-sample quantization error of the synchronizer.
@@ -359,10 +360,10 @@ def _range_trial(scen, scnr_db, rng) -> float:
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
                              scen.array, None, rng)
 
-    expect = int(np.round(target.delay() / scen.ts))
-    timing, _ = preamble_sync(rx, scen.rrc, search=(expect - 3 * 128, expect + 3 * 128))
-    rho_hat = estimate_range(timing.delay_symbols(), scen.ts)
-    return float((rho_hat - rho) ** 2)
+    q = scen.oversample
+    expect = int(np.round(target.delay() / scen.ts)) * q
+    lags = preamble_delay(rx, template, (expect - 384 * q, expect + 384 * q + 1))
+    return tuple(float((estimate_range(lag / q, scen.ts) - rho) ** 2) for lag in lags)
 
 
 def _velocity_trial(scen, scnr_db, rng) -> float:
@@ -446,15 +447,16 @@ def _one_blas_thread():
         set_threads(before)
 
 
-def _seeded_trial(trial, points, seed: int, job) -> float:
+def _seeded_trial(trial, points, seed: int, job):
     k, j = job
     i, scen, value = points[k]
     return trial(scen, value, _rng(seed, i, j))
 
 
 def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
-    """Each ``(i, scen, value)`` point's ``spec.trials`` values of
-    ``trial(scen, value, rng)``, in trial order; trial j draws from _rng(seed, i, j).
+    """Each ``(i, scen, value)`` point's ``spec.trials`` values (n-tuples: a
+    (trials, n) array) of ``trial(scen, value, rng)``, in trial order; trial j
+    draws from _rng(seed, i, j).
 
     All points' trials share one process pool, and run on one BLAS thread.
     """
@@ -495,13 +497,20 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
 def _run_range_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
+    template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
+    trial = partial(_range_trial, template)  # a (scen, value, rng) trial
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
-    errors = _monte_carlo(_range_trial, spec, points, workers)
+    errors = _monte_carlo(trial, spec, points, workers)
     for scnr_db, sq in zip(spec.sweep, errors):
-        table.add(scnr_db, "range_mse_m2", float(np.mean(sq)), spec.trials,
-                  _mean_halfwidth(sq))
+        table.add(scnr_db, "range_mse_m2", float(np.mean(sq[:, 0])), spec.trials,
+                  _mean_halfwidth(sq[:, 0]))
         table.add(scnr_db, "range_crlb_m2",
                   crlb_range(10 ** (scnr_db / 10), p=2048, bandwidth=scen.symbol_rate))
+        table.add(scnr_db, "range_mse_refined_m2", float(np.mean(sq[:, 1])), spec.trials,
+                  _mean_halfwidth(sq[:, 1]))
+        table.add(scnr_db, "range_crlb_preamble_m2",
+                  crlb_range(10 ** (scnr_db / 10), p=PREAMBLE_LEN,
+                             bandwidth=scen.symbol_rate, rolloff=scen.rolloff))
     return table
 
 

@@ -1,4 +1,4 @@
-"""Continuous-time layer: RRC pulse shaping, matched filtering, delays.
+"""Continuous-time layer: RRC pulse shaping and delays.
 
 Oversampled streams are plain complex arrays on one clock: at rate
 Q * symbol_rate, sample j sits at t = (j - span Q / 2) / (Q symbol_rate),
@@ -28,9 +28,7 @@ __all__ = [
     "rrc_taps",
     "rc_pulse",
     "pulse_shape",
-    "matched_filter",
     "apply_delay_doppler",
-    "symbol_sample",
 ]
 
 
@@ -169,17 +167,6 @@ def pulse_shape(
     return shaped
 
 
-def matched_filter(y, spec: RrcSpec) -> np.ndarray:
-    """Convolve a stream with the RX RRC; the output is on the input's clock.
-
-    The full convolution's first span Q / 2 samples, the filter's group
-    delay, are skipped: the result is a view whose sample j sits at the
-    time of input sample j.
-    """
-    taps = rrc_taps(spec)
-    return _fft_convolve(np.asarray(y, dtype=complex), taps)[(len(taps) - 1) // 2 :]
-
-
 def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Full linear convolution of complex ``x`` with ``kernel`` along the last axis.
 
@@ -242,15 +229,3 @@ def apply_delay_doppler(
     for p, y in _polyphase(s, taps, q):
         ramp = rows[: len(y)] * ph[p]
         out[int_shift + p :: q][: len(y)] += np.multiply(y, ramp, out=ramp)
-
-
-def symbol_sample(y, spec: RrcSpec, phase: int) -> np.ndarray:
-    """Decimate a stream on the clock to symbol rate at the given phase.
-
-    Sample n of the output is y[span Q / 2 + phase + n Q], taken at
-    t = n Ts + phase Ts / Q: phase counts oversampled ticks in 0..Q-1.
-    """
-    q = spec.oversample
-    if not 0 <= phase < q:
-        raise ValueError(f"phase must lie in 0..{q - 1}")
-    return y[spec.span * q // 2 + phase :: q]

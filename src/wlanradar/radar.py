@@ -292,17 +292,21 @@ def detect_targets_map(
 _ETA2 = (2 * np.pi) ** 2 / 12
 
 
-def crlb_range(scnr: float, p: int = 2048, bandwidth: float = 1.76e9) -> float:
+def crlb_range(scnr: float, p: int = 2048, bandwidth: float = 1.76e9,
+               rolloff: float = 0.0) -> float:
     """Range-estimation CRLB in m^2: c^2 / (8 eta^2 W^2 P zeta).
 
     ``p`` is the number of preamble symbols integrated (2048 for the STF,
-    1024 for the CEF pair); ``scnr`` is linear.
+    1024 for the CEF pair, 3328 for the whole preamble); ``scnr`` is linear.
+    The spectrum is a raised cosine of ``rolloff`` (0: flat), whose
+    eta^2 = (2 pi)^2 (1/12 + rolloff^2 (1/4 - 2/pi^2)).
     """
     if not scnr > 0:   # NaN fails too
         raise ValueError(f"SCNR must be positive (linear), got {scnr}")
     if p < 1:
         raise ValueError(f"P must be at least one symbol, got {p}")
-    return SPEED_OF_LIGHT**2 / (8 * _ETA2 * bandwidth**2 * p * scnr)
+    eta2 = _ETA2 + 4 * np.pi**2 * rolloff**2 * (1 / 4 - 2 / np.pi**2)
+    return SPEED_OF_LIGHT**2 / (8 * eta2 * bandwidth**2 * p * scnr)
 
 
 def crlb_velocity(

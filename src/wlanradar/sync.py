@@ -1,13 +1,14 @@
-"""Preamble processing: symbol timing, fine timing, channel estimate.
+"""Preamble processing: range timing, fine timing, channel estimate.
 
 The chain reuses a conventional SC PHY receiver's preamble pieces:
 
-1. energy-based symbol synchronization over the oversampling phases,
+1. range timing: one correlation of the oversampled stream with the shaped
+   preamble, phase and lag searched jointly, refined by a parabola,
 2. fine timing from the amplitude peak of the full-preamble correlation,
 3. CEF channel estimation through the complementary Golay correlator.
 
 The radar is monostatic and knows when it transmitted, so the comm
-receiver's coarse STF frame search is not needed: fine timing searches a
+receiver's coarse STF frame search is not needed: timing searches a
 window around the expected echo lag.  Carrier frequency offset is assumed
 perfectly compensated, so only target Doppler remains, and that is
 deliberately left in the samples (it is the radar observable, estimated
@@ -16,60 +17,24 @@ downstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy import fft as sp_fft
 
-from .dsp import RrcSpec, matched_filter, symbol_sample
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
 __all__ = [
-    "TimingEstimate",
-    "estimate_symbol_timing",
+    "preamble_delay",
     "fine_timing_preamble",
     "estimate_channel_cef",
-    "preamble_sync",
 ]
-
-@dataclass(frozen=True)
-class TimingEstimate:
-    """Fine frame timing on the symbol-rate grid plus the fractional part."""
-
-    fine_start: int
-    phase: int            # chosen oversampling phase, 0..Q-1
-    oversample: int
-
-    def delay_symbols(self) -> float:
-        """Unambiguous delay in symbol periods, integer plus sub-sample phase."""
-        return self.fine_start + self.phase / self.oversample
-
-
-def estimate_symbol_timing(y, spec: RrcSpec) -> int:
-    """The oversampling phase maximizing symbol-spaced energy of a stream on the clock.
-
-    The stream must contain at least a few STF repetitions.  When no phase
-    stands out from the others (no signal, or Q = 1) phase 0 is reported; a
-    non-finite sample among those read raises.
-    """
-    q = spec.oversample
-    energies = np.empty(q)
-    for phase in range(q):
-        sym = symbol_sample(y, spec, phase)
-        energies[phase] = np.mean(np.abs(sym) ** 2) if len(sym) else 0.0
-    if not np.isfinite(energies).all():
-        raise ValueError("stream contains non-finite samples")
-    mean = energies.mean()
-    if mean <= 0 or energies.max() / mean < 1.02:
-        return 0
-    return int(np.argmax(energies))
 
 
 def _xcorr_peak(y: np.ndarray, template: np.ndarray,
                 window: tuple[int, int]) -> tuple[int, complex]:
     """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
 
-    The one preamble peak search: fine timing and radar.matched_preamble_statistic.
+    The direct search of fine timing and detection: at their few lags it beats an FFT.
     """
     lo, hi = window
     lo = max(lo, 0)
@@ -84,6 +49,32 @@ def _xcorr_peak(y: np.ndarray, template: np.ndarray,
     if not np.isfinite(c[peak]):
         raise ValueError("the searched span contains non-finite samples")
     return lo + peak, c[peak]
+
+
+def preamble_delay(rx, template: np.ndarray, window: tuple[int, int]) -> tuple[int, float]:
+    """(lag, refined_lag) of the shaped preamble ``template`` in the oversampled ``rx``.
+
+    One correlation searches phase and lag jointly over the lags [lo, hi) at
+    which the template fits: lag is the first argmax of |c|, refined_lag the
+    vertex of the parabola through |c| at lag - 1, lag, lag + 1 (lag on the
+    window's edge).  Under 3 lags, or a non-finite sample read, raise ValueError.
+    """
+    lo, hi = max(window[0], 0), min(window[1], len(rx) - len(template) + 1)
+    if hi - lo < 3:
+        raise ValueError("search window too short for the template")
+    seg = rx[lo : hi + len(template) - 1]
+    # n >= len(seg), so the first hi - lo circular lags are the linear ones
+    n = sp_fft.next_fast_len(len(seg), False)
+    spec = sp_fft.fft(seg, n)
+    spec *= np.conj(sp_fft.fft(template, n))
+    mag = np.abs(sp_fft.ifft(spec, overwrite_x=True)[: hi - lo])
+    peak = int(np.argmax(mag))   # a non-finite sample spreads to every lag
+    if not np.isfinite(mag[peak]):
+        raise ValueError("the searched span contains non-finite samples")
+    if not 0 < peak < len(mag) - 1:
+        return lo + peak, float(lo + peak)
+    a, b, d = mag[peak - 1 : peak + 2]
+    return lo + peak, lo + peak + 0.5 * (a - d) / (a - 2 * b + d)
 
 
 def fine_timing_preamble(y, window: tuple[int, int],
@@ -120,25 +111,3 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
     lags = start - CEF_PEAK_BIN + np.arange(512)
     gate = start if gated else None
     return golay_pair_correlate(y, preamble.pair512, lags=lags, gate=gate)
-
-
-def preamble_sync(
-    rx,
-    spec: RrcSpec,
-    search: tuple[int, int],
-    preamble: Preamble = DEFAULT_PREAMBLE,
-) -> tuple[TimingEstimate, np.ndarray]:
-    """Full receiver front end: matched filter, symbol sync, fine timing.
-
-    Fine timing correlates the full preamble (fine_timing_preamble) over the
-    symbol lags ``search`` = [lo, hi), the window around the expected echo.
-
-    ``rx`` is an oversampled stream on dsp's clock.  Returns (timing,
-    symbol-rate samples).  Sample k of the returned sequence sits at
-    t = k Ts + phase Ts / Q.
-    """
-    mf = matched_filter(rx, spec)
-    phase = estimate_symbol_timing(mf, spec)
-    sym = symbol_sample(mf, spec, phase)
-    fine, _ = fine_timing_preamble(sym, search, preamble)
-    return TimingEstimate(fine, phase, spec.oversample), sym

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from wlanradar.airlink import (
     SPEED_OF_LIGHT,
@@ -22,7 +23,7 @@ from wlanradar.airlink import (
     synthesize_radar_rx_symbol_rate,
     upa_steering,
 )
-from wlanradar.dsp import RrcSpec, matched_filter, pulse_shape, rc_pulse, symbol_sample
+from wlanradar.dsp import RrcSpec, pulse_shape, rc_pulse, rrc_taps
 from wlanradar.frame import (
     DEFAULT_PREAMBLE,
     FrameLayout,
@@ -231,10 +232,16 @@ class TestCommChannel:
         assert np.array_equal(got, expected)
 
 
+def _matched_symbols(rx, spec):
+    """The RX matched filter sampled at the symbol instants: the oversampled
+    chain's symbol-rate output on the clock."""
+    return fftconvolve(rx, rrc_taps(spec))[spec.span * spec.oversample :: spec.oversample]
+
+
 def _oversampled_echo(symbols, target, beams, rng):
     """The oversampled chain's noiseless symbol-rate matched output."""
     rx = synthesize_radar_rx(symbols, RRC, W, [target], 0.0, CFG, beams, rng)
-    return symbol_sample(matched_filter(rx, RRC), RRC, 0)
+    return _matched_symbols(rx, RRC)
 
 
 def _symbol_rate_echo(symbols, target, beams, rng):
@@ -284,7 +291,7 @@ class TestSynthesis:
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
         rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(4))
-        sym = symbol_sample(matched_filter(rx, RRC), RRC, 0)
+        sym = _matched_symbols(rx, RRC)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
         assert np.argmax(np.abs(c)) == 587
 
@@ -310,7 +317,7 @@ class TestSynthesis:
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
         rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None, np.random.default_rng(8))
-        sym = symbol_sample(matched_filter(rx, spec), spec, 0)
+        sym = _matched_symbols(rx, spec)
         d = round(t.delay() / TS)
         p0 = sym[d : d + k]
         p1 = sym[d + k : d + 2 * k]
@@ -382,7 +389,7 @@ class TestSynthesis:
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
         rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10))
-        sym_full = symbol_sample(matched_filter(rx, RRC), RRC, 0)
+        sym_full = _matched_symbols(rx, RRC)
         sym_fast = synthesize_radar_rx_symbol_rate(
             _windows_of(frame), RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10),
             starts=[0], length=_full_length(frame, [t], RRC.span),

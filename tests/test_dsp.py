@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from wlanradar.dsp import (
     RrcSpec,
     _fft_convolve,
     _rrc_kernel,
     apply_delay_doppler,
-    matched_filter,
     pulse_shape,
     rc_pulse,
     rrc_taps,
-    symbol_sample,
 )
 from wlanradar.frame import FrameLayout, assemble_frame
 
@@ -103,11 +102,16 @@ class TestPulseShape:
         assert t_peak == pytest.approx(5 * TS, abs=TS / SPEC.oversample / 2)
 
 
+def _matched_symbols(y, spec=SPEC, phase=0):
+    """The RX matched filter sampled at symbol rate, phase ticks past each
+    symbol instant: the receiver's reference on the clock."""
+    return fftconvolve(y, rrc_taps(spec))[spec.span * spec.oversample + phase :: spec.oversample]
+
+
 class TestMatchedFilter:
     def test_round_trip_symbol_recovery(self):
         frame = assemble_frame(FrameLayout(k=6656), seed=11)
-        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC)
-        sym = symbol_sample(rx, SPEC, 0)
+        sym = _matched_symbols(pulse_shape(frame, SPEC, W))
         assert np.abs(sym[: len(frame)] - frame).max() < 1e-3
 
     def test_noise_variance_preserved(self):
@@ -116,8 +120,8 @@ class TestMatchedFilter:
         rng = np.random.default_rng(4)
         n = 1_000_000
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        out = matched_filter(noise, SPEC)
-        body = out[len(rrc_taps(SPEC)) : -len(rrc_taps(SPEC))]
+        out = fftconvolve(noise, rrc_taps(SPEC))
+        body = out[HALF + len(rrc_taps(SPEC)) : -len(rrc_taps(SPEC))]
         assert np.mean(np.abs(body) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_inband_tone_unit_gain_through_cascade(self):
@@ -125,71 +129,30 @@ class TestMatchedFilter:
         f = 0.2 * W
         n = np.arange(4096)
         tone = np.exp(2j * np.pi * f * n * TS)
-        rx = matched_filter(pulse_shape(tone, SPEC, W), SPEC)
-        sym = symbol_sample(rx, SPEC, 0)
+        sym = _matched_symbols(pulse_shape(tone, SPEC, W))
         body = sym[SPEC.span : 4096 - SPEC.span]
         gain = np.abs(body / tone[SPEC.span : 4096 - SPEC.span])
         assert np.abs(gain - 1.0).max() < 2e-3
 
-    def test_output_is_on_the_input_clock(self):
-        # the full convolution without the group delay's first span Q / 2
-        # samples, as a view of it
-        from scipy.signal import fftconvolve
 
-        rng = np.random.default_rng(5)
-        y = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        out = matched_filter(y, SPEC)
-        full = fftconvolve(y, rrc_taps(SPEC))
-        assert out.base is not None
-        assert np.array_equal(out, full[HALF:])
-        # an impulse at sample j peaks at sample j
-        x = np.zeros(300, dtype=complex)
-        x[137] = 1.0
-        assert np.argmax(np.abs(matched_filter(x, SPEC))) == 137
+class TestSymbolSample:
+    def test_wrong_phase_lowers_energy(self):
+        frame = assemble_frame(FrameLayout(k=6656), seed=2)
+        rx = pulse_shape(frame, SPEC, W)
+        e = [np.mean(np.abs(_matched_symbols(rx, phase=p)[:6000]) ** 2)
+             for p in range(SPEC.oversample)]
+        assert np.argmax(e) == 0
+        assert e[0] > e[SPEC.oversample // 2]
 
 
 @pytest.mark.parametrize("shape", [(500,), (3, 1535)])
 def test_fft_convolve_equals_fftconvolve(shape):
     # bit for bit scipy.signal.fftconvolve, the reference, along the last axis
-    from scipy.signal import fftconvolve
-
     rng = np.random.default_rng(len(shape))
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     kernel = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
     expected = fftconvolve(x, kernel.reshape((1,) * (x.ndim - 1) + (-1,)), axes=-1)
     assert np.array_equal(_fft_convolve(x, kernel), expected)
-
-
-class TestSymbolSample:
-    def test_q1_identity(self):
-        # at Q = 1 every sample past the origin's offset is a symbol instant
-        spec1 = RrcSpec(oversample=1)
-        x = np.arange(10 + spec1.span // 2, dtype=complex)
-        out = symbol_sample(x, spec1, 0)
-        assert np.array_equal(out, x[spec1.span // 2 :])
-
-    def test_wrong_phase_lowers_energy(self):
-        frame = assemble_frame(FrameLayout(k=6656), seed=2)
-        rx = matched_filter(pulse_shape(frame, SPEC, W), SPEC)
-        e = [np.mean(np.abs(symbol_sample(rx, SPEC, p)[:6000]) ** 2)
-             for p in range(SPEC.oversample)]
-        assert np.argmax(e) == 0
-        assert e[0] > e[SPEC.oversample // 2]
-
-    @pytest.mark.parametrize("phase", [0, 3, 7])
-    def test_samples_at_symbol_instants(self, phase):
-        # output n is sample HALF + phase + n Q: t = n Ts + phase ticks
-        x = np.arange(1, 481, dtype=complex)
-        out = symbol_sample(x, SPEC, phase)
-        assert np.array_equal(out, x[HALF + phase :: SPEC.oversample])
-        assert np.allclose(_times(x)[HALF + phase :: SPEC.oversample],
-                           np.arange(len(out)) * TS + phase * TS / SPEC.oversample,
-                           rtol=0, atol=1e-6 * TS)
-
-    def test_invalid_phase(self):
-        for phase in (-1, 8):
-            with pytest.raises(ValueError):
-                symbol_sample(np.zeros(640), SPEC, phase)
 
 
 class TestDelayDoppler:

@@ -194,21 +194,23 @@ class TestRangeEstimate:
 
     def test_noiseless_50m_within_quantization_bound(self):
         # full oversampled pipeline at Q=8: residual is the sub-sample
-        # quantization of the fractional-delay search, c*Ts/(2*2Q) ~ 0.5 cm
+        # quantization of the oversampled lag search, c*Ts/(2*2Q) ~ 0.5 cm
         from wlanradar.airlink import Target, synthesize_radar_rx
         from wlanradar.bench import Scenario
-        from wlanradar.dsp import RrcSpec
-        from wlanradar.frame import FrameLayout, assemble_frame
-        from wlanradar.sync import preamble_sync
+        from wlanradar.dsp import RrcSpec, pulse_shape
+        from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
+        from wlanradar.sync import preamble_delay
 
         rrc = RrcSpec()
+        q = rrc.oversample
         target = Target(range_m=50.0, velocity_mps=0.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
         rx = synthesize_radar_rx(frame, rrc, W, [target], 0.0,
                                  Scenario().array, None, np.random.default_rng(1))
-        timing, _ = preamble_sync(rx, rrc, search=(587 - 384, 587 + 384))
-        rho_hat = estimate_range(timing.delay_symbols(), TS)
-        bound = SPEED_OF_LIGHT * TS / (2 * 2 * rrc.oversample)
+        template = pulse_shape(DEFAULT_PREAMBLE.symbols, rrc, W)
+        lag, _ = preamble_delay(rx, template, ((587 - 384) * q, (587 + 384) * q + 1))
+        rho_hat = estimate_range(lag / q, TS)
+        bound = SPEED_OF_LIGHT * TS / (2 * 2 * q)
         assert abs(rho_hat - 50.0) <= bound
 
 
@@ -218,6 +220,19 @@ class TestCrlb:
         assert v == pytest.approx(5.3829e-7, rel=1e-3)
         sigma_mm = np.sqrt(v) * 1e3
         assert 0.7 <= sigma_mm <= 0.8
+
+    def test_range_flat_spectrum_at_zero_rolloff(self):
+        # rolloff 0 keeps the flat-spectrum bound's bits
+        flat = SPEED_OF_LIGHT**2 / (8 * ((2 * np.pi) ** 2 / 12) * W**2 * 2048 * 1.0)
+        assert crlb_range(1.0, p=2048, bandwidth=W, rolloff=0.0) == flat
+        assert crlb_range(1.0, p=2048, bandwidth=W) == flat
+
+    def test_range_whole_rc_preamble_below_the_stf_column(self):
+        # P = 3328 and a raised cosine of rolloff 0.25, B_rms^2 = 0.0863 W^2
+        for zeta in (0.25, 1.0, 10.0):
+            ratio = (crlb_range(zeta, p=3328, bandwidth=W, rolloff=0.25)
+                     / crlb_range(zeta, p=2048, bandwidth=W))
+            assert 10 * np.log10(ratio) == pytest.approx(-2.26, abs=0.005)
 
     def test_range_scalings(self):
         assert crlb_range(1.0, p=4096) == pytest.approx(crlb_range(1.0, p=2048) / 2)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
-from wlanradar.dsp import RrcSpec, apply_delay_doppler, matched_filter, pulse_shape
+from wlanradar.dsp import RrcSpec, apply_delay_doppler, pulse_shape, rrc_taps
 from wlanradar.frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -13,17 +14,13 @@ from wlanradar.frame import (
     assemble_frame,
 )
 from wlanradar.golay import generate_golay_pair, load_golay_pair
-from wlanradar.sync import (
-    estimate_channel_cef,
-    estimate_symbol_timing,
-    fine_timing_preamble,
-    preamble_sync,
-)
+from wlanradar.sync import estimate_channel_cef, fine_timing_preamble, preamble_delay
 
 W = 1.76e9
 TS = 1 / W
 RRC = RrcSpec()
 Q = RRC.oversample
+TEMPLATE = pulse_shape(DEFAULT_PREAMBLE.symbols, RRC, W)
 
 
 def _noisy_frame_symbols(delay: int, scnr_db: float, rng, k: int = 4352,
@@ -54,35 +51,75 @@ def reversed_preamble(tmp_path):
 
 
 class TestSymbolTiming:
+    # the joint search finds the oversampling phase with the lag: a delay of
+    # a whole number of oversampled samples peaks exactly there
     def test_zero_delay(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        rx = matched_filter(pulse_shape(frame, RRC, W), RRC)
-        assert estimate_symbol_timing(rx, RRC) == 0
+        rx = pulse_shape(frame, RRC, W)
+        # the peak sits on the window's edge: no parabola
+        assert preamble_delay(rx, TEMPLATE, (0, 100)) == (0, 0.0)
 
     def test_quarter_symbol_delay(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=1)
-        rx = matched_filter(_shaped_at(frame, 0.25 * TS), RRC)
-        assert estimate_symbol_timing(rx, RRC) == Q // 4
+        rx = _shaped_at(frame, 587.25 * TS)
+        lag, refined = preamble_delay(rx, TEMPLATE, ((587 - 384) * Q, (587 + 384) * Q + 1))
+        assert lag == 587 * Q + Q // 4
+        assert refined == pytest.approx(lag, abs=1e-2)
 
     def test_half_symbol_wraps_negative(self):
+        # half a symbol is Q / 2 whole samples: no two phases to choose between
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=2)
-        rx = matched_filter(_shaped_at(frame, 0.5 * TS), RRC)
-        # a half-symbol delay sits between phases Q/2 - 1 and Q/2
-        assert estimate_symbol_timing(rx, RRC) in (Q // 2 - 1, Q // 2)
-
-    def test_noise_only_flagged(self):
-        rng = np.random.default_rng(3)
-        noise = (rng.standard_normal(80_000) + 1j * rng.standard_normal(80_000))
-        # no phase stands out: the phase-0 fallback
-        assert estimate_symbol_timing(noise, RRC) == 0
+        rx = _shaped_at(frame, 0.5 * TS)
+        lag, refined = preamble_delay(rx, TEMPLATE, (0, 4 * Q))
+        assert lag == Q // 2
+        assert refined == pytest.approx(lag, abs=1e-2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_sample_rejected(self, bad):
+        # only the samples the search reads matter
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        rx = matched_filter(pulse_shape(frame, RRC, W), RRC)
+        rx = pulse_shape(frame, RRC, W)
+        rx[len(TEMPLATE) + 200] = bad
+        assert preamble_delay(rx, TEMPLATE, (0, 100))[0] == 0
         rx[1000] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            estimate_symbol_timing(rx, RRC)
+            preamble_delay(rx, TEMPLATE, (0, 100))
+
+
+class TestPreambleDelay:
+    def test_refined_lag_is_the_parabola_vertex(self):
+        # a delay between two samples: the peak is a neighbour of it, and the
+        # vertex through |c| at the peak and its two neighbours lies between
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
+        rx = _shaped_at(frame, (587 + 0.3 / Q) * TS)
+        window = ((587 - 384) * Q, (587 + 384) * Q + 1)
+        lag, refined = preamble_delay(rx, TEMPLATE, window)
+        assert lag == 587 * Q
+        seg = rx[lag - 1 : lag + 2 + len(TEMPLATE) - 1]
+        a, b, d = np.abs(np.correlate(seg, TEMPLATE, mode="valid"))
+        assert refined == pytest.approx(lag + 0.5 * (a - d) / (a - 2 * b + d), abs=1e-9)
+        assert abs(refined - (587 * Q + 0.3)) < 0.05
+
+    def test_peak_on_the_window_edge_is_not_refined(self):
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=4)
+        rx = _shaped_at(frame, 587 * TS)
+        for window in (((587 - 20) * Q, 587 * Q + 1), (587 * Q, (587 + 20) * Q)):
+            lag, refined = preamble_delay(rx, TEMPLATE, window)
+            assert lag == 587 * Q
+            assert refined == lag
+
+    def test_window_clipped_to_the_stream(self):
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=5)
+        rx = _shaped_at(frame, 587 * TS)
+        last = len(rx) - len(TEMPLATE)
+        assert preamble_delay(rx, TEMPLATE, (-500, 10**7))[0] == 587 * Q
+        assert preamble_delay(rx, TEMPLATE, (last - 2, 10**7))[0] == last
+
+    @pytest.mark.parametrize("window", [(0, 2), (10, 10), (10**7, 10**7 + 50)])
+    def test_window_too_short_rejected(self, window):
+        rx = np.zeros(len(TEMPLATE) + 100, complex)
+        with pytest.raises(ValueError, match="too short"):
+            preamble_delay(rx, TEMPLATE, window)
 
 
 class TestFineTiming:
@@ -221,9 +258,15 @@ class TestChannelEstimate:
         assert abs(mean - h0) < 3 * sigma_mean * 1.5
 
 
+def _matched_symbols(rx, phase=0):
+    """The RX matched filter sampled at symbol rate, phase ticks past each
+    symbol instant: reference for the receiver's symbol-rate input."""
+    return fftconvolve(rx, rrc_taps(RRC))[RRC.span * Q + phase :: Q]
+
+
 class TestPipeline:
     def test_delay_composability_at_0db(self):
-        # fine index + fractional phase recovers the injected delay within
+        # the peak lag, in symbols, recovers the injected delay within
         # Ts * (1 + 1/(2Q)) in at least 99% of trials
         scen = Scenario()
         trials = 60
@@ -235,8 +278,8 @@ class TestPipeline:
             frame = assemble_frame(FrameLayout(k=4352, header_len=0), rng)
             # sigma_cn^2 = 1: SCNR = 0 dB with unit gain
             rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None, rng)
-            timing, _ = preamble_sync(rx, RRC, search=(587 - 384, 587 + 384))
-            err = abs(timing.delay_symbols() - d_symbols)
+            lag, _ = preamble_delay(rx, TEMPLATE, ((587 - 384) * Q, (587 + 384) * Q + 1))
+            err = abs(lag / Q - d_symbols)
             hits += err <= 1 + 1 / (2 * Q)
         assert hits >= int(np.ceil(trials * 0.99))
 
@@ -248,10 +291,10 @@ class TestPipeline:
         echo = np.zeros(len(rx), dtype=complex)
         apply_delay_doppler(echo, frame, RRC, W, 587 / W, 0.0)
         assert np.array_equal(rx, echo)
-        for search in ((203, 971), (0, 971)):
-            timing, _ = preamble_sync(rx, RRC, search=search)
-            assert timing.fine_start == 587
-            assert timing.delay_symbols() == 587
+        for search in ((203 * Q, 971 * Q), (0, 971 * Q)):
+            lag, refined = preamble_delay(rx, TEMPLATE, search)
+            assert lag == 587 * Q
+            assert refined == pytest.approx(lag, abs=1e-2)
 
     def test_override_pair_full_chain(self, reversed_preamble):
         p = reversed_preamble
@@ -260,8 +303,10 @@ class TestPipeline:
         target = Target(range_m=587 * TS * SPEED_OF_LIGHT / 2)
         rx = synthesize_radar_rx(frame, RRC, W, [target], 0.0, Scenario().array, None,
                                  np.random.default_rng(18))
-        timing, sym = preamble_sync(rx, RRC, search=(587 - 384, 587 + 384), preamble=p)
-        assert timing.fine_start == 587
-        h = estimate_channel_cef(sym, timing.fine_start + STF_LEN, preamble=p)
+        template = pulse_shape(p.symbols, RRC, W)
+        lag, _ = preamble_delay(rx, template, ((587 - 384) * Q, (587 + 384) * Q + 1))
+        assert lag == 587 * Q
+        start = lag // Q
+        h = estimate_channel_cef(_matched_symbols(rx), start + STF_LEN, preamble=p)
         assert np.argmax(np.abs(h)) == 256
         assert abs(h[256]) == pytest.approx(1.0, abs=1e-3)

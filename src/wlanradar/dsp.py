@@ -13,6 +13,11 @@ moves where it starts on the clock and the fractional part evaluates the
 analytic RRC on a shifted grid, so no stream is ever resampled.  Echoes
 are not streams of their own: apply_delay_doppler adds each one into a
 received buffer the caller owns, phase by phase.
+
+The package's two correlation kernels live here too: a direct first-maximum
+search for the tens of lags of fine timing and detection, and one FFT
+correlation for the thousands of lags of range timing and the sliding
+Golay CEF correlator.
 """
 
 from __future__ import annotations
@@ -167,18 +172,44 @@ def pulse_shape(
     return shaped
 
 
-def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of complex ``x`` with ``kernel`` along the last axis.
+def _xcorr_peak(y: np.ndarray, template: np.ndarray,
+                window: tuple[int, int]) -> tuple[int, complex]:
+    """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
 
-    One zero-padded complex transform of x, the product with the kernel's
-    spectrum and an inverse in place: the same transform length and product
-    as SciPy's ``fftconvolve``, so the bits equal its output.
+    The direct search of fine timing and detection: at their few lags it beats an FFT.
     """
-    n = x.shape[-1] + len(kernel) - 1
-    nfft = sp_fft.next_fast_len(n, False)
-    spec = sp_fft.fft(x, nfft, axis=-1)
-    spec *= sp_fft.fft(kernel, nfft)
-    return sp_fft.ifft(spec, axis=-1, overwrite_x=True)[..., :n]
+    lo, hi = window
+    lo = max(lo, 0)
+    hi = min(hi, len(y) - len(template) + 1)
+    if hi <= lo:
+        raise ValueError("search window too short for the template")
+    seg = y[lo : hi + len(template) - 1]
+    c = np.correlate(seg, template, mode="valid")
+    # argmax returns the first maximum, or the first NaN: a non-finite sample
+    # in the searched span leaves the peak non-finite
+    peak = int(np.argmax(np.abs(c) ** 2))
+    if not np.isfinite(c[peak]):
+        raise ValueError("the searched span contains non-finite samples")
+    return lo + peak, c[peak]
+
+
+def _fft_correlate(x: np.ndarray, ref: np.ndarray, n_lags: int) -> np.ndarray:
+    """c[..., l] = sum_k x[..., l + k] conj(ref[k]) for l < n_lags, along the last axis.
+
+    The search of range timing and the sliding Golay correlator, at thousands
+    of lags: one transform of n >= x.shape[-1] points, so the lags that fit,
+    n_lags <= x.shape[-1] - len(ref) + 1, do not wrap; the product with
+    ref's conjugate spectrum; an inverse in place.  A non-finite sample
+    spreads to every lag of its row: a non-finite c[..., 0] raises ValueError.
+    """
+    n = sp_fft.next_fast_len(x.shape[-1], False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        spec = sp_fft.fft(x, n, axis=-1)
+        spec *= np.conj(sp_fft.fft(ref, n))
+        c = sp_fft.ifft(spec, axis=-1, overwrite_x=True)[..., :n_lags]
+    if not np.isfinite(c[..., 0]).all():
+        raise ValueError("the correlated span contains non-finite samples")
+    return c
 
 
 def apply_delay_doppler(

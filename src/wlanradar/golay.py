@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import _fft_convolve
+from .dsp import _fft_correlate
 
 __all__ = [
     "GolayPair",
@@ -138,8 +138,8 @@ def golay_pair_correlate(
 def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y.
 
-    The full convolution of the needed span with conj(ref[::-1]), read at
-    the lags: bit for bit ``fftconvolve(span, conj(ref[::-1]), mode="valid")``.
+    One FFT correlation of the needed span over its hi - lo + 1 lags, read at
+    the lags; a non-finite sample in the span raises ValueError.
     """
     n = len(ref)
     lo = int(lags.min())
@@ -153,9 +153,7 @@ def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarra
         seg_hi = max(seg_lo, min(hi + n, y.shape[-1]))
         span = np.zeros(y.shape[:-1] + (hi + n - lo,), dtype=complex)
         span[..., seg_lo - lo : seg_hi - lo] = y[..., seg_lo:seg_hi]
-    full = _fft_convolve(span, np.conj(ref[::-1]))
-    # valid output j is full output j + n - 1
-    return full[..., lags - lo + n - 1]
+    return _fft_correlate(span, ref, hi - lo + 1)[..., lags - lo]
 
 
 def _segment_corr(seg: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import SPEED_OF_LIGHT
-from .sync import _xcorr_peak
+from .dsp import _xcorr_peak
 
 __all__ = [
     "DelayDopplerMap",
@@ -106,7 +106,7 @@ def estimate_velocity_moose(
     ts: float,
     wavelength: float,
 ) -> float:
-    """Least-squares (Moose) velocity estimate in m/s from repeated training blocks.
+    """Velocity estimate in m/s from repeated training blocks.
 
     ``p`` is the stacked training vector: M frames of P = p_len synchronized
     training samples each (length M * P).  ``n_d`` is the stream-domain
@@ -117,6 +117,12 @@ def estimate_velocity_moose(
     training (p_len = 1), which suppresses the correlator's |noise|^2
     self-term at low SCNR while leaving the angle formula unchanged.
 
+    With M > 1 the angle is Kay's weighted phase average (IEEE Trans. ASSP
+    37(12), 1989): sum_t w_t angle(sum_p blocks[t+1] conj(blocks[t])) with
+    w_t = 1.5 M / (M^2 - 1) (1 - ((t - (M/2 - 1)) / (M/2))^2), t < M - 1,
+    whose one weight at M = 2 is 1.  With M = 1 it is the Moose angle of the
+    summed lag-N_D products.
+
     The estimate is exact on noiseless input for |nu| < 1/(2 N_D Ts) and
     aliases by multiples of 1/(N_D Ts) outside that span.
     """
@@ -125,13 +131,16 @@ def estimate_velocity_moose(
         raise ValueError("stacked vector length must equal M * P")
     if m > 1:
         blocks = p.reshape(m, p_len)
-        acc = np.sum(blocks[1:] * np.conj(blocks[:-1]))
+        lag1 = np.angle(np.sum(blocks[1:] * np.conj(blocks[:-1]), axis=1))
+        t = np.arange(m - 1)
+        w = 1.5 * m / (m**2 - 1) * (1 - ((t - (m / 2 - 1)) / (m / 2)) ** 2)
+        phase = np.dot(w, lag1)
     else:
         if not (0 < n_d < p_len):
             raise ValueError("single-frame mode needs 0 < N_D < P")
-        acc = np.sum(p[n_d:] * np.conj(p[:-n_d]))
+        phase = np.angle(np.sum(p[n_d:] * np.conj(p[:-n_d])))
     t_d = n_d * ts
-    nu = float(np.angle(acc) / (2 * np.pi * t_d))
+    nu = float(phase / (2 * np.pi * t_d))
     return wavelength * nu / 2.0
 
 
@@ -366,12 +375,14 @@ def resolutions(bandwidth: float, t_int: float, wavelength: float) -> tuple[floa
 
 
 def detection_probability(scnr: float, pfa: float, n_symbols: int) -> float:
-    """Theoretical Pd of the coherent preamble statistic (Marcum Q form).
+    """Known-lag, known-phase, single-cell Pd of the coherent preamble statistic.
 
     The statistic is |sqrt(N zeta) + CN(0,1)|^2 against the exponential-tail
-    threshold: Pd = Q_1(sqrt(2 N zeta), sqrt(-2 ln pfa)).  This is the
-    information-theoretic ceiling for single-frame preamble detection and is
-    attached to detection benches as a reference column.
+    threshold: Pd = Q_1(sqrt(2 N zeta), sqrt(-2 ln pfa)) (Marcum Q form).
+    It is the detection bench's reference column, not a ceiling: the bench
+    takes the max over its 49 searched lags against a per-cell threshold,
+    so its Pd can sit above this one (0.8185 against 0.7852 at criterion
+    5a's point).
     """
     if not scnr > 0:   # NaN fails too
         raise ValueError(f"SCNR must be positive (linear), got {scnr}")

@@ -2,10 +2,14 @@
 
 The chain reuses a conventional SC PHY receiver's preamble pieces:
 
-1. range timing: one correlation of the oversampled stream with the shaped
-   preamble, phase and lag searched jointly, refined by a parabola,
+1. range timing: one FFT correlation of the oversampled stream with the
+   shaped preamble, phase and lag searched jointly, refined by a parabola,
 2. fine timing from the amplitude peak of the full-preamble correlation,
+   a direct search over its few lags,
 3. CEF channel estimation through the complementary Golay correlator.
+
+Both correlations are dsp's kernels; the sliding Golay correlator runs
+the same FFT correlation as range timing.
 
 The radar is monostatic and knows when it transmitted, so the comm
 receiver's coarse STF frame search is not needed: timing searches a
@@ -18,8 +22,8 @@ downstream).
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 
+from .dsp import _fft_correlate, _xcorr_peak
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
@@ -28,27 +32,6 @@ __all__ = [
     "fine_timing_preamble",
     "estimate_channel_cef",
 ]
-
-
-def _xcorr_peak(y: np.ndarray, template: np.ndarray,
-                window: tuple[int, int]) -> tuple[int, complex]:
-    """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
-
-    The direct search of fine timing and detection: at their few lags it beats an FFT.
-    """
-    lo, hi = window
-    lo = max(lo, 0)
-    hi = min(hi, len(y) - len(template) + 1)
-    if hi <= lo:
-        raise ValueError("search window too short for the template")
-    seg = y[lo : hi + len(template) - 1]
-    c = np.correlate(seg, template, mode="valid")
-    # argmax returns the first maximum, or the first NaN: a non-finite sample
-    # in the searched span leaves the peak non-finite
-    peak = int(np.argmax(np.abs(c) ** 2))
-    if not np.isfinite(c[peak]):
-        raise ValueError("the searched span contains non-finite samples")
-    return lo + peak, c[peak]
 
 
 def preamble_delay(rx, template: np.ndarray, window: tuple[int, int]) -> tuple[int, float]:
@@ -62,15 +45,8 @@ def preamble_delay(rx, template: np.ndarray, window: tuple[int, int]) -> tuple[i
     lo, hi = max(window[0], 0), min(window[1], len(rx) - len(template) + 1)
     if hi - lo < 3:
         raise ValueError("search window too short for the template")
-    seg = rx[lo : hi + len(template) - 1]
-    # n >= len(seg), so the first hi - lo circular lags are the linear ones
-    n = sp_fft.next_fast_len(len(seg), False)
-    spec = sp_fft.fft(seg, n)
-    spec *= np.conj(sp_fft.fft(template, n))
-    mag = np.abs(sp_fft.ifft(spec, overwrite_x=True)[: hi - lo])
-    peak = int(np.argmax(mag))   # a non-finite sample spreads to every lag
-    if not np.isfinite(mag[peak]):
-        raise ValueError("the searched span contains non-finite samples")
+    mag = np.abs(_fft_correlate(rx[lo : hi + len(template) - 1], template, hi - lo))
+    peak = int(np.argmax(mag))
     if not 0 < peak < len(mag) - 1:
         return lo + peak, float(lo + peak)
     a, b, d = mag[peak - 1 : peak + 2]

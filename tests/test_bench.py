@@ -293,7 +293,7 @@ class TestDeterminism:
          "f9fe1b72fde29f6c59a3408cbc4561a0fe469937b3cad166615d28420c4e1e9b"),
         # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
         (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
-         "21883f4296b9f3465770c487aeb9361ff5c130df41a59323708b6ae3439230dd"),
+         "6b8e551f98caa3f89b4912cf3d12ef51d8e8b49ba08b11a08faae699d9cbf968"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
@@ -303,10 +303,10 @@ class TestDeterminism:
          "0b6f4a970f26868c6e8956401ebd2381a95c0c0b3bb417d341e20d5aa9c5f1c7"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
-         "4e59f5b8a70efb08b5fdc0efdd084b7c9b24b758383004cec674f29418f1e863"),
+         "7237ccf83fc22f842dcbd0efd9e9a6dbda27587b773c4c20fe6be83728ca0ab3"),
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
-         "d9e926c7e887816643830f4da86c93042cfb1dbd3c01e8b07bd8043cc14fed39"),
+         "8abe4865a9213cadbe0df92b377b4d438765dded70db2246432f4f1defa82426"),
     ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
             "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])
@@ -363,6 +363,14 @@ class TestStatisticalConventions:
                   if r[1] == "velocity_mse_m2s2" and r[0] == s][0]
             assert mse >= crlb - 2 * hw
 
+    def test_kay_velocity_mse_meets_exact_crlb(self):
+        # Kay's weighted phase average reaches the exact bound at M = 16
+        table = run_experiment(ExperimentSpec(
+            kind="velocity-mse", scenario=Scenario(n_frames=16), sweep=(10.0,),
+            trials=300, seed=11))
+        gap_db = 10 * np.log10(table.value(10.0, "velocity_mse_m2s2")
+                               / table.value(10.0, "velocity_crlb_exact_m2s2"))
+        assert abs(gap_db) <= 1.0
 
     def test_refined_range_mse_meets_preamble_crlb(self):
         # the parabola on the joint peak reaches the bound of what it

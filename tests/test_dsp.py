@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from wlanradar.dsp import (
     RrcSpec,
-    _fft_convolve,
+    _fft_correlate,
     _rrc_kernel,
     apply_delay_doppler,
     pulse_shape,
@@ -145,14 +146,21 @@ class TestSymbolSample:
         assert e[0] > e[SPEC.oversample // 2]
 
 
-@pytest.mark.parametrize("shape", [(500,), (3, 1535)])
-def test_fft_convolve_equals_fftconvolve(shape):
-    # bit for bit scipy.signal.fftconvolve, the reference, along the last axis
-    rng = np.random.default_rng(len(shape))
+@pytest.mark.parametrize("shape, n_ref", [((500,), 128), ((3, 1535), 1024), ((3, 1536), 1024)])
+def test_fft_correlate_equals_np_correlate(shape, n_ref):
+    # every lag at which ref fits, row by row; 500 and 1536 are fast lengths,
+    # so the transform has no spare point and the last lag reads the last sample
+    rng = np.random.default_rng(shape[-1])
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    kernel = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    expected = fftconvolve(x, kernel.reshape((1,) * (x.ndim - 1) + (-1,)), axes=-1)
-    assert np.array_equal(_fft_convolve(x, kernel), expected)
+    ref = rng.standard_normal(n_ref) + 1j * rng.standard_normal(n_ref)
+    n_lags = shape[-1] - n_ref + 1
+    c = _fft_correlate(x, ref, n_lags)
+    assert c.shape == shape[:-1] + (n_lags,)
+    for row, c_row in zip(x.reshape(-1, shape[-1]), c.reshape(-1, n_lags)):
+        expected = np.correlate(row, ref, "valid")
+        assert np.max(np.abs(c_row - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert sp_fft.next_fast_len(500, False) == 500
+    assert sp_fft.next_fast_len(1536, False) == 1536
 
 
 class TestDelayDoppler:

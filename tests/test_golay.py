@@ -146,10 +146,13 @@ class TestPairCorrelator:
         ((4, 1535), np.arange(512)),                  # the map bench's stacked reads
         ((4, 1535), np.arange(-7, 600)),
         ((3, 1300), np.array([250, 5, -3, 276, 17])),  # unordered, non-contiguous
+        ((4, 1536), np.arange(513)),                  # the span is the whole row
     ])
     def test_sliding_mode_equals_fftconvolve(self, shape, lags):
-        # bit for bit the valid-mode fftconvolve of the zero-extended span
-        # against conj([a b] reversed)
+        # bit for bit one circular correlation of the zero-extended span as
+        # long as its next fast length, and within rounding of the linear
+        # valid-mode fftconvolve against conj([a b] reversed)
+        from scipy import fft as sp_fft
         from scipy.signal import fftconvolve
 
         rng = np.random.default_rng(len(lags))
@@ -160,9 +163,14 @@ class TestPairCorrelator:
         seg_lo, seg_hi = max(lo, 0), min(hi + n, shape[-1])
         pad = [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)]
         seg = np.pad(y[..., seg_lo:seg_hi], pad)
+        nfft = sp_fft.next_fast_len(seg.shape[-1], False)
+        spec = sp_fft.fft(seg, nfft, axis=-1) * np.conj(sp_fft.fft(ref, nfft))
+        circular = sp_fft.ifft(spec, axis=-1)[..., lags - lo] / n
+        got = golay_pair_correlate(y, self.pair, lags)
+        assert np.array_equal(got, circular)
         kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
         expected = fftconvolve(seg, kernel, mode="valid", axes=-1)[..., lags - lo] / n
-        assert np.array_equal(golay_pair_correlate(y, self.pair, lags), expected)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lags", [np.arange(-3000, -2000), np.arange(4100, 4200)])
     def test_sliding_mode_is_zero_off_the_stream(self, lags):

@@ -178,6 +178,14 @@ class TestMoose:
                                         wavelength=LAM60)
         assert v_hat == pytest.approx(v, rel=1e-9)
 
+    def test_two_frames_give_the_summed_product_angle(self):
+        # Kay's one weight at M = 2 is exactly 1
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v_hat = estimate_velocity_moose(p, n_d=12800, p_len=4, m=2, ts=TS, wavelength=LAM60)
+        nu = np.angle(np.sum(p[4:] * np.conj(p[:4]))) / (2 * np.pi * (12800 * TS))
+        assert v_hat == LAM60 * nu / 2
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             estimate_velocity_moose(np.zeros(10), n_d=5, p_len=4, m=2,

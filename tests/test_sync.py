@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -82,8 +84,11 @@ class TestSymbolTiming:
         rx[len(TEMPLATE) + 200] = bad
         assert preamble_delay(rx, TEMPLATE, (0, 100))[0] == 0
         rx[1000] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            preamble_delay(rx, TEMPLATE, (0, 100))
+        # refused without a floating-point warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                preamble_delay(rx, TEMPLATE, (0, 100))
 
 
 class TestPreambleDelay:
@@ -243,6 +248,19 @@ class TestChannelEstimate:
     def test_gated_mode_rejects_stacked_rows(self):
         with pytest.raises(ValueError):
             estimate_channel_cef(np.zeros((2, 4500), complex), 2176)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sliding_mode_rejects_a_nonfinite_sample(self, bad):
+        # one bad sample in one of the stacked rows is refused with no
+        # warning; the estimate reads samples 0..1534 of each row alone
+        rows = np.ones((4, 1600), dtype=complex)
+        rows[1, 1535] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)).all()
+            rows[2, 900] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
 
     def test_peak_unbiased_in_noise(self):
         h0 = 1.0

@@ -269,28 +269,28 @@ def run_manifest(spec: ExperimentSpec) -> str:
 # ----------------------------------------------------------------------------
 
 def ambiguity_function(
-    waveform,
-    lags,
+    window: tuple[int, int],
     dopplers,
     ts: float,
     pair: GolayPair,
 ) -> np.ndarray:
     """|ambiguity| over (doppler, lag) of the time-multiplexed pair [a b].
 
-    The Doppler-shifted waveform x[n] e^{j2pi nu n Ts} is processed through
-    the segment-gated pair correlator (scaled by 2N so the zero-Doppler peak
-    equals the total energy); the zero-Doppler cut is then an exact delta.
+    The Doppler-shifted waveform x[n] e^{j2pi nu n Ts}, x = [a b], is
+    processed through the segment-gated pair correlator at gate 0 over the
+    half-open lag window (lo, hi), whose lags must lie within -(N - 1)..N - 1
+    (scaled by 2N so the zero-Doppler peak equals the total energy); the
+    zero-Doppler cut is then an exact delta.  Returns (len(dopplers), hi - lo).
     """
-    x = np.asarray(waveform, dtype=complex)
-    lags = np.asarray(lags, dtype=int)
+    x = np.concatenate([pair.a, pair.b]).astype(complex)
     dopplers = np.asarray(dopplers, dtype=float)
     if np.any(np.abs(dopplers) > 1 / (2 * ts)):
         raise ValueError("doppler grid exceeds +-1/(2 Ts)")
     n = np.arange(len(x))
-    out = np.empty((len(dopplers), len(lags)))
+    out = np.empty((len(dopplers), window[1] - window[0]))
     for i, nu in enumerate(dopplers):
         z = x * np.exp(2j * np.pi * nu * n * ts)
-        out[i] = np.abs(2 * len(pair) * golay_pair_correlate(z, pair, lags=lags, gate=0))
+        out[i] = np.abs(2 * len(pair) * golay_pair_correlate(z, pair, window, gate=0))
     return out
 
 
@@ -320,14 +320,14 @@ def _rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, point, trial])
 
 
-def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
-    """One end-to-end detection trial; returns 1.0 when the target is declared.
+def _detection_trial(template, scen, scnr_db, rng) -> float:
+    """One end-to-end detection trial; returns its matched preamble statistic.
 
     The statistic is the oversampled matched-filter correlation of the raw
     received stream with the shaped preamble, searched over the scenario's
-    delay-uncertainty window around the expected echo lag; threshold set for
-    the per-cell false-alarm rate from the known noise variance.  ``template``
-    is the preamble shaped at the scenario's oversampled rate.
+    delay-uncertainty window around the expected echo lag; the pipeline
+    compares it with the threshold.  ``template`` is the preamble shaped at
+    the scenario's oversampled rate.
     """
     target = scen.targets[0]
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
@@ -339,7 +339,7 @@ def _detection_trial(pfa, template, scen, scnr_db, rng) -> float:
     lag0 = int(np.round(target.delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
     stat, _ = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
-    return 1.0 if stat > cfar_threshold(sigma_cn2, pfa) else 0.0
+    return stat
 
 
 def _range_trial(template, scen, scnr_db, rng) -> tuple[float, float]:
@@ -481,11 +481,13 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
-    trial = partial(_detection_trial, spec.pfa, template)  # a (scen, value, rng) trial
+    trial = partial(_detection_trial, template)  # a (scen, value, rng) trial
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
-    hits = _monte_carlo(trial, spec, points, workers)
-    for scnr_db, hit in zip(spec.sweep, hits):
-        pd = float(np.mean(hit))
+    stats = _monte_carlo(trial, spec, points, workers)
+    for scnr_db, stat in zip(spec.sweep, stats):
+        # the per-cell threshold for the known noise variance sigma_cn^2
+        threshold = cfar_threshold(1.0 / 10 ** (scnr_db / 10), spec.pfa)
+        pd = float(np.mean(stat > threshold))
         table.add(scnr_db, "pd", pd, spec.trials, _binomial_halfwidth(pd, spec.trials))
         table.add(
             scnr_db, "pd_theory",
@@ -686,14 +688,12 @@ def _run_crlb(spec: ExperimentSpec, workers: int) -> ResultTable:
 def _run_ambiguity(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    pair = DEFAULT_PREAMBLE.pair512
-    waveform = np.concatenate([pair.a, pair.b]).astype(complex)
-    lags = np.arange(-64, 65)
+    window = (-64, 65)
     dopplers = np.asarray(spec.doppler_grid or (0.0,), dtype=float)
-    amb = ambiguity_function(waveform, lags, dopplers, scen.ts, pair=pair)
+    amb = ambiguity_function(window, dopplers, scen.ts, DEFAULT_PREAMBLE.pair512)
     for i, nu in enumerate(dopplers):
-        for j, lag in enumerate(lags):
-            table.add(int(lag), f"mag@nu={_fmt(nu)}Hz", amb[i, j])
+        for j, lag in enumerate(range(*window)):
+            table.add(lag, f"mag@nu={_fmt(nu)}Hz", amb[i, j])
     return table
 
 

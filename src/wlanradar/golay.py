@@ -88,83 +88,66 @@ def aperiodic_autocorr(seq) -> np.ndarray:
 def golay_pair_correlate(
     rx,
     pair: GolayPair,
-    lags,
+    window: tuple[int, int],
     gate: int | None = None,
 ) -> np.ndarray:
     """Correlate a received stream against the concatenated pair [a b].
 
-    Computes, for each requested lag l,
+    Computes, for each lag l in the half-open window [lo, hi),
 
         gamma(l) = (1/2N) * ( sum_n rx[n + l] conj(a[n])
                              + sum_n rx[n + l + N] conj(b[n]) )
 
-    so that a clean, aligned [a b] yields gamma = 1 at its offset.
+    so that a clean, aligned [a b] yields gamma = 1 at its offset.  A lag is
+    the position of the a-window within the stream.
 
     Two windowing modes:
 
-    * gate=None (sliding): gamma(l) = (1/2N) sum_{n<2N} rx[l + n] conj([a b][n])
-      over the zero-extended stream, one correlation against [a b].  Amplitude
-      is exact for shifted copies of the pair, but off-peak values pick up the
-      cross terms between the a/b segments and whatever surrounds them.
-      ``rx`` may stack rows along leading axes, shape (..., L); every row is
-      correlated at the same lags.
+    * gate=None (sliding): gamma(l) = (1/2N) sum_{n<2N} rx[l + n] conj([a b][n]),
+      one correlation of rx[..., lo : hi - 1 + 2N] against [a b].  That read
+      must lie inside the stream; one that leaves it raises ValueError.
+      Amplitude is exact for shifted copies of the pair, but off-peak values
+      pick up the cross terms between the a/b segments and whatever surrounds
+      them.  ``rx`` may stack rows along leading axes, shape (..., L); every
+      row is correlated over the same window.
     * gate=g (segment-gated): rx[g:g+N] and rx[g+N:g+2N] are extracted and
       treated as isolated records (zeros outside).  For an echo aligned to
       the gate the response is the complementary sum R_a + R_b, i.e. an
-      exact delta across every off-peak lag.  This is the form behind the
+      exact delta across every off-peak lag.  The window must lie within the
+      records' lags g - (N - 1) .. g + N - 1.  This is the form behind the
       gated channel estimate (acceptance criterion 2) and the ambiguity
-      bench; detection reads no CEF.  ``rx`` must be 1-d.
+      bench; detection reads no CEF.  ``rx`` must be 1-d, and rx[g : g + 2N]
+      must lie inside it and be finite.
 
-    ``lags`` is an array of lag values, each the position of the a-window
-    within the stream.
+    A non-finite sample read raises ValueError in either mode.
     """
     y = np.asarray(rx, dtype=complex)
     n = len(pair)
-    if y.ndim < 1 or y.shape[-1] < 2 * n:
-        raise ValueError(f"rx must contain at least 2N={2 * n} samples, got {y.shape}")
-    lags = np.asarray(lags, dtype=int)
+    lo, hi = window
+    if hi <= lo:
+        raise ValueError(f"empty lag window {window}")
 
     if gate is None:
-        return _sliding_corr(y, np.concatenate([pair.a, pair.b]), lags) / (2 * n)
+        if lo < 0 or y.ndim < 1 or hi - 1 + 2 * n > y.shape[-1]:
+            raise ValueError(f"the sliding read [{lo}, {hi - 1 + 2 * n}) of lag window "
+                             f"{window} leaves the stream of shape {y.shape}")
+        span = y[..., lo : hi - 1 + 2 * n]
+        return _fft_correlate(span, np.concatenate([pair.a, pair.b]), hi - lo) / (2 * n)
     if y.ndim != 1:
         raise ValueError("segment-gated correlation takes a 1-d stream")
-    a = np.asarray(pair.a, dtype=complex)
-    b = np.asarray(pair.b, dtype=complex)
-    c_a = _segment_corr(y[gate : gate + n], a, lags - gate)
-    c_b = _segment_corr(y[gate + n : gate + 2 * n], b, lags - gate)
+    if gate < 0 or gate + 2 * n > len(y):
+        raise ValueError(f"the gated read [{gate}, {gate + 2 * n}) leaves the "
+                         f"stream of shape {y.shape}")
+    if not (gate - n < lo and hi <= gate + n):
+        raise ValueError(f"lag window {window} leaves the gated records' lags "
+                         f"{gate - n + 1}..{gate + n - 1}")
+    if not np.isfinite(y[gate : gate + 2 * n]).all():
+        raise ValueError("the gated read contains non-finite samples")
+    # np.correlate's 'full' output starts at lag -(N - 1) relative to the gate
+    cut = slice(lo - gate + n - 1, hi - gate + n - 1)
+    c_a = np.correlate(y[gate : gate + n], pair.a.astype(complex), mode="full")[cut]
+    c_b = np.correlate(y[gate + n : gate + 2 * n], pair.b.astype(complex), mode="full")[cut]
     return (c_a + c_b) / (2 * n)
-
-
-def _sliding_corr(y: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_k y[..., lags[i] + k] conj(ref[k]), zero-extended outside y.
-
-    One FFT correlation of the needed span over its hi - lo + 1 lags, read at
-    the lags; a non-finite sample in the span raises ValueError.
-    """
-    n = len(ref)
-    lo = int(lags.min())
-    hi = int(lags.max())
-    # the span starts at lag lo; one that leaves y is a zero-extended copy
-    # of the part inside it, so the lags that leave y read its zeros
-    if 0 <= lo and hi + n <= y.shape[-1]:
-        span = y[..., lo : hi + n]
-    else:
-        seg_lo = max(lo, 0)
-        seg_hi = max(seg_lo, min(hi + n, y.shape[-1]))
-        span = np.zeros(y.shape[:-1] + (hi + n - lo,), dtype=complex)
-        span[..., seg_lo - lo : seg_hi - lo] = y[..., seg_lo:seg_hi]
-    return _fft_correlate(span, ref, hi - lo + 1)[..., lags - lo]
-
-
-def _segment_corr(seg: np.ndarray, ref: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Correlation against an isolated record: zeros assumed outside seg."""
-    c_full = np.correlate(seg, ref, mode="full")  # lags -(n-1)..len(seg)-1
-    n = len(ref)
-    out = np.zeros(len(lags), dtype=complex)
-    idx = lags + (n - 1)
-    ok = (idx >= 0) & (idx < len(c_full))
-    out[ok] = c_full[idx[ok]]
-    return out
 
 
 def load_golay_pair(path_a, path_b) -> GolayPair:

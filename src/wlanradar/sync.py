@@ -82,8 +82,12 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
     processor at the cost of structured cross-term sidelobes from the
     surrounding preamble symbols.  The sliding mode also takes stacked rows
     (..., L) and returns (..., 512): one estimate per row, e.g. per frame.
+
+    Bins 0..511 are the lag window (start - 256, start + 256) of
+    ``golay.golay_pair_correlate``: the gated mode reads y[start : start + 1024],
+    the sliding mode y[..., start - 256 : start + 1279], and either read
+    must lie inside the stream and be finite, or ValueError is raised.
     """
-    y = np.asarray(y, dtype=complex)
-    lags = start - CEF_PEAK_BIN + np.arange(512)
+    window = (start - CEF_PEAK_BIN, start - CEF_PEAK_BIN + 512)
     gate = start if gated else None
-    return golay_pair_correlate(y, preamble.pair512, lags=lags, gate=gate)
+    return golay_pair_correlate(y, preamble.pair512, window, gate=gate)

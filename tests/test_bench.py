@@ -33,11 +33,11 @@ def _blas_threads(scen, value, rng):
 class TestAmbiguity:
     def setup_method(self):
         self.pair = generate_golay_pair(512)
-        self.waveform = np.concatenate([self.pair.a, self.pair.b]).astype(complex)
 
     def test_zero_doppler_pair_cut_is_delta(self):
-        lags = np.arange(-64, 65)
-        amb = ambiguity_function(self.waveform, lags, [0.0], TS, pair=self.pair)
+        window = (-64, 65)
+        lags = np.arange(*window)
+        amb = ambiguity_function(window, [0.0], TS, self.pair)
         peak = np.argmax(amb[0])
         assert lags[peak] == 0
         assert amb[0, peak] == pytest.approx(1024.0)
@@ -48,13 +48,13 @@ class TestAmbiguity:
         # peak decays as the Doppler shift grows
         t_p = 1024 * TS
         dopplers = [0.0, 0.25 / t_p, 0.5 / t_p, 1.0 / t_p]
-        amb = ambiguity_function(self.waveform, [0], dopplers, TS, pair=self.pair)
+        amb = ambiguity_function((0, 1), dopplers, TS, self.pair)
         peaks = amb[:, 0]
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
     def test_doppler_grid_bounded(self):
         with pytest.raises(ValueError):
-            ambiguity_function(self.waveform, [0], [W], TS, pair=self.pair)
+            ambiguity_function((0, 1), [W], TS, self.pair)
 
 
 class TestDataRate:

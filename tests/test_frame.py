@@ -59,7 +59,7 @@ class TestCef:
         a128 = generate_golay_pair(128).a.astype(float)
         rx = np.concatenate([-a128, DEFAULT_PREAMBLE.cef, np.zeros(64)]).astype(complex)
         pair = generate_golay_pair(512)
-        g = golay_pair_correlate(rx, pair, lags=np.arange(0, 256))
+        g = golay_pair_correlate(rx, pair, (0, 256))
         assert np.argmax(np.abs(g)) == 256 - 128
 
 

@@ -75,7 +75,7 @@ class TestPairCorrelator:
         self.clean = np.concatenate([self.pair.a, self.pair.b]).astype(complex)
 
     def test_clean_pair_peak_is_one(self):
-        g = golay_pair_correlate(self.clean, self.pair, np.arange(1))
+        g = golay_pair_correlate(self.clean, self.pair, (0, 1))
         assert g.shape == (1,)
         assert abs(g[0] - 1.0) < 1e-12
 
@@ -84,106 +84,127 @@ class TestPairCorrelator:
         x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
         y = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
         a, b = 0.7 - 0.2j, -1.3 + 0.5j
-        lags = np.arange(0, 512)
-        gx = golay_pair_correlate(x, self.pair, lags)
-        gy = golay_pair_correlate(y, self.pair, lags)
-        gxy = golay_pair_correlate(a * x + b * y, self.pair, lags)
+        window = (0, 512)
+        gx = golay_pair_correlate(x, self.pair, window)
+        gy = golay_pair_correlate(y, self.pair, window)
+        gxy = golay_pair_correlate(a * x + b * y, self.pair, window)
         assert np.allclose(gxy, a * gx + b * gy, atol=1e-10)
 
     def test_complex_gain_passthrough(self):
         alpha = 0.3 - 1.1j
-        g = golay_pair_correlate(alpha * self.clean, self.pair, np.arange(1))
+        g = golay_pair_correlate(alpha * self.clean, self.pair, (0, 1))
         assert abs(g[0] - alpha) < 1e-12
 
     def test_shift_property_amplitude_exact(self):
         # delayed clean CEF: sliding-mode peak at the shift with amplitude 1
         rx = np.concatenate([np.zeros(3), self.clean, np.zeros(16)])
-        lags = np.arange(0, 8)
-        g = golay_pair_correlate(rx, self.pair, lags)
+        g = golay_pair_correlate(rx, self.pair, (0, 8))
         assert np.argmax(np.abs(g)) == 3
         assert abs(g[3] - 1.0) < 1e-12
 
     def test_gated_mode_is_exact_delta(self):
         # isolated-record complementary sum: zero at every off-peak lag
         rx = np.concatenate([np.zeros(600), self.clean, np.zeros(600)])
-        lags = 600 + np.arange(-256, 256)
-        g = golay_pair_correlate(rx, self.pair, lags, gate=600)
+        g = golay_pair_correlate(rx, self.pair, (600 - 256, 600 + 256), gate=600)
         peak = np.argmax(np.abs(g))
         assert peak == 256
         assert abs(g[peak] - 1.0) < 1e-12
         off = np.delete(np.abs(g), peak)
         assert off.max() == 0.0
 
+    def test_gated_mode_reads_every_record_lag(self):
+        # the window may span all 2N - 1 lags of the isolated records
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+        g = golay_pair_correlate(y, self.pair, (300 - 511, 300 + 512), gate=300)
+        ref = (np.correlate(y[300:812], self.pair.a, "full")
+               + np.correlate(y[812:1324], self.pair.b, "full")) / 1024
+        assert np.array_equal(g, ref)
+
     def test_sliding_mode_is_the_two_half_sum(self):
-        # one [a b] correlation equals the a-half plus the b-half definition,
-        # with the stream zero-extended at both ends; the second lag set lies
-        # inside the stream
+        # one [a b] correlation equals the a-half plus the b-half definition
         rng = np.random.default_rng(3)
         y = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
-        pad = np.concatenate([np.zeros(64), y, np.zeros(1100)])
-        for lags in (np.arange(-40, 530), np.arange(100, 477)):
-            g = golay_pair_correlate(y, self.pair, lags)
-            ref = np.array([
-                np.dot(pad[64 + l : 64 + l + 512], self.pair.a)
-                + np.dot(pad[64 + l + 512 : 64 + l + 1024], self.pair.b)
-                for l in lags
-            ]) / 1024
-            assert np.max(np.abs(g - ref)) < 1e-12
+        g = golay_pair_correlate(y, self.pair, (100, 477))
+        ref = np.array([
+            np.dot(y[l : l + 512], self.pair.a) + np.dot(y[l + 512 : l + 1024], self.pair.b)
+            for l in range(100, 477)
+        ]) / 1024
+        assert np.max(np.abs(g - ref)) < 1e-12
 
     def test_sliding_mode_takes_stacked_rows(self):
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((2, 3, 1300)) + 1j * rng.standard_normal((2, 3, 1300))
-        lags = np.arange(-10, 200)
-        g = golay_pair_correlate(rows, self.pair, lags)
-        assert g.shape == (2, 3, len(lags))
+        window = (10, 200)
+        g = golay_pair_correlate(rows, self.pair, window)
+        assert g.shape == (2, 3, 190)
         for i in range(2):
             for j in range(3):
-                assert np.array_equal(g[i, j], golay_pair_correlate(rows[i, j], self.pair, lags))
+                assert np.array_equal(g[i, j], golay_pair_correlate(rows[i, j], self.pair, window))
 
     @pytest.mark.parametrize("shape, lags", [
-        ((1500,), np.arange(100, 477)),               # inside the stream
-        ((1500,), np.arange(-40, 530)),               # leaves it at both ends
-        ((4, 1535), np.arange(512)),                  # the map bench's stacked reads
-        ((4, 1535), np.arange(-7, 600)),
-        ((3, 1300), np.array([250, 5, -3, 276, 17])),  # unordered, non-contiguous
-        ((4, 1536), np.arange(513)),                  # the span is the whole row
+        ((1500,), (100, 477)),    # inside the stream; the read ends at its end
+        ((1500,), (0, 400)),      # the read starts at the stream's start
+        ((4, 1535), (0, 512)),    # the map bench's stacked reads: the whole row
+        ((4, 1535), (7, 400)),    # strictly inside every row
+        ((3, 1300), (5, 277)),    # the read ends at the row's end
+        ((4, 1536), (0, 513)),    # the whole row, one sample longer
     ])
     def test_sliding_mode_equals_fftconvolve(self, shape, lags):
-        # bit for bit one circular correlation of the zero-extended span as
-        # long as its next fast length, and within rounding of the linear
+        # ``lags`` is the half-open lag window (lo, hi): bit for bit one
+        # circular correlation of the read rx[..., lo : hi - 1 + 2N] as long
+        # as its next fast length, and within rounding of the linear
         # valid-mode fftconvolve against conj([a b] reversed)
         from scipy import fft as sp_fft
         from scipy.signal import fftconvolve
 
-        rng = np.random.default_rng(len(lags))
+        rng = np.random.default_rng(lags[1] - lags[0])
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = np.concatenate([self.pair.a, self.pair.b])
         n = len(ref)
-        lo, hi = lags.min(), lags.max()
-        seg_lo, seg_hi = max(lo, 0), min(hi + n, shape[-1])
-        pad = [(0, 0)] * (y.ndim - 1) + [(seg_lo - lo, hi + n - seg_hi)]
-        seg = np.pad(y[..., seg_lo:seg_hi], pad)
+        lo, hi = lags
+        seg = y[..., lo : hi - 1 + n]
         nfft = sp_fft.next_fast_len(seg.shape[-1], False)
         spec = sp_fft.fft(seg, nfft, axis=-1) * np.conj(sp_fft.fft(ref, nfft))
-        circular = sp_fft.ifft(spec, axis=-1)[..., lags - lo] / n
+        circular = sp_fft.ifft(spec, axis=-1)[..., : hi - lo] / n
         got = golay_pair_correlate(y, self.pair, lags)
         assert np.array_equal(got, circular)
         kernel = np.conj(ref[::-1]).reshape((1,) * (y.ndim - 1) + (n,))
-        expected = fftconvolve(seg, kernel, mode="valid", axes=-1)[..., lags - lo] / n
+        expected = fftconvolve(seg, kernel, mode="valid", axes=-1) / n
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("lags", [np.arange(-3000, -2000), np.arange(4100, 4200)])
-    def test_sliding_mode_is_zero_off_the_stream(self, lags):
+    @pytest.mark.parametrize("lags", [(-3000, -2000), (4100, 4200), (-1, 10), (2900, 2978)])
+    def test_window_leaving_the_stream_raises(self, lags):
+        # the last of the 4000 samples is read at lag 2976; no sample outside
+        # the stream is ever read as zero
         y = np.ones(4000, dtype=complex)
-        assert np.array_equal(golay_pair_correlate(y, self.pair, lags), np.zeros(len(lags)))
+        assert np.isfinite(golay_pair_correlate(y, self.pair, (2900, 2977))).all()
+        with pytest.raises(ValueError, match="leaves"):
+            golay_pair_correlate(y, self.pair, lags)
+
+    @pytest.mark.parametrize("gate, lags", [
+        (0, (-512, 0)),        # one lag before the records' first
+        (0, (0, 513)),         # one lag past their last
+        (-1, (0, 4)),          # the gate starts before the stream
+        (3000, (3000, 3004)),  # the records run past its end
+    ])
+    def test_gated_read_leaving_its_records_raises(self, gate, lags):
+        with pytest.raises(ValueError, match="leaves"):
+            golay_pair_correlate(np.ones(4000, dtype=complex), self.pair, lags, gate=gate)
+
+    @pytest.mark.parametrize("lags", [(4, 4), (10, 3)])
+    def test_empty_window_rejected(self, lags):
+        for gate in (None, 0):
+            with pytest.raises(ValueError, match="empty"):
+                golay_pair_correlate(np.ones(2000, dtype=complex), self.pair, lags, gate=gate)
 
     def test_gated_mode_rejects_stacked_rows(self):
         with pytest.raises(ValueError):
-            golay_pair_correlate(np.zeros((2, 1100)), self.pair, np.arange(4), gate=0)
+            golay_pair_correlate(np.zeros((2, 1100)), self.pair, (0, 4), gate=0)
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
-            golay_pair_correlate(np.zeros(1000), self.pair, np.arange(1))
+            golay_pair_correlate(np.zeros(1000), self.pair, (0, 1))
 
 
 class TestOverrides:

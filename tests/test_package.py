@@ -2,6 +2,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -125,3 +126,61 @@ def test_perfbench_map_probe_on_no_detections(tracing):
         tracer, np.recarray(0, dtype=MapDetection))
     assert tracer.counts["radar.map_detections"] == 0
     assert tracer.counts["radar.map_true_found"] == 0
+
+
+def _same(a, b) -> bool:
+    """Equal contents, recursing into containers; arrays compare by value and dtype."""
+    import numpy as np
+
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+def test_no_module_level_mutable_state():
+    # running every experiment kind leaves each dict, list, set and array
+    # global of the package the same object with the same contents
+    import copy
+
+    import numpy as np
+
+    from wlanradar import bench
+
+    def mutable_globals():
+        return {
+            (name, attr): obj
+            for name in MODULES
+            for attr, obj in vars(importlib.import_module(name)).items()
+            if isinstance(obj, (dict, list, set, np.ndarray)) and attr != "__builtins__"
+        }
+
+    before = mutable_globals()
+    snapshots = copy.deepcopy(before)
+    assert ("wlanradar.bench", "_PIPELINES") in before
+    scen = bench.Scenario(n_frames=2, frame_k=4096, header_len=0)
+    specs = [
+        bench.ExperimentSpec(kind="ambiguity", doppler_grid=(0.0, 1e6), trials=1),
+        bench.ExperimentSpec(kind="detection", sweep=(-20.0,), trials=2, seed=1),
+        bench.ExperimentSpec(kind="range-mse", sweep=(10.0,), trials=2, seed=1),
+        bench.ExperimentSpec(kind="velocity-mse", scenario=scen, sweep=(10.0,), trials=2),
+        bench.ExperimentSpec(kind="tradeoff", sweep=(2,), trials=2, seed=1),
+        bench.ExperimentSpec(kind="linkbudget", sweep=(50.0,), trials=1),
+        bench.ExperimentSpec(kind="ddmap", scenario=replace(bench.two_vehicle_scenario(),
+                                                             n_frames=2),
+                             sweep=(20.0,), trials=1, seed=1),
+        bench.ExperimentSpec(kind="crlb", sweep=(0.0,), trials=1),
+    ]
+    assert sorted(s.kind for s in specs) == sorted(bench._PIPELINES)
+    for spec in specs:
+        bench.run_experiment(spec)
+    after = mutable_globals()
+    assert after.keys() == before.keys()
+    for key, obj in before.items():
+        assert after[key] is obj, f"{key} was rebound"
+        assert _same(obj, snapshots[key]), f"{key} was mutated"

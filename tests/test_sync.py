@@ -262,6 +262,29 @@ class TestChannelEstimate:
             with pytest.raises(ValueError, match="non-finite"):
                 estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gated_mode_rejects_a_nonfinite_sample(self, bad):
+        # the gated estimate at 2176 reads samples 2176..3199 alone; one bad
+        # sample there is refused with no warning
+        y = np.ones(4500, dtype=complex)
+        y[3200] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(estimate_channel_cef(y, 2176)).all()
+            y[2500] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate_channel_cef(y, 2176)
+
+    def test_read_leaving_the_stream_raises(self):
+        # either mode's read must lie inside the stream: no zeros are read
+        y = np.ones(3455, dtype=complex)
+        assert estimate_channel_cef(y, 2176, gated=False).shape == (512,)
+        with pytest.raises(ValueError, match="leaves"):
+            estimate_channel_cef(y[:-1], 2176, gated=False)
+        assert estimate_channel_cef(y[:3200], 2176).shape == (512,)
+        with pytest.raises(ValueError, match="leaves"):
+            estimate_channel_cef(y[:3199], 2176)
+
     def test_peak_unbiased_in_noise(self):
         h0 = 1.0
         rng = np.random.default_rng(14)
@@ -313,6 +336,26 @@ class TestPipeline:
             lag, refined = preamble_delay(rx, TEMPLATE, search)
             assert lag == 587 * Q
             assert refined == pytest.approx(lag, abs=1e-2)
+
+    def test_readme_override_example_runs(self, tmp_path, monkeypatch):
+        # README's Golay-override block, run as written against pair files of
+        # a complementary pair other than the default one
+        import re
+        import textwrap
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+                  if "load_golay_pair(" in b]
+        assert len(blocks) == 1
+        base = generate_golay_pair(512)
+        (tmp_path / "a512.txt").write_text("\n".join(str(v) for v in base.b))
+        (tmp_path / "b512.txt").write_text("\n".join(str(v) for v in base.a))
+        monkeypatch.chdir(tmp_path)
+        ns = {}
+        exec(textwrap.dedent(blocks[0]), ns)
+        assert not np.array_equal(ns["p"].pair512.a, DEFAULT_PREAMBLE.pair512.a)
+        assert ns["lag"] == round(ns["target"].delay() * W * Q)
 
     def test_override_pair_full_chain(self, reversed_preamble):
         p = reversed_preamble

@@ -277,10 +277,10 @@ def ambiguity_function(
     """|ambiguity| over (doppler, lag) of the time-multiplexed pair [a b].
 
     The Doppler-shifted waveform x[n] e^{j2pi nu n Ts}, x = [a b], is
-    processed through the segment-gated pair correlator at gate 0 over the
-    half-open lag window (lo, hi), whose lags must lie within -(N - 1)..N - 1
-    (scaled by 2N so the zero-Doppler peak equals the total energy); the
-    zero-Doppler cut is then an exact delta.  Returns (len(dopplers), hi - lo).
+    processed through the cyclic pair correlator at gate 0 over the
+    half-open lag window (lo, hi) of at most N lags (scaled by 2N so the
+    zero-Doppler peak equals the total energy); for a periodic complementary
+    pair, as the CEF's, that cut is an exact delta.  Returns (len(dopplers), hi - lo).
     """
     x = np.concatenate([pair.a, pair.b]).astype(complex)
     dopplers = np.asarray(dopplers, dtype=float)
@@ -627,7 +627,7 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
         cpi /= h_ref
         return cpi
 
-    # each frame's sliding CEF read: 512 lags of the 1024-symbol a|b pair
+    # each frame's sliding CEF read: 512 lags of the 1024-symbol Gu|Gv pair
     rows = synthesize_radar_rx_symbol_rate(
         symbol_windows, scen.rrc, scen.symbol_rate, scen.targets, sigma_cn2, scen.array,
         beams, rng, starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
@@ -690,7 +690,7 @@ def _run_ambiguity(spec: ExperimentSpec, workers: int) -> ResultTable:
     scen = spec.scenario
     window = (-64, 65)
     dopplers = np.asarray(spec.doppler_grid or (0.0,), dtype=float)
-    amb = ambiguity_function(window, dopplers, scen.ts, DEFAULT_PREAMBLE.pair512)
+    amb = ambiguity_function(window, dopplers, scen.ts, DEFAULT_PREAMBLE.cef_pair)
     for i, nu in enumerate(dopplers):
         for j, lag in enumerate(range(*window)):
             table.add(lag, f"mag@nu={_fmt(nu)}Hz", amb[i, j])

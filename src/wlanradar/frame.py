@@ -5,8 +5,9 @@ Frame layout at symbol rate:
     [ STF 2176 | CEF 1152 | header | payload ]   -> K symbols total
 
 STF  = 16 repetitions of a_128 followed by -a_128.
-CEF  = [a_512, b_512, -b_128]; the STF's trailing -a_128 doubles as the
-       128-sample cyclic-prefix context for CEF processing.
+CEF  = [Gu_512, Gv_512, Gv_128] from the same pair (802.11ad): Gu_512 =
+       [-b, -a, b, -a], Gv_512 = [-b, a, -b, -a], Gv_128 = -b.  The STF's
+       -a_128 and Gu_512's tail are the two fields' cyclic prefixes.
 
 A coherent processing interval (CPI) is M frames of identical length K;
 the preamble is bit-identical in every frame while header/payload symbols
@@ -34,42 +35,41 @@ __all__ = [
 ]
 
 STF_LEN = 17 * 128          # 16 x a_128 then -a_128
-CEF_LEN = 512 + 512 + 128   # a_512, b_512, -b_128
+CEF_LEN = 512 + 512 + 128   # Gu_512, Gv_512, Gv_128
 PREAMBLE_LEN = STF_LEN + CEF_LEN
 CEF_PEAK_BIN = 256          # on-target channel-estimate bin when synchronized
 
 
 @dataclass(frozen=True, eq=False)
 class Preamble:
-    """The STF and CEF symbols built from one 128 and one 512 Golay pair.
+    """The STF and CEF symbols, all built from one 128 Golay pair (a, b).
 
-    Transmitter and receiver must correlate against the same pairs, so a
-    caller substituting a pair (e.g. one loaded with ``load_golay_pair``)
+    Transmitter and receiver must correlate against the same sequences, so
+    a caller substituting a pair (e.g. one loaded with ``load_golay_pair``)
     passes the same value to frame assembly and to the sync functions that
-    correlate against the sequences.  ``stf``, ``cef`` and ``symbols`` (STF
-    then CEF) are read-only.  Equality is identity: the fields are arrays.
+    correlate against the sequences.  ``stf``, ``cef``, ``symbols`` (STF
+    then CEF) and ``cef_pair`` (Gu_512, Gv_512) are read-only.  Equality is
+    identity: the fields are arrays.
     """
 
     pair128: GolayPair = field(default_factory=lambda: generate_golay_pair(128))
-    pair512: GolayPair = field(default_factory=lambda: generate_golay_pair(512))
     stf: np.ndarray = field(init=False, repr=False)
     cef: np.ndarray = field(init=False, repr=False)
     symbols: np.ndarray = field(init=False, repr=False)
+    cef_pair: GolayPair = field(init=False, repr=False)
 
     def __post_init__(self):
-        for n, pair in ((128, self.pair128), (512, self.pair512)):
-            if len(pair) != n:
-                raise ValueError(f"pair has length {len(pair)}, expected {n}")
-            if not pair.is_complementary():
-                raise ValueError(f"length-{n} pair fails the complementarity check")
-        a128, b128 = self.pair128.a, self.pair128.b
+        if len(self.pair128) != 128 or not self.pair128.is_complementary():
+            raise ValueError("pair128 must be a complementary pair of length 128")
+        a, b = self.pair128.a, self.pair128.b
         symbols = np.concatenate(
-            [np.tile(a128, 16), -a128, self.pair512.a, self.pair512.b, -b128]
+            [np.tile(a, 16), -a, -b, -a, b, -a, -b, a, -b, -a, -b]
         ).astype(float)
         symbols.flags.writeable = False
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "stf", symbols[:STF_LEN])
         object.__setattr__(self, "cef", symbols[STF_LEN:])
+        object.__setattr__(self, "cef_pair", GolayPair(*self.cef[:1024].reshape(2, 512)))
 
 
 DEFAULT_PREAMBLE = Preamble()

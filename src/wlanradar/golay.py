@@ -1,11 +1,11 @@
 """Golay complementary sequence pairs and the correlators built on them.
 
-The 802.11ad SC PHY preamble is assembled from binary Golay complementary
-pairs (a_N, b_N) for N in {128, 256, 512}.  The defining property is that
-the aperiodic autocorrelations of the two sequences sum to a Kronecker
-delta: R_a[k] + R_b[k] = 2N for k = 0 and exactly 0 elsewhere.  Receivers
-exploit this by correlating the received pair with both halves and summing,
-which collapses the pair into a single-sample channel probe.
+The 802.11ad SC PHY preamble is assembled from one binary Golay
+complementary pair (a_128, b_128).  The defining property is that the
+aperiodic autocorrelations of the two sequences sum to a Kronecker delta:
+R_a[k] + R_b[k] = 2N for k = 0 and exactly 0 elsewhere.  Receivers exploit
+this by correlating the received pair with both halves and summing, which
+collapses the pair into a single-sample channel probe.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GolayPair:
-    """A binary (+1/-1) Golay complementary pair of equal length."""
+    """A binary (+1/-1) pair of equal length: Golay complementary (``is_complementary``),
+    or, like the CEF's (Gu_512, Gv_512), complementary only in the periodic sense."""
 
     a: np.ndarray
     b: np.ndarray
@@ -110,14 +111,14 @@ def golay_pair_correlate(
       pick up the cross terms between the a/b segments and whatever surrounds
       them.  ``rx`` may stack rows along leading axes, shape (..., L); every
       row is correlated over the same window.
-    * gate=g (segment-gated): rx[g:g+N] and rx[g+N:g+2N] are extracted and
-      treated as isolated records (zeros outside).  For an echo aligned to
-      the gate the response is the complementary sum R_a + R_b, i.e. an
-      exact delta across every off-peak lag.  The window must lie within the
-      records' lags g - (N - 1) .. g + N - 1.  This is the form behind the
-      gated channel estimate (acceptance criterion 2) and the ambiguity
-      bench; detection reads no CEF.  ``rx`` must be 1-d, and rx[g : g + 2N]
-      must lie inside it and be finite.
+    * gate=g (cyclic, the standard's CEF estimate): the records rx[g:g+N]
+      and rx[g+N:g+2N] are read cyclically, each index n + l - g mod N, over
+      a window of at most N lags.  For a periodic complementary pair, records
+      that are cyclic shifts of a and b give a delta, exact within rounding,
+      across all N lags.  This is the form behind the gated channel estimate
+      (acceptance criterion 2) and the ambiguity bench; detection reads no
+      CEF.  ``rx`` must be 1-d, and rx[g : g + 2N] must lie inside it and be
+      finite.
 
     A non-finite sample read raises ValueError in either mode.
     """
@@ -134,20 +135,18 @@ def golay_pair_correlate(
         span = y[..., lo : hi - 1 + 2 * n]
         return _fft_correlate(span, np.concatenate([pair.a, pair.b]), hi - lo) / (2 * n)
     if y.ndim != 1:
-        raise ValueError("segment-gated correlation takes a 1-d stream")
+        raise ValueError("cyclic correlation takes a 1-d stream")
     if gate < 0 or gate + 2 * n > len(y):
         raise ValueError(f"the gated read [{gate}, {gate + 2 * n}) leaves the "
                          f"stream of shape {y.shape}")
-    if not (gate - n < lo and hi <= gate + n):
-        raise ValueError(f"lag window {window} leaves the gated records' lags "
-                         f"{gate - n + 1}..{gate + n - 1}")
+    if hi - lo > n:
+        raise ValueError(f"lag window {window} leaves the records' {n} cyclic lags")
     if not np.isfinite(y[gate : gate + 2 * n]).all():
         raise ValueError("the gated read contains non-finite samples")
-    # np.correlate's 'full' output starts at lag -(N - 1) relative to the gate
-    cut = slice(lo - gate + n - 1, hi - gate + n - 1)
-    c_a = np.correlate(y[gate : gate + n], pair.a.astype(complex), mode="full")[cut]
-    c_b = np.correlate(y[gate + n : gate + 2 * n], pair.b.astype(complex), mode="full")[cut]
-    return (c_a + c_b) / (2 * n)
+    # each record extended by its first N - 1 samples: one period of cyclic lags
+    c = sum(np.correlate(np.concatenate([r, r[:-1]]), ref.astype(complex), "valid")
+            for r, ref in zip(y[gate : gate + 2 * n].reshape(2, n), (pair.a, pair.b)))
+    return c[np.arange(lo - gate, hi - gate) % n] / (2 * n)
 
 
 def load_golay_pair(path_a, path_b) -> GolayPair:

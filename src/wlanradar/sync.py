@@ -68,20 +68,20 @@ def fine_timing_preamble(y, window: tuple[int, int],
 
 def estimate_channel_cef(y, start: int, gated: bool = True,
                          preamble: Preamble = DEFAULT_PREAMBLE) -> np.ndarray:
-    """512-bin channel estimate from the CEF Golay pair correlation.
+    """512-bin channel estimate from the CEF's (Gu_512, Gv_512) correlation.
 
-    ``start`` is the expected position of a_512 in ``y``; bin 256 is the
+    ``start`` is the expected position of Gu_512 in ``y``; bin 256 is the
     on-target bin for a target aligned to it, and a target d samples later
     peaks at bin 256 + d.
 
-    gated=True correlates the extracted a/b fields as isolated records, so
-    the noiseless response is the complementary sum R_a + R_b: an exact
-    delta at the peak bin and exact zeros elsewhere.  gated=False slides
-    the concatenated [a b] over the full stream, which keeps the noise floor
-    uniform across bins and supports the wide-delay-span use of the map
-    processor at the cost of structured cross-term sidelobes from the
-    surrounding preamble symbols.  The sliding mode also takes stacked rows
-    (..., L) and returns (..., 512): one estimate per row, e.g. per frame.
+    gated=True is the standard's cyclic estimate: each 512-symbol field is
+    correlated circularly, so a noiseless echo within 128 samples of
+    ``start`` (its fields' cyclic prefixes) reads an exact delta.  gated=False
+    slides [Gu Gv] over the stream, which keeps the noise floor uniform
+    across bins for the map's wide delay span; a noiseless echo reads exact
+    zeros within 128 bins of its peak and cross terms with the surrounding
+    symbols beyond.  The sliding mode also takes stacked rows (..., L) and
+    returns (..., 512): one estimate per row, e.g. per frame.
 
     Bins 0..511 are the lag window (start - 256, start + 256) of
     ``golay.golay_pair_correlate``: the gated mode reads y[start : start + 1024],
@@ -90,4 +90,4 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
     """
     window = (start - CEF_PEAK_BIN, start - CEF_PEAK_BIN + 512)
     gate = start if gated else None
-    return golay_pair_correlate(y, preamble.pair512, window, gate=gate)
+    return golay_pair_correlate(y, preamble.cef_pair, window, gate=gate)

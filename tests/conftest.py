@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from wlanradar.golay import GolayPair, generate_golay_pair
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -13,3 +15,11 @@ def _child_interpreters_import_src():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", path)
         yield
+
+
+@pytest.fixture(params=["(a, b)", "(b, a)", "(a, -b)"])
+def pair128(request):
+    """The default 128 Golay pair and two others the CEF tests also run with."""
+    p = generate_golay_pair(128)
+    return {"(a, b)": p, "(b, a)": GolayPair(p.b, p.a),
+            "(a, -b)": GolayPair(p.a, -p.b)}[request.param]

@@ -16,7 +16,7 @@ from wlanradar.bench import (
     run_manifest,
     two_vehicle_scenario,
 )
-from wlanradar.golay import generate_golay_pair
+from wlanradar.frame import DEFAULT_PREAMBLE
 
 W = 1.76e9
 TS = 1 / W
@@ -32,7 +32,8 @@ def _blas_threads(scen, value, rng):
 
 class TestAmbiguity:
     def setup_method(self):
-        self.pair = generate_golay_pair(512)
+        # the bench's pair: the CEF's (Gu512, Gv512), periodic complementary
+        self.pair = DEFAULT_PREAMBLE.cef_pair
 
     def test_zero_doppler_pair_cut_is_delta(self):
         window = (-64, 65)
@@ -277,36 +278,36 @@ class TestDeterminism:
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec(kind="detection", sweep=(-24.0, -22.0), trials=40, seed=7,
                         pfa=1e-4),
-         "5119f39c90918fe397f2381c361152b7986534dd47028e97ad39104a28938876"),
+         "e274c0f6e2b53f4c71a008e953746f296e75b978b4fd49e0fb680adb39c298fb"),
         # an approaching target: the echo carries a -60 kHz Doppler ramp
         (ExperimentSpec(kind="detection", scenario=Scenario(targets=(
             Target(range_m=80.0, velocity_mps=-150.0),)), sweep=(-24.0,), trials=100,
             seed=3, pfa=1e-4),
          "ca29c6c8f67bba1c6156296c744682e4810f6b36cf37b8e94601e6d0387005e8"),
         (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
-         "2936a55f390e9cc47ae596484254605b2526254e07fb387b3053dd766bc25de0"),
+         "b564a4dba21de873d9d55d1f6f3d1dc6bd13cfd2d175db45cb3b590ea120f0b6"),
         # enough trials, down to -6 dB, to pin the joint search's phase choices
         (ExperimentSpec(kind="range-mse", sweep=(-6.0, 0.0, 10.0), trials=40, seed=6),
-         "34e1addc269beaea915322aa716a617ba1a5d806a963f0a41307fe6df9f1fe5a"),
+         "52981bf96fcf31f54de296293f34a0df9ff2c1cccc753dd17bed4bf2b1c9f9c2"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
-         "f9fe1b72fde29f6c59a3408cbc4561a0fe469937b3cad166615d28420c4e1e9b"),
+         "101188e25e1f633ee677e5ab0ad55fc260f200c63dba9ce04fa702ed78ed37da"),
         # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
         (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
-         "6b8e551f98caa3f89b4912cf3d12ef51d8e8b49ba08b11a08faae699d9cbf968"),
+         "4d1fc122f526305353147cb85026ab9005fd0dec461df4e274924f5daf2a016a"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
-         "f32c6c0fdaf3d31ee84109b70f6b5668b64666cef7bcc59215a74528d80ca52f"),
+         "12e6e8eb64740268ba6a2af297cf12b6748b60aea7c256d02b2e43dd04ecf86c"),
         # the map bench's own scale: M = 64, a 512 x 1024 grid
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(n_frames=64),
                         sweep=(20.0,), trials=1, seed=3, pfa=1e-4),
-         "0b6f4a970f26868c6e8956401ebd2381a95c0c0b3bb417d341e20d5aa9c5f1c7"),
+         "1ae01755baf9d85e05ef136701b7d0b77fdb6294727e265872d5ed65a8925ad3"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
-         "7237ccf83fc22f842dcbd0efd9e9a6dbda27587b773c4c20fe6be83728ca0ab3"),
+         "a802ae3403facebcda6d5d2695b88cac9970556300fac448176848b4a20133a0"),
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
-         "8abe4865a9213cadbe0df92b377b4d438765dded70db2246432f4f1defa82426"),
+         "3b29e1165f4343ca0a812f71b2c09508aa3f71d1ba47110a539e78da2730dcf3"),
     ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
             "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])

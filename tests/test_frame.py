@@ -43,12 +43,14 @@ class TestCef:
         assert len(DEFAULT_PREAMBLE.cef) == 512 + 512 + 128 == CEF_LEN
 
     def test_structure(self):
+        # Gu512 = [-b, -a, b, -a], Gv512 = [-b, a, -b, -a], Gv128 = -b, all
+        # from the STF's 128 pair; the STF's trailing -a is Gu512's cyclic prefix
+        a, b = generate_golay_pair(128).a, generate_golay_pair(128).b
         cef = DEFAULT_PREAMBLE.cef
-        pair = generate_golay_pair(512)
-        b128 = generate_golay_pair(128).b
-        assert np.array_equal(cef[:512], pair.a)
-        assert np.array_equal(cef[512:1024], pair.b)
-        assert np.array_equal(cef[1024:], -b128)
+        assert np.array_equal(cef, np.concatenate([-b, -a, b, -a, -b, a, -b, -a, -b]))
+        assert np.array_equal(DEFAULT_PREAMBLE.cef_pair.a, cef[:512])
+        assert np.array_equal(DEFAULT_PREAMBLE.cef_pair.b, cef[512:1024])
+        assert np.array_equal(DEFAULT_PREAMBLE.stf[-128:], cef[384:512])
 
     def test_symbols_pm1(self):
         assert set(np.unique(DEFAULT_PREAMBLE.cef)) <= {-1.0, 1.0}
@@ -58,9 +60,21 @@ class TestCef:
         # lag l_CEF - N_CP = 128 from the record start
         a128 = generate_golay_pair(128).a.astype(float)
         rx = np.concatenate([-a128, DEFAULT_PREAMBLE.cef, np.zeros(64)]).astype(complex)
-        pair = generate_golay_pair(512)
-        g = golay_pair_correlate(rx, pair, (0, 256))
+        g = golay_pair_correlate(rx, DEFAULT_PREAMBLE.cef_pair, (0, 256))
         assert np.argmax(np.abs(g)) == 256 - 128
+
+    def test_cef_pair_is_periodic_complementary(self, pair128):
+        # the cyclic autocorrelations of Gu512 and Gv512 sum to 1024 delta;
+        # the aperiodic ones do not
+        cef_pair = Preamble(pair128).cef_pair
+
+        def cyclic(x):
+            return np.array([np.dot(x, np.roll(x, -k)) for k in range(512)])
+
+        expected = np.zeros(512)
+        expected[0] = 1024
+        assert np.array_equal(cyclic(cef_pair.a) + cyclic(cef_pair.b), expected)
+        assert not cef_pair.is_complementary()
 
 
 class TestLayout:
@@ -108,25 +122,24 @@ class TestPreamble:
                 arr[0] = 5.0
 
     def test_wrong_length_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Preamble(pair512=generate_golay_pair(256))
-        with pytest.raises(ValueError):
-            Preamble(pair128=generate_golay_pair(512))
+        for n in (256, 512):
+            with pytest.raises(ValueError):
+                Preamble(pair128=generate_golay_pair(n))
 
     def test_noncomplementary_pair_rejected(self):
-        base = generate_golay_pair(512)
+        base = generate_golay_pair(128)
         bad_b = base.b.copy()
         bad_b[3] *= -1
         with pytest.raises(ValueError):
-            Preamble(pair512=GolayPair(base.a, bad_b))
+            Preamble(pair128=GolayPair(base.a, bad_b))
 
     def test_pairs_feed_stf_and_cef(self):
-        p128, p512 = generate_golay_pair(128), generate_golay_pair(512)
-        swapped = Preamble(pair128=GolayPair(p128.b, p128.a),
-                           pair512=GolayPair(p512.b, p512.a))
+        p128 = generate_golay_pair(128)
+        swapped = Preamble(pair128=GolayPair(p128.b, p128.a))
         assert np.array_equal(swapped.stf[:128], p128.b)
-        assert np.array_equal(swapped.cef[:512], p512.b)
+        assert np.array_equal(swapped.cef[:128], -p128.a)
         assert np.array_equal(swapped.cef[1024:], -p128.a)
+        assert np.array_equal(swapped.cef_pair.b, swapped.cef[512:1024])
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0,
                                preamble=swapped)
         assert np.array_equal(frame, swapped.symbols)
@@ -158,8 +171,8 @@ class TestCpi:
         # frame f's payload is what assemble_frame draws from the generator
         # of child f; this also fails if a numpy release changes how
         # integers(0, 2) reads the PCG64 stream
-        p512 = generate_golay_pair(512)
-        preamble = (Preamble(pair512=GolayPair(p512.b, p512.a)) if custom
+        p128 = generate_golay_pair(128)
+        preamble = (Preamble(pair128=GolayPair(p128.b, p128.a)) if custom
                     else DEFAULT_PREAMBLE)
         layout = FrameLayout(k=4000, header_len=128)
         m, seed = 5, 21

@@ -103,7 +103,7 @@ class TestPairCorrelator:
         assert abs(g[3] - 1.0) < 1e-12
 
     def test_gated_mode_is_exact_delta(self):
-        # isolated-record complementary sum: zero at every off-peak lag
+        # cyclic complementary sum: zero at every off-peak lag
         rx = np.concatenate([np.zeros(600), self.clean, np.zeros(600)])
         g = golay_pair_correlate(rx, self.pair, (600 - 256, 600 + 256), gate=600)
         peak = np.argmax(np.abs(g))
@@ -113,13 +113,19 @@ class TestPairCorrelator:
         assert off.max() == 0.0
 
     def test_gated_mode_reads_every_record_lag(self):
-        # the window may span all 2N - 1 lags of the isolated records
+        # the window may hold all N cyclic lags of the records, starting
+        # anywhere: lag l reads each record rotated by (l - gate) mod N
         rng = np.random.default_rng(2)
         y = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
-        g = golay_pair_correlate(y, self.pair, (300 - 511, 300 + 512), gate=300)
-        ref = (np.correlate(y[300:812], self.pair.a, "full")
-               + np.correlate(y[812:1324], self.pair.b, "full")) / 1024
-        assert np.array_equal(g, ref)
+        a_rec, b_rec = y[300:812], y[812:1324]
+        for lo in (300 - 511, 300, 300 + 700):
+            g = golay_pair_correlate(y, self.pair, (lo, lo + 512), gate=300)
+            ref = np.array([
+                np.dot(np.roll(a_rec, 300 - l), self.pair.a)
+                + np.dot(np.roll(b_rec, 300 - l), self.pair.b)
+                for l in range(lo, lo + 512)
+            ]) / 1024
+            assert np.max(np.abs(g - ref)) < 1e-12
 
     def test_sliding_mode_is_the_two_half_sum(self):
         # one [a b] correlation equals the a-half plus the b-half definition
@@ -183,8 +189,8 @@ class TestPairCorrelator:
             golay_pair_correlate(y, self.pair, lags)
 
     @pytest.mark.parametrize("gate, lags", [
-        (0, (-512, 0)),        # one lag before the records' first
-        (0, (0, 513)),         # one lag past their last
+        (0, (-513, 0)),        # one lag more than the records' N cyclic lags
+        (0, (0, 513)),         # the same, from the gate on
         (-1, (0, 4)),          # the gate starts before the stream
         (3000, (3000, 3004)),  # the records run past its end
     ])

@@ -44,12 +44,12 @@ def _shaped_at(frame, delay: float) -> np.ndarray:
 
 @pytest.fixture
 def reversed_preamble(tmp_path):
-    """Preamble whose 512 pair is the time-reversed standard pair, loaded from files."""
-    base = generate_golay_pair(512)
-    pa, pb = tmp_path / "a512.txt", tmp_path / "b512.txt"
+    """Preamble whose 128 pair is the time-reversed default pair, loaded from files."""
+    base = generate_golay_pair(128)
+    pa, pb = tmp_path / "a128.txt", tmp_path / "b128.txt"
     pa.write_text("\n".join(str(v) for v in base.a[::-1]))
     pb.write_text("\n".join(str(v) for v in base.b[::-1]))
-    return Preamble(pair512=load_golay_pair(pa, pb))
+    return Preamble(pair128=load_golay_pair(pa, pb))
 
 
 class TestSymbolTiming:
@@ -181,6 +181,32 @@ class TestChannelEstimate:
         off = np.abs(np.delete(h, 256))
         assert off.max() < 1e-10
 
+    def test_gated_estimate_is_a_cyclic_delta(self, pair128):
+        # echoes up to 128 samples late read cyclic shifts of Gu and Gv
+        p = Preamble(pair128)
+        h0 = 0.8 - 0.3j
+        frame = h0 * assemble_frame(FrameLayout(k=4352, header_len=0), seed=0, preamble=p)
+        for d in (0, 1, 50, 127, 128):
+            y = np.zeros(4352 + 128, dtype=complex)
+            y[d : d + 4352] = frame
+            expected = np.zeros(512, dtype=complex)
+            expected[CEF_PEAK_BIN + d] = h0
+            h = estimate_channel_cef(y, STF_LEN, preamble=p)
+            assert np.abs(h - expected).max() <= 1e-12, d
+
+    def test_sliding_estimate_has_a_zero_correlation_zone(self, pair128):
+        # a noiseless echo reads exact zeros within 128 bins of its peak
+        p = Preamble(pair128)
+        h0 = 0.8 - 0.3j
+        y = np.zeros(5000, dtype=complex)
+        y[150 : 150 + 4352] = h0 * assemble_frame(FrameLayout(k=4352, header_len=0),
+                                                  seed=1, preamble=p)
+        h = estimate_channel_cef(y, 150 + STF_LEN, gated=False, preamble=p)
+        assert abs(h[CEF_PEAK_BIN] - h0) <= 1e-12
+        zone = np.delete(h[CEF_PEAK_BIN - 128 : CEF_PEAK_BIN + 129], 128)
+        assert np.abs(zone).max() <= 1e-12
+        assert np.abs(h).max() == np.abs(h[CEF_PEAK_BIN])
+
     def test_delayed_three_samples(self):
         y = np.concatenate([np.zeros(3), DEFAULT_PREAMBLE.symbols, np.zeros(64)]).astype(complex)
         h = estimate_channel_cef(y, 2176)
@@ -234,7 +260,7 @@ class TestChannelEstimate:
         rows[:, 256:1280] += np.exp(0.7j * np.arange(4))[:, None] * DEFAULT_PREAMBLE.cef[:1024]
         h = estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
         assert h.shape == (4, 512)
-        pair = DEFAULT_PREAMBLE.pair512
+        pair = DEFAULT_PREAMBLE.cef_pair
         for row, h_row in zip(rows, h):
             assert np.max(np.abs(h_row - estimate_channel_cef(row, CEF_PEAK_BIN,
                                                               gated=False))) < 1e-12
@@ -348,13 +374,13 @@ class TestPipeline:
         blocks = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
                   if "load_golay_pair(" in b]
         assert len(blocks) == 1
-        base = generate_golay_pair(512)
-        (tmp_path / "a512.txt").write_text("\n".join(str(v) for v in base.b))
-        (tmp_path / "b512.txt").write_text("\n".join(str(v) for v in base.a))
+        base = generate_golay_pair(128)
+        (tmp_path / "a128.txt").write_text("\n".join(str(v) for v in base.b))
+        (tmp_path / "b128.txt").write_text("\n".join(str(v) for v in base.a))
         monkeypatch.chdir(tmp_path)
         ns = {}
         exec(textwrap.dedent(blocks[0]), ns)
-        assert not np.array_equal(ns["p"].pair512.a, DEFAULT_PREAMBLE.pair512.a)
+        assert not np.array_equal(ns["p"].cef, DEFAULT_PREAMBLE.cef)
         assert ns["lag"] == round(ns["target"].delay() * W * Q)
 
     def test_override_pair_full_chain(self, reversed_preamble):

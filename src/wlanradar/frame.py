@@ -123,9 +123,9 @@ def assemble_cpi(
 ) -> np.ndarray:
     """Read windows of a CPI: M frames, identical preambles, fresh payloads.
 
-    The CPI stream s is M concatenated frames; frame f's header/payload
-    symbols are the ones ``assemble_frame`` draws from the generator seeded
-    with child f of ``SeedSequence(seed)``.  Returns the len(starts) x length
+    The CPI stream s is M concatenated frames whose header/payload symbols
+    are one draw, ``default_rng(seed).integers(0, 2, M (K - PREAMBLE_LEN))
+    * 2 - 1``, laid out frame after frame.  Returns the len(starts) x length
     matrix whose row r is s[starts[r] : starts[r] + length], zero outside
     [0, M K).  Only the symbols inside a window are drawn, so the whole CPI,
     ``assemble_cpi(m, layout, [0], m * layout.k, seed)[0]``, is the one call
@@ -134,8 +134,9 @@ def assemble_cpi(
     if m < 1:
         raise ValueError("a CPI needs at least one frame")
     k = layout.k
+    per_frame = k - PREAMBLE_LEN
     out = np.zeros((len(starts), length))
-    # (frame, first and end payload index, row, column) of each payload piece
+    # (first and end index into the CPI's payload draw, row, column) of each piece
     pieces = []
     for r, lo in enumerate(np.asarray(starts, dtype=int).tolist()):
         a, b = max(lo, 0), min(lo + length, m * k)
@@ -147,17 +148,17 @@ def assemble_cpi(
                 out[r, col : col + w - u] = preamble.symbols[u:w]
             if v > PREAMBLE_LEN:
                 p0 = max(u, PREAMBLE_LEN)
-                pieces.append((f, p0 - PREAMBLE_LEN, v - PREAMBLE_LEN, r, f * k + p0 - lo))
+                i0 = f * per_frame + p0 - PREAMBLE_LEN
+                pieces.append((i0, i0 + v - p0, r, f * k + p0 - lo))
 
     # integers(0, 2) reads one 32-bit half of a PCG64 output per symbol, low
     # half first, and returns its top bit: payload symbol i sits in output
     # i // 2, which PCG64.advance reaches without drawing the ones before it
-    children = np.random.SeedSequence(seed).spawn(m)
-    frame = pos = -1
-    for f, i0, i1, r, col in sorted(pieces):
+    bitgen, pos = None, 0
+    for i0, i1, r, col in sorted(pieces):
         j0, j1 = i0 // 2, (i1 + 1) // 2
-        if f != frame or j0 < pos:   # a new frame, or a piece overlapping the last
-            bitgen, frame, pos = np.random.PCG64(children[f]), f, 0
+        if bitgen is None or j0 < pos:   # the first piece, or one overlapping the last
+            bitgen, pos = np.random.PCG64(seed), 0
         bitgen.advance(j0 - pos)
         raw = bitgen.random_raw(j1 - j0).astype("<u8", copy=False)
         halves = raw.view("<u4")[i0 - 2 * j0 : i1 - 2 * j0]

@@ -291,23 +291,23 @@ class TestDeterminism:
          "52981bf96fcf31f54de296293f34a0df9ff2c1cccc753dd17bed4bf2b1c9f9c2"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
-         "101188e25e1f633ee677e5ab0ad55fc260f200c63dba9ce04fa702ed78ed37da"),
+         "b7e432e272d7c7559674ab2d15f4a1223ed7aff6f4443ea1590d821bfce343c7"),
         # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
         (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
-         "4d1fc122f526305353147cb85026ab9005fd0dec461df4e274924f5daf2a016a"),
+         "b7cbb9288d1f98fcba5d8377492771792701a6783522876d6b72cc63e24964bd"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
-         "12e6e8eb64740268ba6a2af297cf12b6748b60aea7c256d02b2e43dd04ecf86c"),
+         "2e5a3c53f17be4b4f96a4409f4f1eb5dc58a91e3bed222a6ad9b3b13c0e2f392"),
         # the map bench's own scale: M = 64, a 512 x 1024 grid
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(n_frames=64),
                         sweep=(20.0,), trials=1, seed=3, pfa=1e-4),
-         "1ae01755baf9d85e05ef136701b7d0b77fdb6294727e265872d5ed65a8925ad3"),
+         "71725bd538954b7717a7a7e2fe6b6c1cad13598afe0d67457d9d1f9a4839daa3"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
-         "a802ae3403facebcda6d5d2695b88cac9970556300fac448176848b4a20133a0"),
+         "d094949b4f08e46f5f9f0d746979e893d2c3e440512acb12b06cd3deeddcb13f"),
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
-         "3b29e1165f4343ca0a812f71b2c09508aa3f71d1ba47110a539e78da2730dcf3"),
+         "8fdeb962823944c8f312727f065cf10fe8ee291443743d36b1d8bff6374604e1"),
     ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
             "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])

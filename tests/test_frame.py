@@ -167,20 +167,19 @@ class TestCpi:
         assert not np.array_equal(frames[0, PREAMBLE_LEN:], frames[1, PREAMBLE_LEN:])
 
     @pytest.mark.parametrize("custom", [False, True])
-    def test_equals_spawned_frame_concatenation(self, custom):
-        # frame f's payload is what assemble_frame draws from the generator
-        # of child f; this also fails if a numpy release changes how
-        # integers(0, 2) reads the PCG64 stream
+    def test_equals_one_draw_per_cpi(self, custom):
+        # the M frames' header/payload symbols are one integers(0, 2) draw
+        # laid out frame after frame (an odd count per frame here); this also
+        # fails if a numpy release changes how integers(0, 2) reads PCG64
         p128 = generate_golay_pair(128)
         preamble = (Preamble(pair128=GolayPair(p128.b, p128.a)) if custom
                     else DEFAULT_PREAMBLE)
-        layout = FrameLayout(k=4000, header_len=128)
+        layout = FrameLayout(k=4001, header_len=128)
         m, seed = 5, 21
         cpi = _whole_cpi(m, layout, seed, preamble)
-        ref = np.concatenate([
-            assemble_frame(layout, np.random.default_rng(s), preamble)
-            for s in np.random.SeedSequence(seed).spawn(m)
-        ])
+        draw = np.random.default_rng(seed).integers(0, 2, m * (layout.k - PREAMBLE_LEN)) * 2 - 1
+        ref = np.concatenate([np.concatenate([preamble.symbols, d])
+                              for d in draw.reshape(m, -1)]).astype(float)
         assert cpi.shape == ref.shape and cpi.dtype == ref.dtype
         assert cpi.tobytes() == ref.tobytes()
 
@@ -191,7 +190,7 @@ class TestCpi:
         p128 = generate_golay_pair(128)
         preamble = (Preamble(pair128=GolayPair(p128.b, p128.a)) if custom
                     else DEFAULT_PREAMBLE)
-        k = 3700
+        k = 3701   # an odd payload count per frame: pieces start at either half
         layout = FrameLayout(k=k, header_len=16)
         whole = _whole_cpi(m, layout, 33, preamble)
         padded = np.concatenate([np.zeros(2 * k), whole, np.zeros(2 * k)])

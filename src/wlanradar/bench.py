@@ -37,7 +37,7 @@ from .airlink import (
     synthesize_radar_rx,
     synthesize_radar_rx_symbol_rate,
 )
-from .dsp import RrcSpec, pulse_shape
+from .dsp import RrcSpec, _conj_spectrum, pulse_shape
 from .frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -342,9 +342,13 @@ def _detection_trial(template, scen, scnr_db, rng) -> float:
     return stat
 
 
-def _range_trial(template, scen, scnr_db, rng) -> tuple[float, float]:
-    """One range-estimation trial against ``template``, the shaped preamble;
-    returns the squared range errors in m^2 of the peak and of its parabola.
+_RANGE_SEARCH = 384   # symbols the range search spans either side of the expected echo
+
+
+def _range_trial(template, spectrum, scen, scnr_db, rng) -> tuple[float, float]:
+    """One range-estimation trial against ``template``, the shaped preamble,
+    and its conjugate ``spectrum`` for the search's read; returns the squared
+    range errors in m^2 of the peak and of its parabola.
 
     The true range is jittered by up to half a range bin so the Monte Carlo
     samples the sub-sample quantization error of the synchronizer.
@@ -362,7 +366,8 @@ def _range_trial(template, scen, scnr_db, rng) -> tuple[float, float]:
 
     q = scen.oversample
     expect = int(np.round(target.delay() / scen.ts)) * q
-    lags = preamble_delay(rx, template, (expect - 384 * q, expect + 384 * q + 1))
+    window = (expect - _RANGE_SEARCH * q, expect + _RANGE_SEARCH * q + 1)
+    lags = preamble_delay(rx, template, window, spectrum)
     return tuple(float((estimate_range(lag / q, scen.ts) - rho) ** 2) for lag in lags)
 
 
@@ -500,7 +505,9 @@ def _run_range_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
-    trial = partial(_range_trial, template)  # a (scen, value, rng) trial
+    # transformed once, at the length of a whole search's read
+    spectrum = _conj_spectrum(template, 2 * _RANGE_SEARCH * scen.oversample + len(template))
+    trial = partial(_range_trial, template, spectrum)  # a (scen, value, rng) trial
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     errors = _monte_carlo(trial, spec, points, workers)
     for scnr_db, sq in zip(spec.sweep, errors):

@@ -193,19 +193,29 @@ def _xcorr_peak(y: np.ndarray, template: np.ndarray,
     return lo + peak, c[peak]
 
 
-def _fft_correlate(x: np.ndarray, ref: np.ndarray, n_lags: int) -> np.ndarray:
+def _conj_spectrum(ref: np.ndarray, length: int) -> np.ndarray:
+    """conj(FFT(ref)) at next_fast_len(length) points: the reference of
+    ``_fft_correlate`` for reads of up to ``length`` samples."""
+    return np.conj(sp_fft.fft(ref, sp_fft.next_fast_len(length, False)))
+
+
+def _fft_correlate(x: np.ndarray, ref_spec: np.ndarray, n_lags: int) -> np.ndarray:
     """c[..., l] = sum_k x[..., l + k] conj(ref[k]) for l < n_lags, along the last axis.
 
     The search of range timing and the sliding Golay correlator, at thousands
-    of lags: one transform of n >= x.shape[-1] points, so the lags that fit,
-    n_lags <= x.shape[-1] - len(ref) + 1, do not wrap; the product with
-    ref's conjugate spectrum; an inverse in place.  A non-finite sample
+    of lags.  ``ref_spec`` is ``_conj_spectrum(ref, length)``, length >=
+    x.shape[-1], so a caller correlating many reads with one reference
+    transforms it once: one transform of n = len(ref_spec) points, so the
+    lags that fit, n_lags <= x.shape[-1] - len(ref) + 1, do not wrap; the
+    product with ref_spec; an inverse in place.  A non-finite sample
     spreads to every lag of its row: a non-finite c[..., 0] raises ValueError.
     """
-    n = sp_fft.next_fast_len(x.shape[-1], False)
+    n = len(ref_spec)
+    if x.shape[-1] > n:
+        raise ValueError(f"a {x.shape[-1]}-sample read is longer than the {n}-point transform")
     with np.errstate(invalid="ignore", over="ignore"):
         spec = sp_fft.fft(x, n, axis=-1)
-        spec *= np.conj(sp_fft.fft(ref, n))
+        spec *= ref_spec
         c = sp_fft.ifft(spec, axis=-1, overwrite_x=True)[..., :n_lags]
     if not np.isfinite(c[..., 0]).all():
         raise ValueError("the correlated span contains non-finite samples")

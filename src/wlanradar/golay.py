@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import _fft_correlate
+from .dsp import _conj_spectrum, _fft_correlate
 
 __all__ = [
     "GolayPair",
@@ -133,7 +133,8 @@ def golay_pair_correlate(
             raise ValueError(f"the sliding read [{lo}, {hi - 1 + 2 * n}) of lag window "
                              f"{window} leaves the stream of shape {y.shape}")
         span = y[..., lo : hi - 1 + 2 * n]
-        return _fft_correlate(span, np.concatenate([pair.a, pair.b]), hi - lo) / (2 * n)
+        ref = _conj_spectrum(np.concatenate([pair.a, pair.b]), span.shape[-1])
+        return _fft_correlate(span, ref, hi - lo) / (2 * n)
     if y.ndim != 1:
         raise ValueError("cyclic correlation takes a 1-d stream")
     if gate < 0 or gate + 2 * n > len(y):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import _fft_correlate, _xcorr_peak
+from .dsp import _conj_spectrum, _fft_correlate, _xcorr_peak
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
@@ -34,18 +34,26 @@ __all__ = [
 ]
 
 
-def preamble_delay(rx, template: np.ndarray, window: tuple[int, int]) -> tuple[int, float]:
+def preamble_delay(rx, template: np.ndarray, window: tuple[int, int],
+                   spectrum: np.ndarray | None = None) -> tuple[int, float]:
     """(lag, refined_lag) of the shaped preamble ``template`` in the oversampled ``rx``.
 
     One correlation searches phase and lag jointly over the lags [lo, hi) at
     which the template fits: lag is the first argmax of |c|, refined_lag the
     vertex of the parabola through |c| at lag - 1, lag, lag + 1 (lag on the
     window's edge).  Under 3 lags, or a non-finite sample read, raise ValueError.
+    ``spectrum``, the template's ``dsp._conj_spectrum`` at a length no shorter
+    than the read rx[lo : hi + len(template) - 1], spares a caller searching
+    many streams with one template its transform; by default it is computed
+    at the read's length.
     """
     lo, hi = max(window[0], 0), min(window[1], len(rx) - len(template) + 1)
     if hi - lo < 3:
         raise ValueError("search window too short for the template")
-    mag = np.abs(_fft_correlate(rx[lo : hi + len(template) - 1], template, hi - lo))
+    read = rx[lo : hi + len(template) - 1]
+    if spectrum is None:
+        spectrum = _conj_spectrum(template, len(read))
+    mag = np.abs(_fft_correlate(read, spectrum, hi - lo))
     peak = int(np.argmax(mag))
     if not 0 < peak < len(mag) - 1:
         return lo + peak, float(lo + peak)

@@ -5,6 +5,7 @@ from scipy.signal import fftconvolve
 
 from wlanradar.dsp import (
     RrcSpec,
+    _conj_spectrum,
     _fft_correlate,
     _rrc_kernel,
     apply_delay_doppler,
@@ -154,13 +155,26 @@ def test_fft_correlate_equals_np_correlate(shape, n_ref):
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ref = rng.standard_normal(n_ref) + 1j * rng.standard_normal(n_ref)
     n_lags = shape[-1] - n_ref + 1
-    c = _fft_correlate(x, ref, n_lags)
+    c = _fft_correlate(x, _conj_spectrum(ref, shape[-1]), n_lags)
     assert c.shape == shape[:-1] + (n_lags,)
     for row, c_row in zip(x.reshape(-1, shape[-1]), c.reshape(-1, n_lags)):
         expected = np.correlate(row, ref, "valid")
         assert np.max(np.abs(c_row - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert sp_fft.next_fast_len(500, False) == 500
     assert sp_fft.next_fast_len(1536, False) == 1536
+
+
+def test_fft_correlate_takes_a_longer_transform():
+    # a reference spectrum made for longer reads serves a shorter one; a read
+    # longer than the spectrum's transform is refused
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    ref = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    short = _fft_correlate(x, _conj_spectrum(ref, 500), 373)
+    long = _fft_correlate(x, _conj_spectrum(ref, 2000), 373)
+    assert np.max(np.abs(long - short)) <= 1e-12 * np.max(np.abs(short))
+    with pytest.raises(ValueError, match="longer"):
+        _fft_correlate(np.ones(2001, complex), _conj_spectrum(ref, 2000), 1)
 
 
 class TestDelayDoppler:

@@ -6,7 +6,7 @@ from scipy.signal import fftconvolve
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
-from wlanradar.dsp import RrcSpec, apply_delay_doppler, pulse_shape, rrc_taps
+from wlanradar.dsp import RrcSpec, _conj_spectrum, apply_delay_doppler, pulse_shape, rrc_taps
 from wlanradar.frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -104,6 +104,17 @@ class TestPreambleDelay:
         a, b, d = np.abs(np.correlate(seg, TEMPLATE, mode="valid"))
         assert refined == pytest.approx(lag + 0.5 * (a - d) / (a - 2 * b + d), abs=1e-9)
         assert abs(refined - (587 * Q + 0.3)) < 0.05
+
+    def test_a_ready_spectrum_gives_the_same_lags(self):
+        # the range bench transforms the template once, at a whole search's
+        # read length; a search clipped by the stream reads fewer samples
+        frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
+        rx = _shaped_at(frame, (587 + 0.3 / Q) * TS)
+        spectrum = _conj_spectrum(TEMPLATE, 768 * Q + len(TEMPLATE))
+        for window in (((587 - 384) * Q, (587 + 384) * Q + 1), (-100 * Q, 668 * Q + 1)):
+            got = preamble_delay(rx, TEMPLATE, window, spectrum)
+            assert got[0] == preamble_delay(rx, TEMPLATE, window)[0] == 587 * Q
+        assert got[1] == pytest.approx(preamble_delay(rx, TEMPLATE, window)[1], abs=1e-9)
 
     def test_peak_on_the_window_edge_is_not_refined(self):
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=4)

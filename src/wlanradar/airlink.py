@@ -251,6 +251,8 @@ def synthesize_radar_rx(
     cfg: ArrayConfig,
     beams: BeamPair | None,
     rng: np.random.Generator,
+    *,
+    prefix_echo: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
 
@@ -267,6 +269,15 @@ def synthesize_radar_rx(
     is added straight into it, target after target, and the noise after
     them.  An empty target list yields pure clutter-plus-noise of the
     undelayed shaped duration.
+
+    ``prefix_echo`` = (n, echo), for one target only, is the unit-gain echo
+    of symbols[:n]: apply_delay_doppler of them at the target's delay and
+    Doppler into a zero buffer of the output's length.  The output is then
+    h_p echo plus the echo of symbols[n:] alone, n Q samples on the clock
+    later, where its Doppler ramp has advanced by exp(j 2 pi nu_p n Ts): by
+    linearity the same stream up to rounding, from the same draws.  A
+    caller whose target and leading symbols stay fixed over many calls
+    shapes them once this way.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
@@ -275,10 +286,23 @@ def synthesize_radar_rx(
     q = spec.oversample
     rate = symbol_rate * q
     shifts = [int(np.round(t.delay() * rate)) for t in targets]
-    out = np.zeros(max(shifts, default=0) + (len(symbols) + spec.span) * q, dtype=complex)
-    for t, h_p in zip(targets, gains):
-        apply_delay_doppler(out, symbols, spec, symbol_rate, t.delay(),
-                            t.doppler(cfg.wavelength), h_p)
+    n_out = max(shifts, default=0) + (len(symbols) + spec.span) * q
+    if prefix_echo is None:
+        out = np.zeros(n_out, dtype=complex)
+        for t, h_p in zip(targets, gains):
+            apply_delay_doppler(out, symbols, spec, symbol_rate, t.delay(),
+                                t.doppler(cfg.wavelength), h_p)
+    else:
+        n, echo = prefix_echo
+        if len(targets) != 1 or len(echo) != n_out:
+            raise ValueError(f"a prefix echo needs one target and {n_out} samples, got "
+                             f"{len(targets)} targets and {len(echo)} samples")
+        (t,), (h_p,) = targets, gains
+        nu = t.doppler(cfg.wavelength)
+        out = h_p * echo
+        # symbols[n:] on the clock n Q samples on, whose Doppler ramp starts n Ts later
+        apply_delay_doppler(out[n * q :], symbols[n:], spec, symbol_rate, t.delay(), nu,
+                            h_p * np.exp(2j * np.pi * nu * n / symbol_rate))
     _add_noise(out, sigma_cn2, rng)
     return out
 

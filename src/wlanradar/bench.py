@@ -37,7 +37,7 @@ from .airlink import (
     synthesize_radar_rx,
     synthesize_radar_rx_symbol_rate,
 )
-from .dsp import RrcSpec, _conj_spectrum, pulse_shape
+from .dsp import RrcSpec, _conj_spectrum, apply_delay_doppler, pulse_shape
 from .frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -320,26 +320,43 @@ def _rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, point, trial])
 
 
-def _detection_trial(template, scen, scnr_db, rng) -> float:
+def _detection_trial(template, echo, window, scen, scnr_db, rng) -> float:
     """One end-to-end detection trial; returns its matched preamble statistic.
 
     The statistic is the oversampled matched-filter correlation of the raw
-    received stream with the shaped preamble, searched over the scenario's
-    delay-uncertainty window around the expected echo lag; the pipeline
-    compares it with the threshold.  ``template`` is the preamble shaped at
-    the scenario's oversampled rate.
+    received stream with ``template``, the preamble shaped at the
+    scenario's oversampled rate, searched over ``window``, the lags of the
+    scenario's delay uncertainty around the expected echo; the pipeline
+    compares it with the threshold.  ``echo`` is the preamble's unit-gain
+    echo from the target (``_preamble_echo``), so a trial shapes only its
+    payload.
     """
-    target = scen.targets[0]
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
-                             scen.array, None, rng)
-
-    lag0 = int(np.round(target.delay() * scen.symbol_rate * scen.oversample))
-    w = scen.detection_window_symbols * scen.oversample
-    stat, _ = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, scen.targets[:1],
+                             sigma_cn2, scen.array, None, rng,
+                             prefix_echo=(PREAMBLE_LEN, echo))
+    stat, _ = matched_preamble_statistic(rx, template, window)
     return stat
+
+
+def _preamble_echo(scen) -> np.ndarray:
+    """The unit-gain echo of the preamble from the scenario's first target,
+    shaped at its delay and Doppler into a zero buffer of a detection
+    trial's output length.
+
+    Every detection trial of a run has that target's delay and Doppler, so
+    its preamble echo is the same in each; range jitters the delay per trial.
+    """
+    target = scen.targets[0]
+    q = scen.oversample
+    # the synthesizer's own expression for the echo's first sample
+    shift = int(np.round(target.delay() * (scen.symbol_rate * q)))
+    echo = np.zeros(shift + (scen.detection_frame_k + scen.rrc_span) * q, dtype=complex)
+    apply_delay_doppler(echo, DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate,
+                        target.delay(), target.doppler(scen.wavelength))
+    return echo
 
 
 _RANGE_SEARCH = 384   # symbols the range search spans either side of the expected echo
@@ -486,7 +503,16 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
-    trial = partial(_detection_trial, template)  # a (scen, value, rng) trial
+    echo = _preamble_echo(scen)
+    lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
+    w = scen.detection_window_symbols * scen.oversample
+    last = len(echo) - len(template)   # the last lag where the whole template fits
+    if not 0 <= w <= min(lag0, last - lag0):
+        raise ValueError(f"the detection window of {scen.detection_window_symbols} symbols "
+                         f"either side of lag {lag0} must be >= 0 and stay within lags "
+                         f"0-{last}, where the preamble template fits the received stream")
+    # a (scen, value, rng) trial
+    trial = partial(_detection_trial, template, echo, (lag0 - w, lag0 + w + 1))
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     stats = _monte_carlo(trial, spec, points, workers)
     for scnr_db, stat in zip(spec.sweep, stats):

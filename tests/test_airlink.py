@@ -23,9 +23,10 @@ from wlanradar.airlink import (
     synthesize_radar_rx_symbol_rate,
     upa_steering,
 )
-from wlanradar.dsp import RrcSpec, pulse_shape, rc_pulse, rrc_taps
+from wlanradar.dsp import RrcSpec, apply_delay_doppler, pulse_shape, rc_pulse, rrc_taps
 from wlanradar.frame import (
     DEFAULT_PREAMBLE,
+    PREAMBLE_LEN,
     FrameLayout,
     assemble_cpi,
     assemble_frame,
@@ -472,6 +473,33 @@ class TestSynthesis:
             synthesize_radar_rx_symbol_rate(_windows_of(np.ones(64)), RRC, W, [], 1.0, CFG,
                                             None, np.random.default_rng(0), starts=[0, 10],
                                             length=20)
+
+    def test_prefix_echo_equals_the_whole_echo(self):
+        # the unit-gain echo of the first 40 symbols, plus the rest shaped
+        # 40 Q samples on, is the whole frame's echo, from the same draws
+        frame = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), 3)
+        t = Target(range_m=12.3, velocity_mps=-90.0)
+        echo = np.zeros(int(np.round(t.delay() * W * RRC16.oversample))
+                        + (len(frame) + RRC16.span) * RRC16.oversample, dtype=complex)
+        apply_delay_doppler(echo, frame[:40], RRC16, W, t.delay(), t.doppler(CFG.wavelength))
+        kept = echo.copy()
+        rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = synthesize_radar_rx(frame, RRC16, W, [t], 1e-4, CFG, None, rng,
+                                  prefix_echo=(40, echo))
+        want = synthesize_radar_rx(frame, RRC16, W, [t], 1e-4, CFG, None, want_rng)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.array_equal(echo, kept)   # callers share one echo across calls
+
+    def test_prefix_echo_needs_one_target_and_the_output_length(self):
+        frame = np.ones(64)
+        t = Target(range_m=3.0)
+        n_out = int(np.round(t.delay() * W * 8)) + (64 + RRC.span) * 8
+        for targets, length in (([t, t], n_out), ([], n_out), ([t], n_out - 1)):
+            with pytest.raises(ValueError, match="prefix echo"):
+                synthesize_radar_rx(frame, RRC, W, targets, 1.0, CFG, None,
+                                    np.random.default_rng(0),
+                                    prefix_echo=(10, np.zeros(length, dtype=complex)))
 
     def test_negative_power_rejected(self):
         frame = np.ones(64)

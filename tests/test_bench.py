@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wlanradar import bench
-from wlanradar.airlink import Target
+from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import (
     ExperimentSpec,
     ResultTable,
@@ -16,7 +16,7 @@ from wlanradar.bench import (
     run_manifest,
     two_vehicle_scenario,
 )
-from wlanradar.frame import DEFAULT_PREAMBLE
+from wlanradar.frame import DEFAULT_PREAMBLE, assemble_frame
 
 W = 1.76e9
 TS = 1 / W
@@ -185,6 +185,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="Moose span"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("scen", [
+        Scenario(detection_window_symbols=600),          # lag 4695 - 4800 < 0
+        Scenario(targets=(Target(range_m=0.1),)),        # lag 9 - 24 < 0
+        Scenario(detection_window_symbols=-2),
+        # lag 9393 + 4160 runs past the last lag, 9393 + 4096, where the template fits
+        Scenario(detection_window_symbols=520, targets=(Target(range_m=100.0),)),
+    ], ids=["wide", "near-target", "negative", "past-the-stream"])
+    def test_detection_window_outside_the_stream_rejected(self, scen, monkeypatch):
+        # the search would clip the window and search fewer lags than its
+        # label says; nothing may run first
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_map_trials", no_trials)
+        spec = ExperimentSpec(kind="detection", scenario=scen, sweep=(-20.0,), trials=2)
+        n = scen.detection_window_symbols
+        with pytest.raises(ValueError, match=f"detection window of {n} symbols"):
+            run_experiment(spec)
+
     def test_ddmap_target_outside_cef_span_rejected(self):
         # the default Scenario's 50 m target lies past bin 511 (43.5 m)
         with pytest.raises(ValueError, match="CEF delay span"):
@@ -223,11 +242,14 @@ class TestDeterminism:
 
     def test_worker_invariance(self):
         # velocity trials return a float; range trials a pair, and the pool
-        # carries their bound shaped template
+        # carries their bound shaped template; detection's pool carries the
+        # template and the preamble's echo
         for spec in (
             ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                            sweep=(10.0,), trials=16, seed=3),
             ExperimentSpec(kind="range-mse", sweep=(-6.0,), trials=16, seed=3),
+            ExperimentSpec(kind="detection", sweep=(-26.0, -22.0), trials=16, seed=3,
+                           pfa=1e-2),
         ):
             a = run_experiment(spec, workers=1).to_csv_text()
             b = run_experiment(spec, workers=2).to_csv_text()
@@ -338,6 +360,36 @@ class TestDeterminism:
         assert set(m["experiment"]) == names
         assert m["experiment"]["tradeoff_scnr_db"] == 3.0
         assert m["experiment"]["sweep"] == [2, 4]
+
+
+class TestDetectionTrial:
+    @pytest.mark.parametrize("target", [
+        Target(range_m=50.0, velocity_mps=20.0),
+        Target(range_m=80.0, velocity_mps=-150.0),
+        # 1000.37 samples at 8 x 1.76 GHz: the delay's taps are shifted by 0.37
+        Target(range_m=1000.37 / (8 * W) * SPEED_OF_LIGHT / 2, velocity_mps=7.0),
+    ], ids=["50m", "80m-approaching", "fractional"])
+    def test_stream_equals_the_full_frame_synthesis(self, target, monkeypatch):
+        # the run-level preamble echo plus the trial's payload echo is the
+        # whole frame shaped in one call, from the same draws
+        streams = []
+
+        def keep_stream(rx, template, window):
+            streams.append(rx)
+            return 0.0, 0
+
+        monkeypatch.setattr(bench, "matched_preamble_statistic", keep_stream)
+        scen = Scenario(targets=(target,))
+        rng, want_rng = bench._rng(5, 0, 1), bench._rng(5, 0, 1)
+        bench._detection_trial(None, bench._preamble_echo(scen), None, scen, 40.0, rng)
+        symbols = assemble_frame(scen.layout(k=scen.detection_frame_k, header_len=0),
+                                 want_rng)
+        want = synthesize_radar_rx(symbols, scen.rrc, W, [target], 1e-4, scen.array, None,
+                                   want_rng)
+        (got,) = streams
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestStatisticalConventions:

@@ -319,6 +319,7 @@ def synthesize_radar_rx_symbol_rate(
     *,
     starts,
     length: int,
+    fixed_echo: tuple[tuple[int, int], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Discrete symbol-rate received signal, the post-matched-filter model.
 
@@ -349,6 +350,17 @@ def synthesize_radar_rx_symbol_rate(
     real noise buffer.  ``rng`` draws the echo phases, then the noise: every
     real part, row-major, then every imaginary part.  This draw order is part
     of the byte contract of the benches that call it.
+
+    ``fixed_echo`` = ((a, b), echo), for one target only, says that the
+    symbols starts[r] + a .. starts[r] + b - 1 of every row r are the same
+    in every call, and gives their unit-gain echo alone: the rows that
+    ``_add_symbol_rate_echoes`` adds for the target with gain 1 from symbol
+    windows that hold those symbols and zeros.  The output columns whose
+    span reads only those symbols are then h_p echo, and the others, at
+    either end of a row, are synthesized from ``symbol_windows`` as
+    without it: the same rows up to rounding, from the same draws.  A
+    caller whose target and fixed symbols stay the same over many calls
+    computes their echo once this way.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
@@ -357,21 +369,62 @@ def synthesize_radar_rx_symbol_rate(
         raise ValueError("read windows must be nonempty and must not overlap")
     targets = list(targets)
     gains = _echo_gains(targets, cfg, beams, rng)
-    out = np.zeros((len(starts), length), dtype=complex)
+    if fixed_echo is None:
+        out = np.zeros((len(starts), length), dtype=complex)
+        _add_symbol_rate_echoes(out, symbol_windows, spec, symbol_rate, targets, gains,
+                                cfg.wavelength, starts)
+    else:
+        (a, b), echo = fixed_echo
+        if len(targets) != 1 or echo.shape != (len(starts), length):
+            raise ValueError(f"a fixed echo needs one target and {len(starts)} x {length} "
+                             f"rows, got {len(targets)} targets and {echo.shape}")
+        _, k0 = _echo_start(targets[0], spec, symbol_rate)
+        # column j reads the symbols starts[r] + j - k0 - span .. starts[r] + j - k0
+        mid_lo = min(max(a + k0 + spec.span, 0), length)
+        mid_hi = min(max(b + k0, mid_lo), length)
+        out = echo * gains[0]
+        # the columns at either end of the rows, synthesized as 2 M windows of one call
+        width = max(mid_lo, length - mid_hi)
+        if width > 0:
+            ends = np.zeros((2 * len(starts), width), dtype=complex)
+            _add_symbol_rate_echoes(ends, symbol_windows, spec, symbol_rate, targets, gains,
+                                    cfg.wavelength, np.concatenate([starts, starts + mid_hi]))
+            out[:, :mid_lo] = ends[: len(starts), :mid_lo]
+            out[:, mid_hi:] = ends[len(starts) :, : length - mid_hi]
+    _add_noise(out, sigma_cn2, rng)
+    return out
 
+
+def _echo_start(target: Target, spec: RrcSpec, symbol_rate: float) -> tuple[float, int]:
+    """(d, k0): the target's delay in symbols, and the first sample its
+    symbol-rate echo of symbol 0 reaches.  Symbol i reaches the samples
+    k0 + i .. k0 + i + span and peaks at k0 + i + span // 2."""
+    d = target.delay() / (1.0 / symbol_rate)
+    return d, int(np.floor(d)) - spec.span // 2
+
+
+def _add_symbol_rate_echoes(out: np.ndarray, symbol_windows, spec: RrcSpec,
+                            symbol_rate: float, targets, gains, wavelength: float,
+                            starts: np.ndarray) -> None:
+    """Add each target's echo h_p exp(j 2 pi nu_p k Ts) x_g(k Ts - tau_p) into
+    ``out``, whose row r holds k = starts[r] .. starts[r] + out.shape[1] - 1.
+
+    ``symbol_windows`` is called once, for the symbols all the echoes carry
+    into the rows; each echo is added row by row, target after target.
+    """
+    length = out.shape[1]
     ts = 1.0 / symbol_rate
     span = spec.span
     half = span // 2
-    delays = [t.delay() / ts for t in targets]
-    # symbol i peaks at k0 + i + half and reaches samples k0 + i .. k0 + i + span,
-    # so a window at lo reads the symbols lo - k0 - span .. lo + length - k0
-    k0s = [int(np.floor(d)) - half for d in delays]
-    k_max, k_min = max(k0s, default=0), min(k0s, default=0)
+    firsts = [_echo_start(t, spec, symbol_rate) for t in targets]
+    # a row at lo reads the symbols lo - k0 - span .. lo + length - 1 - k0
+    k_max = max((k0 for _, k0 in firsts), default=0)
+    k_min = min((k0 for _, k0 in firsts), default=0)
     x = symbol_windows(starts - k_max - span, length + span + k_max - k_min)
-    for target, h_p, d, k0 in zip(targets, gains, delays, k0s):
+    for target, h_p, (d, k0) in zip(targets, gains, firsts):
         kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), spec.rolloff)
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
-        w = 2j * np.pi * target.doppler(cfg.wavelength) * ts
+        w = 2j * np.pi * target.doppler(wavelength) * ts
         row_terms = h_p * np.exp(w * starts)
         col_terms = np.exp(w * np.arange(length))
         lo = k_max - k0
@@ -380,9 +433,6 @@ def synthesize_radar_rx_symbol_rate(
             echo = row_terms[r] * col_terms
             echo *= np.convolve(x[r, lo : lo + length + span], kernel, "valid")
             out[r] += echo
-    del x   # the symbols are freed before the noise buffer is allocated
-    _add_noise(out, sigma_cn2, rng)
-    return out
 
 
 def link_budget_sweep(

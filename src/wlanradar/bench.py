@@ -30,6 +30,7 @@ from .airlink import (
     ArrayConfig,
     LinkBudget,
     Target,
+    _add_symbol_rate_echoes,
     link_budget_sweep,
     radar_coupling,
     rician_snr_draws,
@@ -388,30 +389,67 @@ def _range_trial(template, spectrum, scen, scnr_db, rng) -> tuple[float, float]:
     return tuple(float((estimate_range(lag / q, scen.ts) - rho) ** 2) for lag in lags)
 
 
-def _velocity_trial(scen, scnr_db, rng) -> float:
+_FINE_SEARCH = 32   # symbols the fine-timing search spans either side of the expected echo
+
+
+def _velocity_windows(scen) -> tuple[np.ndarray, int]:
+    """(starts, length) of a velocity trial's read windows, one per frame: the
+    fine-timing search span around the expected echo, plus the preamble.
+
+    Frame r's preamble sits -starts[0] symbols into window r.  The first
+    window starts below 0 for a target nearer than the search span, which
+    the symbol-rate model allows, so every target searches all its lags.
+    """
+    expect = int(np.round(scen.targets[0].delay() / scen.ts))
+    starts = expect - _FINE_SEARCH + np.arange(scen.n_frames) * scen.frame_k
+    return starts, 2 * _FINE_SEARCH + PREAMBLE_LEN
+
+
+def _velocity_echo(scen) -> np.ndarray:
+    """The unit-gain echo of the CPI's preambles alone from the scenario's
+    first target, in a velocity trial's read windows.
+
+    Every velocity trial of a sweep point has that target's delay and
+    Doppler and the point's M and K, so its preamble echo is the same in
+    each; a trade-off point changes M and K, so each point has its own.
+    """
+    starts, length = _velocity_windows(scen)
+    echo = np.zeros((len(starts), length), dtype=complex)
+    preambles = partial(assemble_cpi, scen.n_frames, scen.layout(), seed=None)
+    _add_symbol_rate_echoes(echo, preambles, scen.rrc, scen.symbol_rate, scen.targets[:1],
+                            [1.0], scen.wavelength, starts)
+    return echo
+
+
+def _velocity_trial(echo, scen, scnr_db, rng) -> float:
     """One multi-frame velocity trial at symbol rate; returns squared error.
 
-    Each frame's known 3328-symbol training block is first compressed by the
-    preamble matched filter (per-frame SNR P * zeta), and the multi-frame
-    Moose angle is taken across the compressed per-frame values.  Feeding raw
-    symbol products instead would add the |noise|^2 self-term of the
-    correlator, which costs ~10 log10(1 + (M-1)/(2 zeta)) dB at low SCNR.
+    Each frame's window reads the fine-timing search span and the preamble.
+    Fine timing searches frame 0's window; each frame's known 3328-symbol
+    training block at that lag is then compressed by the preamble matched
+    filter (per-frame SNR P * zeta), and the multi-frame Moose angle is
+    taken across the compressed per-frame values.  Feeding raw symbol
+    products instead would add the |noise|^2 self-term of the correlator,
+    which costs ~10 log10(1 + (M-1)/(2 zeta)) dB at low SCNR.
+
+    ``echo`` is the preambles' unit-gain echo (``_velocity_echo``), so a
+    trial convolves only the columns at either end of a row whose span
+    reaches the previous frame's payload or the header.  Draws: the CPI's
+    seed integer, the echo phase, then the noise.
     """
     target = scen.targets[0]
     m = scen.n_frames
     k = scen.frame_k
-    layout = scen.layout()
-    symbol_windows = partial(assemble_cpi, m, layout, seed=int(rng.integers(2**63)))
+    symbol_windows = partial(assemble_cpi, m, scen.layout(), seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    # one read window per frame: the fine-timing search span plus the preamble
-    expect = int(np.round(target.delay() / scen.ts))
-    lo = max(expect - 32, 0)
+    starts, length = _velocity_windows(scen)
+    preamble = (-starts[0], PREAMBLE_LEN - starts[0])   # its columns in every window
     rows = synthesize_radar_rx_symbol_rate(
         symbol_windows, scen.rrc, scen.symbol_rate, [target], sigma_cn2, scen.array, None,
-        rng, starts=lo + np.arange(m) * k, length=expect + 33 - lo + PREAMBLE_LEN - 1,
+        rng, starts=starts, length=length, fixed_echo=(preamble, echo),
     )
 
-    fine, _ = fine_timing_preamble(rows[0], (expect - 32 - lo, expect + 33 - lo))
+    fine, _ = fine_timing_preamble(rows[0], (0, 2 * _FINE_SEARCH + 1))
     # compressed in place on the trial's own rows; an elementwise sum, not a
     # matrix product: OpenBLAS threads a gemv this size
     train = rows[:, fine : fine + PREAMBLE_LEN]
@@ -471,14 +509,15 @@ def _one_blas_thread():
 
 def _seeded_trial(trial, points, seed: int, job):
     k, j = job
-    i, scen, value = points[k]
-    return trial(scen, value, _rng(seed, i, j))
+    i, *args = points[k]
+    return trial(*args, _rng(seed, i, j))
 
 
 def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
-    """Each ``(i, scen, value)`` point's ``spec.trials`` values (n-tuples: a
-    (trials, n) array) of ``trial(scen, value, rng)``, in trial order; trial j
-    draws from _rng(seed, i, j).
+    """Each ``(i, *args)`` point's ``spec.trials`` values (n-tuples: a
+    (trials, n) array) of ``trial(*args, rng)``, in trial order; trial j
+    draws from _rng(seed, i, j).  The args are ``(scen, value)``, or
+    ``(echo, scen, value)`` with a point's own run-level echo.
 
     All points' trials share one process pool, and run on one BLAS thread.
     """
@@ -573,7 +612,8 @@ def _run_velocity_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     _check_moose_span(scen, [scen.frame_k])
-    points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
+    echo = _velocity_echo(scen)
+    points = [(i, echo, scen, s) for i, s in enumerate(spec.sweep)]
     errors = _monte_carlo(_velocity_trial, spec, points, workers)
     for scnr_db, sq in zip(spec.sweep, errors):
         table.add(scnr_db, "velocity_mse_m2s2", float(np.mean(sq)), spec.trials,
@@ -596,12 +636,13 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     total_symbols = int(round(t_cpi / scen.ts))
     ks = [total_symbols // int(m) for m in spec.sweep]
     # an infeasible point keeps its index i, so later points keep their streams
-    points = [(i, replace(scen, n_frames=int(m), frame_k=k), scnr_db)
-              for i, (m, k) in enumerate(zip(spec.sweep, ks))
-              if k > PREAMBLE_LEN + scen.header_len]
-    _check_moose_span(scen, [sub.frame_k for _, sub, _ in points])
-    errors = dict(zip([i for i, _, _ in points],
-                      _monte_carlo(_velocity_trial, spec, points, workers)))
+    subs = {i: replace(scen, n_frames=int(m), frame_k=k)
+            for i, (m, k) in enumerate(zip(spec.sweep, ks))
+            if k > PREAMBLE_LEN + scen.header_len}
+    _check_moose_span(scen, [sub.frame_k for sub in subs.values()])
+    # M and K change from point to point, and with them the preamble echo
+    points = [(i, _velocity_echo(sub), sub, scnr_db) for i, sub in subs.items()]
+    errors = dict(zip(subs, _monte_carlo(_velocity_trial, spec, points, workers)))
     for i, (m_frames, k) in enumerate(zip(spec.sweep, ks)):
         m_frames = int(m_frames)
         if i not in errors:

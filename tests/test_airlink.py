@@ -12,6 +12,7 @@ from wlanradar.airlink import (
     LinkBudget,
     Target,
     _add_noise,
+    _add_symbol_rate_echoes,
     beam_coupling,
     dft_codebook,
     link_budget_sweep,
@@ -500,6 +501,41 @@ class TestSynthesis:
                 synthesize_radar_rx(frame, RRC, W, targets, 1.0, CFG, None,
                                     np.random.default_rng(0),
                                     prefix_echo=(10, np.zeros(length, dtype=complex)))
+
+    @pytest.mark.parametrize("fixed", [(40, 240), (100, 110)], ids=["wide", "under-the-span"])
+    def test_fixed_echo_equals_the_whole_echo(self, fixed):
+        # symbols a..b-1 of every window are fixed: their unit-gain echo in the
+        # columns that read only them, and the rest synthesized, is the
+        # one-call synthesis, from the same draws; a fixed run shorter than
+        # the kernel leaves no such column
+        stream = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), 3)
+        t = Target(range_m=12.3, velocity_mps=-90.0)
+        starts, length = np.array([50, 700, 1400]), 400
+        a, b = fixed
+        alone = np.zeros_like(stream)
+        for lo in starts:
+            alone[lo + a : lo + b] = stream[lo + a : lo + b]
+        echo = np.zeros((len(starts), length), dtype=complex)
+        _add_symbol_rate_echoes(echo, _windows_of(alone), RRC16, W, [t], [1.0],
+                                CFG.wavelength, starts)
+        kept = echo.copy()
+        rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+        args = (_windows_of(stream), RRC16, W, [t], 1e-4, CFG, None)
+        got = synthesize_radar_rx_symbol_rate(*args, rng, starts=starts, length=length,
+                                              fixed_echo=(fixed, echo))
+        want = synthesize_radar_rx_symbol_rate(*args, want_rng, starts=starts, length=length)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.array_equal(echo, kept)   # callers share one echo across calls
+
+    def test_fixed_echo_needs_one_target_and_the_rows_shape(self):
+        t = Target(range_m=3.0)
+        for targets, shape in (([t, t], (2, 20)), ([], (2, 20)), ([t], (2, 19))):
+            with pytest.raises(ValueError, match="fixed echo"):
+                synthesize_radar_rx_symbol_rate(
+                    _windows_of(np.ones(64)), RRC, W, targets, 1.0, CFG, None,
+                    np.random.default_rng(0), starts=[0, 30], length=20,
+                    fixed_echo=((0, 10), np.zeros(shape, dtype=complex)))
 
     def test_negative_power_rejected(self):
         frame = np.ones(64)

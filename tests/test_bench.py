@@ -1,11 +1,17 @@
 import dataclasses
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
 from wlanradar import bench
-from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
+from wlanradar.airlink import (
+    SPEED_OF_LIGHT,
+    Target,
+    synthesize_radar_rx,
+    synthesize_radar_rx_symbol_rate,
+)
 from wlanradar.bench import (
     ExperimentSpec,
     ResultTable,
@@ -16,7 +22,7 @@ from wlanradar.bench import (
     run_manifest,
     two_vehicle_scenario,
 )
-from wlanradar.frame import DEFAULT_PREAMBLE, assemble_frame
+from wlanradar.frame import DEFAULT_PREAMBLE, PREAMBLE_LEN, assemble_cpi, assemble_frame
 
 W = 1.76e9
 TS = 1 / W
@@ -243,10 +249,12 @@ class TestDeterminism:
     def test_worker_invariance(self):
         # velocity trials return a float; range trials a pair, and the pool
         # carries their bound shaped template; detection's pool carries the
-        # template and the preamble's echo
+        # template and the preamble's echo; velocity's points carry their
+        # preambles' echo, a trade-off's one per frame count
         for spec in (
             ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                            sweep=(10.0,), trials=16, seed=3),
+            ExperimentSpec(kind="tradeoff", sweep=(2, 4), trials=16, seed=3),
             ExperimentSpec(kind="range-mse", sweep=(-6.0,), trials=16, seed=3),
             ExperimentSpec(kind="detection", sweep=(-26.0, -22.0), trials=16, seed=3,
                            pfa=1e-2),
@@ -390,6 +398,69 @@ class TestDetectionTrial:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestVelocityTrial:
+    @pytest.mark.parametrize("scen", [
+        Scenario(),
+        Scenario(targets=(Target(range_m=80.0, velocity_mps=-150.0),)),
+        # 1000.37 symbols out: the kernel's taps are shifted by 0.37
+        Scenario(targets=(Target(range_m=1000.37 / W * SPEED_OF_LIGHT / 2,
+                                 velocity_mps=7.0),)),
+        # nearer than the fine-timing span: the first window starts below 0
+        Scenario(targets=(Target(range_m=2.0, velocity_mps=20.0),)),
+        # a trade-off point: short frames, no header, the payload right
+        # after the preamble
+        Scenario(n_frames=3, frame_k=PREAMBLE_LEN + 200, header_len=0),
+    ], ids=["default", "80m-approaching", "fractional", "2m", "tradeoff-no-header"])
+    def test_rows_equal_the_full_window_synthesis(self, scen, monkeypatch):
+        # the run-level preamble echo plus the trial's columns at either end
+        # of each row is one synthesis of the whole windows, from the same draws
+        kept = []
+        synth = bench.synthesize_radar_rx_symbol_rate
+
+        def keep_rows(*args, **kwargs):
+            rows = synth(*args, **kwargs)
+            kept.append(rows.copy())   # the trial compresses its rows in place
+            return rows
+
+        monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
+        rng, want_rng = bench._rng(5, 0, 1), bench._rng(5, 0, 1)
+        bench._velocity_trial(bench._velocity_echo(scen), scen, 40.0, rng)
+        target, m, k = scen.targets[0], scen.n_frames, scen.frame_k
+        windows = partial(assemble_cpi, m, scen.layout(), seed=int(want_rng.integers(2**63)))
+        lo = int(np.round(target.delay() / TS)) - 32
+        want = synthesize_radar_rx_symbol_rate(
+            windows, scen.rrc, W, [target], 1e-4, scen.array, None, want_rng,
+            starts=lo + np.arange(m) * k, length=64 + PREAMBLE_LEN)
+        (got,) = kept
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_near_target_searches_every_lag(self, monkeypatch):
+        # a 2 m target sits ~23 symbols out: fine timing still searches the
+        # 65 lags from 32 symbols before the expected echo to 32 after, all
+        # of them inside frame 0's window
+        seen = {}
+        synth, fine = bench.synthesize_radar_rx_symbol_rate, bench.fine_timing_preamble
+
+        def keep_start(*args, starts, **kwargs):
+            seen["start"] = starts[0]
+            return synth(*args, starts=starts, **kwargs)
+
+        def keep_window(y, window):
+            seen["window"], seen["len"] = window, len(y)
+            return fine(y, window)
+
+        monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_start)
+        monkeypatch.setattr(bench, "fine_timing_preamble", keep_window)
+        scen = Scenario(targets=(Target(range_m=2.0, velocity_mps=20.0),))
+        bench._velocity_trial(bench._velocity_echo(scen), scen, 20.0, bench._rng(1, 0, 0))
+        expect = int(np.round(scen.targets[0].delay() / TS))
+        lo, hi = seen["window"]
+        assert (seen["start"] + lo, seen["start"] + hi) == (expect - 32, expect + 33)
+        assert 0 <= lo and hi - 1 + PREAMBLE_LEN <= seen["len"]
 
 
 class TestStatisticalConventions:

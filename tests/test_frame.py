@@ -192,8 +192,10 @@ class TestCpi:
                     else DEFAULT_PREAMBLE)
         k = 3701   # an odd payload count per frame: pieces start at either half
         layout = FrameLayout(k=k, header_len=16)
+        # with no seed, the same windows of the CPI's preambles alone
         whole = _whole_cpi(m, layout, 33, preamble)
-        padded = np.concatenate([np.zeros(2 * k), whole, np.zeros(2 * k)])
+        preambles = whole.copy()
+        preambles.reshape(m, k)[:, PREAMBLE_LEN:] = 0
         p = PREAMBLE_LEN
         cases = [
             ([-50, p + 7, k + p + 10], 40),    # below 0; odd and even offsets
@@ -205,8 +207,10 @@ class TestCpi:
             ([p + 2, p + 51, k - 7], 5),       # gaps within one frame
             ([2 * k - 9, p + 3, -4], 12),      # starts out of order
         ]
-        for starts, length in cases:
-            rows = assemble_cpi(m, layout, starts, length, 33, preamble)
-            ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
-            assert rows.shape == ref.shape and rows.dtype == ref.dtype
-            assert rows.tobytes() == ref.tobytes(), (starts, length)
+        for seed, stream in ((33, whole), (None, preambles)):
+            padded = np.concatenate([np.zeros(2 * k), stream, np.zeros(2 * k)])
+            for starts, length in cases:
+                rows = assemble_cpi(m, layout, starts, length, seed, preamble)
+                ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
+                assert rows.shape == ref.shape and rows.dtype == ref.dtype
+                assert rows.tobytes() == ref.tobytes(), (seed, starts, length)

@@ -502,15 +502,16 @@ class TestSynthesis:
                                     np.random.default_rng(0),
                                     prefix_echo=(10, np.zeros(length, dtype=complex)))
 
-    @pytest.mark.parametrize("fixed", [(40, 240), (100, 110)], ids=["wide", "under-the-span"])
+    @pytest.mark.parametrize("fixed", [(40, 240), (100, 110), (-200, 600)],
+                             ids=["wide", "under-the-span", "every-column"])
     def test_fixed_echo_equals_the_whole_echo(self, fixed):
         # symbols a..b-1 of every window are fixed: their unit-gain echo in the
         # columns that read only them, and the rest synthesized, is the
         # one-call synthesis, from the same draws; a fixed run shorter than
-        # the kernel leaves no such column
+        # the kernel leaves no such column, and a long one leaves no other
         stream = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), 3)
         t = Target(range_m=12.3, velocity_mps=-90.0)
-        starts, length = np.array([50, 700, 1400]), 400
+        starts, length = np.array([250, 1100, 1950]), 400
         a, b = fixed
         alone = np.zeros_like(stream)
         for lo in starts:

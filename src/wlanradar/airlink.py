@@ -399,7 +399,7 @@ def _echo_start(target: Target, spec: RrcSpec, symbol_rate: float) -> tuple[floa
     """(d, k0): the target's delay in symbols, and the first sample its
     symbol-rate echo of symbol 0 reaches.  Symbol i reaches the samples
     k0 + i .. k0 + i + span and peaks at k0 + i + span // 2."""
-    d = target.delay() / (1.0 / symbol_rate)
+    d = target.delay() / (1.0 / symbol_rate)   # over Ts: the rows' bytes depend on the rounding
     return d, int(np.floor(d)) - spec.span // 2
 
 

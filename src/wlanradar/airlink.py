@@ -319,7 +319,7 @@ def synthesize_radar_rx_symbol_rate(
     *,
     starts,
     length: int,
-    fixed_echo: tuple[tuple[int, int], np.ndarray] | None = None,
+    repeated: tuple[int, int] = (0, 0),
 ) -> np.ndarray:
     """Discrete symbol-rate received signal, the post-matched-filter model.
 
@@ -345,22 +345,20 @@ def synthesize_radar_rx_symbol_rate(
     its frame count, layout and seed bound); it is called once, for the
     symbols the echoes carry into the windows.
 
-    Each target's echo is added into the result row by row, target after
-    target, so nothing else of the result's size is allocated besides one
-    real noise buffer.  ``rng`` draws the echo phases, then the noise: every
-    real part, row-major, then every imaginary part.  This draw order is part
-    of the byte contract of the benches that call it.
+    ``repeated`` = (a, b) says that the symbols starts[r] + a ..
+    starts[r] + b - 1 are the same in every window r, as the preamble that
+    every frame of a CPI repeats; the default repeats nothing.  A target's
+    columns whose span reads only those symbols are convolved once, from
+    window 0, and carried to every row by its Doppler term; the columns at
+    either end of a row are convolved from the row's own symbols, as without
+    it.  The rows are the same up to rounding in the shared columns, from
+    the same draws.
 
-    ``fixed_echo`` = ((a, b), echo), for one target only, says that the
-    symbols starts[r] + a .. starts[r] + b - 1 of every row r are the same
-    in every call, and gives their unit-gain echo alone: the rows that
-    ``_add_symbol_rate_echoes`` adds for the target with gain 1 from symbol
-    windows that hold those symbols and zeros.  The output columns whose
-    span reads only those symbols are then h_p echo, and the others, at
-    either end of a row, are synthesized from ``symbol_windows`` as
-    without it: the same rows up to rounding, from the same draws.  A
-    caller whose target and fixed symbols stay the same over many calls
-    computes their echo once this way.
+    Each target's echo is written into the result row by row, and later
+    targets add theirs, so nothing else of the result's size is allocated
+    besides one real noise buffer.  ``rng`` draws the echo phases, then the
+    noise: every real part, row-major, then every imaginary part.  This draw
+    order is part of the byte contract of the benches that call it.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
@@ -369,28 +367,8 @@ def synthesize_radar_rx_symbol_rate(
         raise ValueError("read windows must be nonempty and must not overlap")
     targets = list(targets)
     gains = _echo_gains(targets, cfg, beams, rng)
-    if fixed_echo is None:
-        out = np.zeros((len(starts), length), dtype=complex)
-        _add_symbol_rate_echoes(out, symbol_windows, spec, symbol_rate, targets, gains,
-                                cfg.wavelength, starts)
-    else:
-        (a, b), echo = fixed_echo
-        if len(targets) != 1 or echo.shape != (len(starts), length):
-            raise ValueError(f"a fixed echo needs one target and {len(starts)} x {length} "
-                             f"rows, got {len(targets)} targets and {echo.shape}")
-        _, k0 = _echo_start(targets[0], spec, symbol_rate)
-        # column j reads the symbols starts[r] + j - k0 - span .. starts[r] + j - k0
-        mid_lo = min(max(a + k0 + spec.span, 0), length)
-        mid_hi = min(max(b + k0, mid_lo), length)
-        out = echo * gains[0]
-        # the columns at either end of the rows, synthesized as 2 M windows of one call
-        width = max(mid_lo, length - mid_hi)
-        if width > 0:
-            ends = np.zeros((2 * len(starts), width), dtype=complex)
-            _add_symbol_rate_echoes(ends, symbol_windows, spec, symbol_rate, targets, gains,
-                                    cfg.wavelength, np.concatenate([starts, starts + mid_hi]))
-            out[:, :mid_lo] = ends[: len(starts), :mid_lo]
-            out[:, mid_hi:] = ends[len(starts) :, : length - mid_hi]
+    out = _symbol_rate_echoes(symbol_windows, spec, symbol_rate, targets, gains,
+                              cfg.wavelength, starts, length, repeated)
     _add_noise(out, sigma_cn2, rng)
     return out
 
@@ -403,36 +381,67 @@ def _echo_start(target: Target, spec: RrcSpec, symbol_rate: float) -> tuple[floa
     return d, int(np.floor(d)) - spec.span // 2
 
 
-def _add_symbol_rate_echoes(out: np.ndarray, symbol_windows, spec: RrcSpec,
-                            symbol_rate: float, targets, gains, wavelength: float,
-                            starts: np.ndarray) -> None:
-    """Add each target's echo h_p exp(j 2 pi nu_p k Ts) x_g(k Ts - tau_p) into
-    ``out``, whose row r holds k = starts[r] .. starts[r] + out.shape[1] - 1.
+def _symbol_rate_echoes(symbol_windows, spec: RrcSpec, symbol_rate: float, targets,
+                        gains, wavelength: float, starts: np.ndarray, length: int,
+                        repeated: tuple[int, int]) -> np.ndarray:
+    """The rows of the targets' echoes h_p exp(j 2 pi nu_p k Ts) x_g(k Ts - tau_p),
+    row r holding k = starts[r] .. starts[r] + length - 1; zeros without targets.
 
     ``symbol_windows`` is called once, for the symbols all the echoes carry
-    into the rows; each echo is added row by row, target after target.
+    into the rows.  The first target writes its rows, and each later one
+    adds its own.
     """
-    length = out.shape[1]
+    out = (np.empty if targets else np.zeros)((len(starts), length), dtype=complex)
     ts = 1.0 / symbol_rate
     span = spec.span
     half = span // 2
+    a, b = repeated
     firsts = [_echo_start(t, spec, symbol_rate) for t in targets]
     # a row at lo reads the symbols lo - k0 - span .. lo + length - 1 - k0
     k_max = max((k0 for _, k0 in firsts), default=0)
     k_min = min((k0 for _, k0 in firsts), default=0)
     x = symbol_windows(starts - k_max - span, length + span + k_max - k_min)
-    for target, h_p, (d, k0) in zip(targets, gains, firsts):
+    for p, (target, h_p, (d, k0)) in enumerate(zip(targets, gains, firsts)):
         kernel = rc_pulse(np.arange(-half, half + 1) - (d - (k0 + half)), spec.rolloff)
         # Doppler ramp at k = start + j, factored into per-row and per-column terms
         w = 2j * np.pi * target.doppler(wavelength) * ts
         row_terms = h_p * np.exp(w * starts)
-        col_terms = np.exp(w * np.arange(length))
         lo = k_max - k0
-        for r in range(len(starts)):
-            # the product stays complex: the echo is real when the symbols are
-            echo = row_terms[r] * col_terms
-            echo *= np.convolve(x[r, lo : lo + length + span], kernel, "valid")
-            out[r] += echo
+        # column j reads the symbols start + j - k0 - span .. start + j - k0, so
+        # the columns mid_lo .. mid_hi - 1 read repeated symbols alone
+        mid_lo = min(max(a + k0 + span, 0), length)
+        mid_hi = max(min(b + k0, length), mid_lo)
+        if mid_hi > mid_lo:   # convolved once, from window 0's symbols
+            mid = _ramp(w, mid_lo, mid_hi) * np.convolve(
+                x[0, lo + mid_lo : lo + mid_hi + span], kernel, "valid")
+            if p:
+                for row, term in zip(out, row_terms):
+                    row[mid_lo:mid_hi] += term * mid
+            else:
+                np.multiply.outer(row_terms, mid, out=out[:, mid_lo:mid_hi])
+        # the columns at either end, from each row's own symbols
+        for j0, j1 in ((0, mid_lo), (mid_hi, length)):
+            if j1 == j0:
+                continue   # np.convolve would swap a read shorter than the kernel with it
+            col_terms = np.exp(w * np.arange(j0, j1))
+            for r in range(len(starts)):
+                # the product stays complex: the echo is real when the symbols are
+                echo = row_terms[r] * col_terms
+                echo *= np.convolve(x[r, lo + j0 : lo + j1 + span], kernel, "valid")
+                if p:
+                    out[r, j0:j1] += echo
+                else:
+                    out[r, j0:j1] = echo
+    return out
+
+
+def _ramp(w: complex, j0: int, j1: int) -> np.ndarray:
+    """exp(w j) for j = j0 .. j1 - 1, the outer product of two short ramps:
+    ~2 sqrt(j1 - j0) complex exponentials instead of j1 - j0, at the cost of
+    a rounding or two."""
+    step = int(np.sqrt(j1 - j0)) + 1
+    return np.multiply.outer(np.exp(w * np.arange(j0, j1, step)),
+                             np.exp(w * np.arange(step))).ravel()[: j1 - j0]
 
 
 def link_budget_sweep(

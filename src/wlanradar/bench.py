@@ -30,7 +30,6 @@ from .airlink import (
     ArrayConfig,
     LinkBudget,
     Target,
-    _add_symbol_rate_echoes,
     link_budget_sweep,
     radar_coupling,
     rician_snr_draws,
@@ -115,6 +114,7 @@ class Scenario:
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
         self.rrc  # RrcSpec refuses a bad rolloff, span or oversampling factor
+        self.array  # ArrayConfig refuses an axis without elements
 
     @property
     def ts(self) -> float:
@@ -129,7 +129,7 @@ class Scenario:
         """The pulse, built once per scenario, so every trial shares its taps' energy."""
         return RrcSpec(self.rolloff, self.rrc_span, self.oversample)
 
-    @property
+    @cached_property
     def array(self) -> ArrayConfig:
         return ArrayConfig(self.n_horizontal, self.n_vertical, 0.5, self.wavelength)
 
@@ -145,7 +145,7 @@ class Scenario:
         )
 
     def __getstate__(self) -> dict:
-        # a pickled Scenario holds its fields alone; the cached rrc is rebuilt
+        # a pickled Scenario holds its fields alone; the cached rrc and array are rebuilt
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
@@ -405,23 +405,7 @@ def _velocity_windows(scen) -> tuple[np.ndarray, int]:
     return starts, 2 * _FINE_SEARCH + PREAMBLE_LEN
 
 
-def _velocity_echo(scen) -> np.ndarray:
-    """The unit-gain echo of the CPI's preambles alone from the scenario's
-    first target, in a velocity trial's read windows.
-
-    Every velocity trial of a sweep point has that target's delay and
-    Doppler and the point's M and K, so its preamble echo is the same in
-    each; a trade-off point changes M and K, so each point has its own.
-    """
-    starts, length = _velocity_windows(scen)
-    echo = np.zeros((len(starts), length), dtype=complex)
-    preambles = partial(assemble_cpi, scen.n_frames, scen.layout(), seed=None)
-    _add_symbol_rate_echoes(echo, preambles, scen.rrc, scen.symbol_rate, scen.targets[:1],
-                            [1.0], scen.wavelength, starts)
-    return echo
-
-
-def _velocity_trial(echo, scen, scnr_db, rng) -> float:
+def _velocity_trial(scen, scnr_db, rng) -> float:
     """One multi-frame velocity trial at symbol rate; returns squared error.
 
     Each frame's window reads the fine-timing search span and the preamble.
@@ -432,10 +416,9 @@ def _velocity_trial(echo, scen, scnr_db, rng) -> float:
     products instead would add the |noise|^2 self-term of the correlator,
     which costs ~10 log10(1 + (M-1)/(2 zeta)) dB at low SCNR.
 
-    ``echo`` is the preambles' unit-gain echo (``_velocity_echo``), so a
-    trial convolves only the columns at either end of a row whose span
-    reaches the previous frame's payload or the header.  Draws: the CPI's
-    seed integer, the echo phase, then the noise.
+    Every window holds its frame's preamble at the same column, so the
+    synthesizer convolves the preamble's echo once for all M rows.  Draws:
+    the CPI's seed integer, the echo phase, then the noise.
     """
     target = scen.targets[0]
     m = scen.n_frames
@@ -443,10 +426,9 @@ def _velocity_trial(echo, scen, scnr_db, rng) -> float:
     symbol_windows = partial(assemble_cpi, m, scen.layout(), seed=int(rng.integers(2**63)))
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     starts, length = _velocity_windows(scen)
-    preamble = (-starts[0], PREAMBLE_LEN - starts[0])   # its columns in every window
     rows = synthesize_radar_rx_symbol_rate(
         symbol_windows, scen.rrc, scen.symbol_rate, [target], sigma_cn2, scen.array, None,
-        rng, starts=starts, length=length, fixed_echo=(preamble, echo),
+        rng, starts=starts, length=length, repeated=(-starts[0], PREAMBLE_LEN - starts[0]),
     )
 
     fine, _ = fine_timing_preamble(rows[0], (0, 2 * _FINE_SEARCH + 1))
@@ -516,8 +498,7 @@ def _seeded_trial(trial, points, seed: int, job):
 def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
     """Each ``(i, *args)`` point's ``spec.trials`` values (n-tuples: a
     (trials, n) array) of ``trial(*args, rng)``, in trial order; trial j
-    draws from _rng(seed, i, j).  The args are ``(scen, value)``, or
-    ``(echo, scen, value)`` with a point's own run-level echo.
+    draws from _rng(seed, i, j).  The args are ``(scen, value)``.
 
     All points' trials share one process pool, and run on one BLAS thread.
     """
@@ -612,8 +593,7 @@ def _run_velocity_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     _check_moose_span(scen, [scen.frame_k])
-    echo = _velocity_echo(scen)
-    points = [(i, echo, scen, s) for i, s in enumerate(spec.sweep)]
+    points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     errors = _monte_carlo(_velocity_trial, spec, points, workers)
     for scnr_db, sq in zip(spec.sweep, errors):
         table.add(scnr_db, "velocity_mse_m2s2", float(np.mean(sq)), spec.trials,
@@ -635,13 +615,15 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
     t_cpi = scen.cpi_duration_s
     total_symbols = int(round(t_cpi / scen.ts))
     ks = [total_symbols // int(m) for m in spec.sweep]
-    # an infeasible point keeps its index i, so later points keep their streams
+    _, window = _velocity_windows(scen)
+    # a feasible frame holds its preamble, its header and a payload symbol,
+    # and a trial's read window; an infeasible point keeps its index i, so
+    # later points keep their streams
     subs = {i: replace(scen, n_frames=int(m), frame_k=k)
             for i, (m, k) in enumerate(zip(spec.sweep, ks))
-            if k > PREAMBLE_LEN + scen.header_len}
+            if k > PREAMBLE_LEN + scen.header_len and k >= window}
     _check_moose_span(scen, [sub.frame_k for sub in subs.values()])
-    # M and K change from point to point, and with them the preamble echo
-    points = [(i, _velocity_echo(sub), sub, scnr_db) for i, sub in subs.items()]
+    points = [(i, sub, scnr_db) for i, sub in subs.items()]
     errors = dict(zip(subs, _monte_carlo(_velocity_trial, spec, points, workers)))
     for i, (m_frames, k) in enumerate(zip(spec.sweep, ks)):
         m_frames = int(m_frames)
@@ -701,10 +683,12 @@ def _run_ddmap(spec: ExperimentSpec, workers: int) -> ResultTable:
         cpi /= h_ref
         return cpi
 
-    # each frame's sliding CEF read: 512 lags of the 1024-symbol Gu|Gv pair
+    # each frame's sliding CEF read: 512 lags of the 1024-symbol Gu|Gv pair;
+    # window r starts STF_LEN into frame r, whose preamble every frame repeats
     rows = synthesize_radar_rx_symbol_rate(
         symbol_windows, scen.rrc, scen.symbol_rate, scen.targets, sigma_cn2, scen.array,
         beams, rng, starts=STF_LEN + np.arange(m) * k, length=512 + 1024 - 1,
+        repeated=(-STF_LEN, PREAMBLE_LEN - STF_LEN),
     )
     h = estimate_channel_cef(rows, CEF_PEAK_BIN, gated=False)
     ddm = build_delay_doppler_map(h, zero_pad=scen.zero_pad, ts=scen.ts,

@@ -16,6 +16,7 @@ are drawn fresh per frame.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,7 @@ def assemble_cpi(
     layout: FrameLayout,
     starts,
     length: int,
-    seed: int | None,
+    seed: int,
     preamble: Preamble = DEFAULT_PREAMBLE,
 ) -> np.ndarray:
     """Read windows of a CPI: M frames, identical preambles, fresh payloads.
@@ -129,9 +130,9 @@ def assemble_cpi(
     matrix whose row r is s[starts[r] : starts[r] + length], zero outside
     [0, M K).  Only the symbols inside a window are drawn, so the whole CPI,
     ``assemble_cpi(m, layout, [0], m * layout.k, seed)[0]``, is the one call
-    that pays for all M K.  With ``seed`` None the header/payload symbols
-    are zero: the windows of the CPI's preambles alone.
+    that pays for all M K.
     """
+    m, length = operator.index(m), operator.index(length)   # PCG64.advance refuses numpy integers
     if m < 1:
         raise ValueError("a CPI needs at least one frame")
     k = layout.k
@@ -147,7 +148,7 @@ def assemble_cpi(
             if u < PREAMBLE_LEN:
                 w = min(v, PREAMBLE_LEN)
                 out[r, col : col + w - u] = preamble.symbols[u:w]
-            if v > PREAMBLE_LEN and seed is not None:
+            if v > PREAMBLE_LEN:
                 p0 = max(u, PREAMBLE_LEN)
                 i0 = f * per_frame + p0 - PREAMBLE_LEN
                 pieces.append((i0, i0 + v - p0, r, f * k + p0 - lo))

@@ -12,7 +12,6 @@ from wlanradar.airlink import (
     LinkBudget,
     Target,
     _add_noise,
-    _add_symbol_rate_echoes,
     beam_coupling,
     dft_codebook,
     link_budget_sweep,
@@ -502,41 +501,41 @@ class TestSynthesis:
                                     np.random.default_rng(0),
                                     prefix_echo=(10, np.zeros(length, dtype=complex)))
 
-    @pytest.mark.parametrize("fixed", [(40, 240), (100, 110), (-200, 600)],
-                             ids=["wide", "under-the-span", "every-column"])
-    def test_fixed_echo_equals_the_whole_echo(self, fixed):
-        # symbols a..b-1 of every window are fixed: their unit-gain echo in the
-        # columns that read only them, and the rest synthesized, is the
-        # one-call synthesis, from the same draws; a fixed run shorter than
-        # the kernel leaves no such column, and a long one leaves no other
+    @pytest.mark.parametrize("repeated, starts, targets, beams", [
+        ((40, 240), [250, 1100, 1950], [Target(range_m=12.3, velocity_mps=-90.0)], False),
+        ((100, 110), [250, 1100, 1950], [Target(range_m=12.3, velocity_mps=-90.0)], False),
+        ((-200, 600), [250, 1100, 1950], [Target(range_m=12.3, velocity_mps=-90.0)], False),
+        ((40, 240), [250, 1100, 1950],
+         [Target(range_m=14.32, velocity_mps=30.0, azimuth_deg=90.0),
+          Target(range_m=10.06, velocity_mps=60.0, azimuth_deg=100.0)], True),
+        ((130, 330), [-120, 730, 1580], [Target(range_m=2.0, velocity_mps=20.0)], False),
+    ], ids=["wide", "under-the-span", "every-column", "two-targets-beams", "below-0"])
+    def test_repeated_symbols_equal_the_unrepeated_call(self, repeated, starts, targets,
+                                                         beams):
+        # symbols a..b-1 of every window are the same: convolving the columns
+        # that read only them once, from window 0, gives the rows of the same
+        # call without `repeated`, from the same draws; a run shorter than the
+        # kernel leaves no such column, and a long one leaves no other
         stream = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), 3)
-        t = Target(range_m=12.3, velocity_mps=-90.0)
-        starts, length = np.array([250, 1100, 1950]), 400
-        a, b = fixed
-        alone = np.zeros_like(stream)
-        for lo in starts:
-            alone[lo + a : lo + b] = stream[lo + a : lo + b]
-        echo = np.zeros((len(starts), length), dtype=complex)
-        _add_symbol_rate_echoes(echo, _windows_of(alone), RRC16, W, [t], [1.0],
-                                CFG.wavelength, starts)
-        kept = echo.copy()
+        starts, length = np.array(starts), 400
+        a, b = repeated
+        block = stream[starts[0] + a : starts[0] + b].copy()
+        for lo in starts[1:]:
+            stream[lo + a : lo + b] = block
+        pair = select_beams(CFG, 90.0, 90.0) if beams else None
         rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
-        args = (_windows_of(stream), RRC16, W, [t], 1e-4, CFG, None)
+        args = (_windows_of(stream), RRC16, W, targets, 1e-4, CFG, pair)
         got = synthesize_radar_rx_symbol_rate(*args, rng, starts=starts, length=length,
-                                              fixed_echo=(fixed, echo))
+                                              repeated=repeated)
         want = synthesize_radar_rx_symbol_rate(*args, want_rng, starts=starts, length=length)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
-        assert np.array_equal(echo, kept)   # callers share one echo across calls
-
-    def test_fixed_echo_needs_one_target_and_the_rows_shape(self):
-        t = Target(range_m=3.0)
-        for targets, shape in (([t, t], (2, 20)), ([], (2, 20)), ([t], (2, 19))):
-            with pytest.raises(ValueError, match="fixed echo"):
-                synthesize_radar_rx_symbol_rate(
-                    _windows_of(np.ones(64)), RRC, W, targets, 1.0, CFG, None,
-                    np.random.default_rng(0), starts=[0, 30], length=20,
-                    fixed_echo=((0, 10), np.zeros(shape, dtype=complex)))
+        if len(targets) == 1:
+            # the columns at either end of a row are the unrepeated call's, bit for bit
+            k0 = int(np.floor(targets[0].delay() / TS)) - RRC16.span // 2
+            ends = np.ones(length, dtype=bool)
+            ends[max(a + k0 + RRC16.span, 0) : max(b + k0, 0)] = False
+            assert np.array_equal(got[:, ends], want[:, ends])
 
     def test_negative_power_rejected(self):
         frame = np.ones(64)

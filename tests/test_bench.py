@@ -140,6 +140,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0), dict(targets=()),
         dict(symbol_rate=np.inf), dict(cpi_duration_s=np.nan),
+        dict(n_horizontal=0), dict(n_vertical=-1),
     ])
     def test_bad_scenario_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -414,8 +415,9 @@ class TestVelocityTrial:
         Scenario(n_frames=3, frame_k=PREAMBLE_LEN + 200, header_len=0),
     ], ids=["default", "80m-approaching", "fractional", "2m", "tradeoff-no-header"])
     def test_rows_equal_the_full_window_synthesis(self, scen, monkeypatch):
-        # the run-level preamble echo plus the trial's columns at either end
-        # of each row is one synthesis of the whole windows, from the same draws
+        # the preamble's columns convolved once for all rows, and each row's
+        # ends from its own symbols, are one synthesis of the whole windows
+        # that repeats nothing, from the same draws
         kept = []
         synth = bench.synthesize_radar_rx_symbol_rate
 
@@ -426,7 +428,7 @@ class TestVelocityTrial:
 
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
         rng, want_rng = bench._rng(5, 0, 1), bench._rng(5, 0, 1)
-        bench._velocity_trial(bench._velocity_echo(scen), scen, 40.0, rng)
+        bench._velocity_trial(scen, 40.0, rng)
         target, m, k = scen.targets[0], scen.n_frames, scen.frame_k
         windows = partial(assemble_cpi, m, scen.layout(), seed=int(want_rng.integers(2**63)))
         lo = int(np.round(target.delay() / TS)) - 32
@@ -456,7 +458,7 @@ class TestVelocityTrial:
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_start)
         monkeypatch.setattr(bench, "fine_timing_preamble", keep_window)
         scen = Scenario(targets=(Target(range_m=2.0, velocity_mps=20.0),))
-        bench._velocity_trial(bench._velocity_echo(scen), scen, 20.0, bench._rng(1, 0, 0))
+        bench._velocity_trial(scen, 20.0, bench._rng(1, 0, 0))
         expect = int(np.round(scen.targets[0].delay() / TS))
         lo, hi = seen["window"]
         assert (seen["start"] + lo, seen["start"] + hi) == (expect - 32, expect + 33)
@@ -536,3 +538,14 @@ class TestKindsRun:
         assert table.value(2, "data_rate_bps") > 1e9
         # M = 64 leaves no payload room inside 0.06 ms -> infeasible row
         assert table.value(64, "infeasible") == 1.0
+
+    @pytest.mark.parametrize("k, feasible", [(3360, False), (3391, False), (3392, True)])
+    def test_tradeoff_frame_must_hold_the_read_window(self, k, feasible):
+        # without a header, a frame of 3 329-3 391 symbols holds a payload but
+        # not a velocity trial's 2 x 32 + 3 328-symbol read window
+        scen = Scenario(header_len=0, cpi_duration_s=2 * k / W)
+        table = run_experiment(ExperimentSpec(kind="tradeoff", sweep=(2,), trials=2,
+                                              seed=5, scenario=scen))
+        metrics = {metric for _, metric, *_ in table.rows}
+        assert metrics == ({"velocity_rmse_mps", "data_rate_bps", "velocity_crlb_exact_m2s2"}
+                           if feasible else {"infeasible"})

@@ -166,6 +166,15 @@ class TestCpi:
             assert np.array_equal(frames[i, :PREAMBLE_LEN], frames[0, :PREAMBLE_LEN])
         assert not np.array_equal(frames[0, PREAMBLE_LEN:], frames[1, PREAMBLE_LEN:])
 
+    def test_numpy_integer_arguments(self):
+        # a frame count or window length read from a numpy array gives the
+        # windows the same Python ints give
+        layout = FrameLayout(k=12800)
+        want = assemble_cpi(10, layout, [100, 13000], 9000, 12345)
+        for m, length in ((np.int64(10), 9000), (10, np.int64(9000))):
+            got = assemble_cpi(m, layout, [100, 13000], length, 12345)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("custom", [False, True])
     def test_equals_one_draw_per_cpi(self, custom):
         # the M frames' header/payload symbols are one integers(0, 2) draw
@@ -192,10 +201,8 @@ class TestCpi:
                     else DEFAULT_PREAMBLE)
         k = 3701   # an odd payload count per frame: pieces start at either half
         layout = FrameLayout(k=k, header_len=16)
-        # with no seed, the same windows of the CPI's preambles alone
         whole = _whole_cpi(m, layout, 33, preamble)
-        preambles = whole.copy()
-        preambles.reshape(m, k)[:, PREAMBLE_LEN:] = 0
+        padded = np.concatenate([np.zeros(2 * k), whole, np.zeros(2 * k)])
         p = PREAMBLE_LEN
         cases = [
             ([-50, p + 7, k + p + 10], 40),    # below 0; odd and even offsets
@@ -207,10 +214,8 @@ class TestCpi:
             ([p + 2, p + 51, k - 7], 5),       # gaps within one frame
             ([2 * k - 9, p + 3, -4], 12),      # starts out of order
         ]
-        for seed, stream in ((33, whole), (None, preambles)):
-            padded = np.concatenate([np.zeros(2 * k), stream, np.zeros(2 * k)])
-            for starts, length in cases:
-                rows = assemble_cpi(m, layout, starts, length, seed, preamble)
-                ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
-                assert rows.shape == ref.shape and rows.dtype == ref.dtype
-                assert rows.tobytes() == ref.tobytes(), (seed, starts, length)
+        for starts, length in cases:
+            rows = assemble_cpi(m, layout, starts, length, 33, preamble)
+            ref = np.array([padded[2 * k + lo : 2 * k + lo + length] for lo in starts])
+            assert rows.shape == ref.shape and rows.dtype == ref.dtype
+            assert rows.tobytes() == ref.tobytes(), (starts, length)

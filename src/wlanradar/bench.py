@@ -37,7 +37,7 @@ from .airlink import (
     synthesize_radar_rx,
     synthesize_radar_rx_symbol_rate,
 )
-from .dsp import RrcSpec, _conj_spectrum, apply_delay_doppler, pulse_shape
+from .dsp import RrcSpec, _conj_spectrum, _lag_read, apply_delay_doppler, pulse_shape
 from .frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -106,15 +106,12 @@ class Scenario:
             raise ValueError("symbol_rate must be finite")
         if not self.carrier_hz > 0:
             raise ValueError("carrier_hz must be positive")
-        if not self.cpi_duration_s > 0:
-            raise ValueError("cpi_duration_s must be positive")
-        for f in fields(LinkBudget):   # a JSON config may hold NaN or Infinity
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not 0 < self.cpi_duration_s < np.inf:
+            raise ValueError("cpi_duration_s must be positive and finite")
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
-        self.rrc  # RrcSpec refuses a bad rolloff, span or oversampling factor
-        self.array  # ArrayConfig refuses an axis without elements
+        # built once: RrcSpec, ArrayConfig and LinkBudget each refuse their bad fields
+        self.rrc, self.array, self.link_budget
 
     @property
     def ts(self) -> float:
@@ -133,7 +130,7 @@ class Scenario:
     def array(self) -> ArrayConfig:
         return ArrayConfig(self.n_horizontal, self.n_vertical, 0.5, self.wavelength)
 
-    @property
+    @cached_property
     def link_budget(self) -> LinkBudget:
         return LinkBudget(self.eirp_dbm, self.noise_figure_db, self.pl_exponent,
                           self.rician_k_db)
@@ -145,7 +142,7 @@ class Scenario:
         )
 
     def __getstate__(self) -> dict:
-        # a pickled Scenario holds its fields alone; the cached rrc and array are rebuilt
+        # a pickled Scenario holds its fields alone; the cached properties are rebuilt
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
@@ -197,6 +194,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:   # numpy's seed sequence would refuse it inside the first trial
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in ("ambiguity", "ddmap") and len(self.sweep) == 0:
             raise ValueError(f"experiment {self.kind!r} needs a nonempty sweep")
         if not (0 < self.pfa < 1):
@@ -384,7 +383,8 @@ def _range_trial(template, spectrum, scen, scnr_db, rng) -> tuple[float, float]:
 
     q = scen.oversample
     expect = int(np.round(target.delay() / scen.ts)) * q
-    window = (expect - _RANGE_SEARCH * q, expect + _RANGE_SEARCH * q + 1)
+    # a target nearer than the search span searches from lag 0
+    window = (max(expect - _RANGE_SEARCH * q, 0), expect + _RANGE_SEARCH * q + 1)
     lags = preamble_delay(rx, template, window, spectrum)
     return tuple(float((estimate_range(lag / q, scen.ts) - rho) ** 2) for lag in lags)
 
@@ -526,13 +526,14 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     echo = _preamble_echo(scen)
     lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
-    last = len(echo) - len(template)   # the last lag where the whole template fits
-    if not 0 <= w <= min(lag0, last - lag0):
+    window = (lag0 - w, lag0 + w + 1)
+    try:   # before any trial: a trial's stream is as long as the echo
+        _lag_read(echo, window, len(template))
+    except ValueError as e:
         raise ValueError(f"the detection window of {scen.detection_window_symbols} symbols "
-                         f"either side of lag {lag0} must be >= 0 and stay within lags "
-                         f"0-{last}, where the preamble template fits the received stream")
+                         f"either side of lag {lag0}: {e}") from None
     # a (scen, value, rng) trial
-    trial = partial(_detection_trial, template, echo, (lag0 - w, lag0 + w + 1))
+    trial = partial(_detection_trial, template, echo, window)
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     stats = _monte_carlo(trial, spec, points, workers)
     for scnr_db, stat in zip(spec.sweep, stats):

@@ -17,7 +17,7 @@ received buffer the caller owns, phase by phase.
 The package's two correlation kernels live here too: a direct first-maximum
 search for the tens of lags of fine timing and detection, and one FFT
 correlation for the thousands of lags of range timing and the sliding
-Golay CEF correlator.
+Golay CEF correlator.  Every search reads its lag window through ``_lag_read``.
 """
 
 from __future__ import annotations
@@ -172,25 +172,32 @@ def pulse_shape(
     return shaped
 
 
+def _lag_read(y: np.ndarray, window: tuple[int, int], n_ref: int) -> np.ndarray:
+    """y[..., lo : hi + n_ref - 1], a search's read of the lags [lo, hi) with an
+    ``n_ref``-sample reference.  The one lag-window rule: ValueError unless every
+    lag fits the reference in the last axis, 0 <= lo < hi <= L - n_ref + 1."""
+    y = np.asarray(y)
+    lo, hi = window
+    n_lags = y.shape[-1] - n_ref + 1 if y.ndim else 0
+    if not 0 <= lo < hi <= n_lags:
+        raise ValueError(f"lag window {window} is empty or leaves the lags [0, {n_lags}) "
+                         f"where a {n_ref}-sample reference fits the stream of shape {y.shape}")
+    return y[..., lo : hi + n_ref - 1]
+
+
 def _xcorr_peak(y: np.ndarray, template: np.ndarray,
                 window: tuple[int, int]) -> tuple[int, complex]:
     """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
 
     The direct search of fine timing and detection: at their few lags it beats an FFT.
     """
-    lo, hi = window
-    lo = max(lo, 0)
-    hi = min(hi, len(y) - len(template) + 1)
-    if hi <= lo:
-        raise ValueError("search window too short for the template")
-    seg = y[lo : hi + len(template) - 1]
-    c = np.correlate(seg, template, mode="valid")
+    c = np.correlate(_lag_read(y, window, len(template)), template, mode="valid")
     # argmax returns the first maximum, or the first NaN: a non-finite sample
     # in the searched span leaves the peak non-finite
     peak = int(np.argmax(np.abs(c) ** 2))
     if not np.isfinite(c[peak]):
         raise ValueError("the searched span contains non-finite samples")
-    return lo + peak, c[peak]
+    return window[0] + peak, c[peak]
 
 
 def _conj_spectrum(ref: np.ndarray, length: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import _conj_spectrum, _fft_correlate
+from .dsp import _conj_spectrum, _fft_correlate, _lag_read
 
 __all__ = [
     "GolayPair",
@@ -105,8 +105,8 @@ def golay_pair_correlate(
     Two windowing modes:
 
     * gate=None (sliding): gamma(l) = (1/2N) sum_{n<2N} rx[l + n] conj([a b][n]),
-      one correlation of rx[..., lo : hi - 1 + 2N] against [a b].  That read
-      must lie inside the stream; one that leaves it raises ValueError.
+      one correlation of rx[..., lo : hi - 1 + 2N] against [a b], a read
+      ``dsp._lag_read`` refuses unless every lag fits [a b] inside the stream.
       Amplitude is exact for shifted copies of the pair, but off-peak values
       pick up the cross terms between the a/b segments and whatever surrounds
       them.  ``rx`` may stack rows along leading axes, shape (..., L); every
@@ -117,36 +117,28 @@ def golay_pair_correlate(
       that are cyclic shifts of a and b give a delta, exact within rounding,
       across all N lags.  This is the form behind the gated channel estimate
       (acceptance criterion 2) and the ambiguity bench; detection reads no
-      CEF.  ``rx`` must be 1-d, and rx[g : g + 2N] must lie inside it and be
-      finite.
+      CEF.  ``rx`` must be 1-d, and rx[g : g + 2N], the read of the one lag g
+      of [a b] (``dsp._lag_read``), must lie inside it and be finite.
 
     A non-finite sample read raises ValueError in either mode.
     """
     y = np.asarray(rx, dtype=complex)
     n = len(pair)
     lo, hi = window
-    if hi <= lo:
-        raise ValueError(f"empty lag window {window}")
-
     if gate is None:
-        if lo < 0 or y.ndim < 1 or hi - 1 + 2 * n > y.shape[-1]:
-            raise ValueError(f"the sliding read [{lo}, {hi - 1 + 2 * n}) of lag window "
-                             f"{window} leaves the stream of shape {y.shape}")
-        span = y[..., lo : hi - 1 + 2 * n]
+        span = _lag_read(y, window, 2 * n)
         ref = _conj_spectrum(np.concatenate([pair.a, pair.b]), span.shape[-1])
         return _fft_correlate(span, ref, hi - lo) / (2 * n)
     if y.ndim != 1:
         raise ValueError("cyclic correlation takes a 1-d stream")
-    if gate < 0 or gate + 2 * n > len(y):
-        raise ValueError(f"the gated read [{gate}, {gate + 2 * n}) leaves the "
-                         f"stream of shape {y.shape}")
-    if hi - lo > n:
-        raise ValueError(f"lag window {window} leaves the records' {n} cyclic lags")
-    if not np.isfinite(y[gate : gate + 2 * n]).all():
+    records = _lag_read(y, (gate, gate + 1), 2 * n)   # the one lag g of [a b]
+    if not 0 < hi - lo <= n:
+        raise ValueError(f"lag window {window} is empty or leaves the records' {n} cyclic lags")
+    if not np.isfinite(records).all():
         raise ValueError("the gated read contains non-finite samples")
     # each record extended by its first N - 1 samples: one period of cyclic lags
     c = sum(np.correlate(np.concatenate([r, r[:-1]]), ref.astype(complex), "valid")
-            for r, ref in zip(y[gate : gate + 2 * n].reshape(2, n), (pair.a, pair.b)))
+            for r, ref in zip(records.reshape(2, n), (pair.a, pair.b)))
     return c[np.arange(lo - gate, hi - gate) % n] / (2 * n)
 
 

@@ -77,10 +77,10 @@ def matched_preamble_statistic(
     preamble at its rate; the statistic background on white noise of
     per-sample variance sigma^2 is an exponential with mean sigma^2, so
     cfar_threshold(sigma_cn^2, pfa) applies directly.  The peak is searched
-    over the lags l in [lo, hi) at which the template fits inside the
-    stream, the first lag winning a tie; a window with no such lag, or a
-    non-finite sample in the searched span, raises ValueError.  Returns
-    (statistic, lag of the peak).
+    over every lag l in the window [lo, hi), the first lag winning a tie; a
+    window with a lag at which the template does not fit inside the stream
+    (``dsp._lag_read``), or a non-finite sample in the searched span, raises
+    ValueError.  Returns (statistic, lag of the peak).
     """
     t = np.asarray(template, dtype=complex)
     lag, c = _xcorr_peak(rx, t, window)

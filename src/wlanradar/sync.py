@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import _conj_spectrum, _fft_correlate, _xcorr_peak
+from .dsp import _conj_spectrum, _fft_correlate, _lag_read, _xcorr_peak
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
@@ -38,19 +38,19 @@ def preamble_delay(rx, template: np.ndarray, window: tuple[int, int],
                    spectrum: np.ndarray | None = None) -> tuple[int, float]:
     """(lag, refined_lag) of the shaped preamble ``template`` in the oversampled ``rx``.
 
-    One correlation searches phase and lag jointly over the lags [lo, hi) at
-    which the template fits: lag is the first argmax of |c|, refined_lag the
-    vertex of the parabola through |c| at lag - 1, lag, lag + 1 (lag on the
-    window's edge).  Under 3 lags, or a non-finite sample read, raise ValueError.
-    ``spectrum``, the template's ``dsp._conj_spectrum`` at a length no shorter
-    than the read rx[lo : hi + len(template) - 1], spares a caller searching
-    many streams with one template its transform; by default it is computed
-    at the read's length.
+    One correlation searches phase and lag jointly over every lag of [lo, hi):
+    lag is the first argmax of |c|, refined_lag the vertex of the parabola
+    through |c| at lag - 1, lag, lag + 1 (lag on the window's edge).  Under 3
+    lags, a lag leaving ``rx`` (``dsp._lag_read``) or a non-finite sample read
+    raise ValueError.  ``spectrum``, the template's ``dsp._conj_spectrum`` at a
+    length no shorter than the read rx[lo : hi + len(template) - 1], spares a
+    caller searching many streams with one template its transform; by default
+    it is computed at the read's length.
     """
-    lo, hi = max(window[0], 0), min(window[1], len(rx) - len(template) + 1)
+    lo, hi = window
     if hi - lo < 3:
         raise ValueError("search window too short for the template")
-    read = rx[lo : hi + len(template) - 1]
+    read = _lag_read(rx, window, len(template))
     if spectrum is None:
         spectrum = _conj_spectrum(template, len(read))
     mag = np.abs(_fft_correlate(read, spectrum, hi - lo))
@@ -65,8 +65,8 @@ def fine_timing_preamble(y, window: tuple[int, int],
                          preamble: Preamble = DEFAULT_PREAMBLE) -> tuple[int, complex]:
     """Fine timing against the full 3328-symbol preamble (STF and CEF jointly).
 
-    Returns (peak index, correlation value normalized by the preamble length),
-    which doubles as the input to preamble-based detection.
+    Searches every lag of ``window``; a lag leaving ``y`` raises ValueError
+    (``dsp._lag_read``).  Returns (peak index, correlation / preamble length).
     """
     y = np.asarray(y, dtype=complex)
     template = preamble.symbols.astype(complex)

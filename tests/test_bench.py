@@ -140,7 +140,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(n_frames=0), dict(frame_k=0), dict(cpi_duration_s=0.0), dict(targets=()),
         dict(symbol_rate=np.inf), dict(cpi_duration_s=np.nan),
-        dict(n_horizontal=0), dict(n_vertical=-1),
+        dict(cpi_duration_s=np.inf), dict(n_horizontal=0), dict(n_vertical=-1),
+        dict(eirp_dbm=50.0),
     ])
     def test_bad_scenario_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -154,6 +155,20 @@ class TestSpecValidation:
         # every bench reads the pulse, the symbol-rate ones included
         with pytest.raises(ValueError, match=match):
             Scenario(**kwargs)
+
+    @pytest.mark.parametrize("kind, sweep", [
+        ("detection", (-20.0,)), ("range-mse", (10.0,)), ("velocity-mse", (10.0,)),
+        ("tradeoff", (2,)), ("ddmap", (20.0,)),
+    ])
+    def test_negative_seed_rejected(self, kind, sweep, monkeypatch):
+        # numpy's seed sequence refused it inside the first trial, after a
+        # pool had started; nothing may run first
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_map_trials", no_trials)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_experiment(ExperimentSpec(kind=kind, sweep=sweep, trials=2, seed=-1))
 
     def test_tradeoff_frame_count_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -463,6 +478,26 @@ class TestVelocityTrial:
         lo, hi = seen["window"]
         assert (seen["start"] + lo, seen["start"] + hi) == (expect - 32, expect + 33)
         assert 0 <= lo and hi - 1 + PREAMBLE_LEN <= seen["len"]
+
+
+class TestRangeTrial:
+    def test_near_target_searches_from_lag_zero(self, monkeypatch):
+        # a 20 m target sits 235 symbols out, nearer than the 384-symbol
+        # search span: the trial passes the lags that fit, from lag 0
+        seen = {}
+        delay = bench.preamble_delay
+
+        def keep_window(rx, template, window, spectrum):
+            seen["window"] = window
+            return delay(rx, template, window, spectrum)
+
+        monkeypatch.setattr(bench, "preamble_delay", keep_window)
+        scen = Scenario(targets=(Target(range_m=20.0),))
+        template = bench.pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W)
+        spectrum = bench._conj_spectrum(template, 768 * scen.oversample + len(template))
+        bench._range_trial(template, spectrum, scen, 20.0, bench._rng(4, 0, 0))
+        expect = 235 * scen.oversample
+        assert seen["window"] == (0, expect + 384 * scen.oversample + 1)
 
 
 class TestStatisticalConventions:

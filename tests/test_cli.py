@@ -184,6 +184,26 @@ class TestErrors:
                                            f"{field} must be finite, got nan\n")
         assert not out.exists()
 
+    def test_infinite_cpi_duration_rejected(self, tmp_path, capsys):
+        # json.loads takes Infinity: the trade-off bench's frame lengths
+        # overflowed in a traceback
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": {"cpi_duration_s": Infinity}}')
+        out = tmp_path / "o.csv"
+        assert main(["tradeoff", "--config", str(path), "--trials", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: bad scenario config: "
+                                           "cpi_duration_s must be positive and finite\n")
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" came from inside the first trial
+        out = tmp_path / "o.csv"
+        assert main(["velocity", "--scnr", "10", "--trials", "4", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         "detect --trials 1 --scnr=-inf",
         "range --trials 1 --scnr=-inf",

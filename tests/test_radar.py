@@ -92,13 +92,17 @@ class TestMatchedPreambleStatistic:
             got = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
             assert got == _lag_loop_statistic(rx, template, lag0 + np.arange(-w, w + 1))
 
-    def test_window_clipped_to_the_stream(self):
+    def test_window_leaving_the_stream_rejected(self):
+        # the template fits at lags 0-260 of the 300 samples; a window is
+        # searched whole or refused, never narrowed to the lags that fit
         rng = np.random.default_rng(5)
         y = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         t = rng.standard_normal(40)
-        got = matched_preamble_statistic(y, t, (-20, 290))
-        assert got == _lag_loop_statistic(y, t, np.arange(-20, 290))
-        assert 0 <= got[1] <= 260
+        got = matched_preamble_statistic(y, t, (0, 261))
+        assert got == _lag_loop_statistic(y, t, np.arange(0, 261))
+        for window in ((-20, 290), (-1, 5), (0, 262), (250, 290)):
+            with pytest.raises(ValueError, match="leaves"):
+                matched_preamble_statistic(y, t, window)
 
     def test_first_lag_wins_a_tie(self):
         # lags 0 and 3 both see the full template

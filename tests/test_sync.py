@@ -107,11 +107,11 @@ class TestPreambleDelay:
 
     def test_a_ready_spectrum_gives_the_same_lags(self):
         # the range bench transforms the template once, at a whole search's
-        # read length; a search clipped by the stream reads fewer samples
+        # read length; a search from lag 0, as a near target's, reads fewer samples
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
         rx = _shaped_at(frame, (587 + 0.3 / Q) * TS)
         spectrum = _conj_spectrum(TEMPLATE, 768 * Q + len(TEMPLATE))
-        for window in (((587 - 384) * Q, (587 + 384) * Q + 1), (-100 * Q, 668 * Q + 1)):
+        for window in (((587 - 384) * Q, (587 + 384) * Q + 1), (0, 668 * Q + 1)):
             got = preamble_delay(rx, TEMPLATE, window, spectrum)
             assert got[0] == preamble_delay(rx, TEMPLATE, window)[0] == 587 * Q
         assert got[1] == pytest.approx(preamble_delay(rx, TEMPLATE, window)[1], abs=1e-9)
@@ -124,14 +124,18 @@ class TestPreambleDelay:
             assert lag == 587 * Q
             assert refined == lag
 
-    def test_window_clipped_to_the_stream(self):
+    def test_window_leaving_the_stream_rejected(self):
+        # a window is searched whole or refused, never narrowed to the lags that fit
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=5)
         rx = _shaped_at(frame, 587 * TS)
-        last = len(rx) - len(TEMPLATE)
-        assert preamble_delay(rx, TEMPLATE, (-500, 10**7))[0] == 587 * Q
-        assert preamble_delay(rx, TEMPLATE, (last - 2, 10**7))[0] == last
+        last = len(rx) - len(TEMPLATE)   # the last lag where the template fits
+        assert preamble_delay(rx, TEMPLATE, (0, last + 1))[0] == 587 * Q
+        assert preamble_delay(rx, TEMPLATE, (last - 2, last + 1))[0] == last
+        for window in ((-500, 10**7), (-1, last + 1), (0, last + 2), (10**7, 10**7 + 50)):
+            with pytest.raises(ValueError, match="leaves"):
+                preamble_delay(rx, TEMPLATE, window)
 
-    @pytest.mark.parametrize("window", [(0, 2), (10, 10), (10**7, 10**7 + 50)])
+    @pytest.mark.parametrize("window", [(0, 2), (10, 10), (10, 3)])
     def test_window_too_short_rejected(self, window):
         rx = np.zeros(len(TEMPLATE) + 100, complex)
         with pytest.raises(ValueError, match="too short"):
@@ -167,6 +171,16 @@ class TestFineTiming:
     def test_window_too_short_rejected(self):
         with pytest.raises(ValueError):
             fine_timing_preamble(np.zeros(100, complex), (0, 10))
+
+    def test_window_leaving_the_stream_rejected(self):
+        # the velocity trial's window: 64 lags of search span and the
+        # preamble fit its 3 392-symbol row exactly; one lag more does not
+        y = np.zeros(64 + 3328, complex)
+        y[32 : 32 + 3328] = DEFAULT_PREAMBLE.symbols
+        assert fine_timing_preamble(y, (0, 65))[0] == 32
+        for window in ((-1, 64), (0, 66)):
+            with pytest.raises(ValueError, match="leaves"):
+                fine_timing_preamble(y, window)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_sample_in_the_span_rejected(self, bad):

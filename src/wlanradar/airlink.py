@@ -252,59 +252,56 @@ def synthesize_radar_rx(
     beams: BeamPair | None,
     rng: np.random.Generator,
     *,
-    prefix_echo: tuple[int, np.ndarray] | None = None,
+    start: int,
+    length: int,
 ) -> np.ndarray:
-    """Superpose delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise.
+    """Delayed/Doppler-shifted echoes of the symbols plus clutter-and-noise,
+    over the one window a receiver reads.
 
     The symbols carry the amplitude (sqrt(Es) included).  Each target
-    contributes apply_delay_doppler(out, symbols, spec, symbol_rate, tau_p,
+    contributes apply_delay_doppler(rx, symbols, spec, symbol_rate, tau_p,
     nu_p, h_p), shaped directly at its own delay, with h_p from the path
     gain, beam coupling and a per-CPI random unit-magnitude phase beta_p;
-    with ``beams`` None, h_p is beta_p alone.  ``rng`` draws the phases,
-    then the noise: every real part, then every imaginary part.
+    with ``beams`` None, h_p is beta_p alone.
 
-    The output is one buffer on dsp's clock, allocated once: it starts at
-    the start of the undelayed shaped stream and runs for
-    max_p round(tau_p rate) + len(symbols) Q + span Q samples.  Every echo
-    is added straight into it, target after target, and the noise after
-    them.  An empty target list yields pure clutter-plus-noise of the
-    undelayed shaped duration.
-
-    ``prefix_echo`` = (n, echo), for one target only, is the unit-gain echo
-    of symbols[:n]: apply_delay_doppler of them at the target's delay and
-    Doppler into a zero buffer of the output's length.  The output is then
-    h_p echo plus the echo of symbols[n:] alone, n Q samples on the clock
-    later, where its Doppler ramp has advanced by exp(j 2 pi nu_p n Ts): by
-    linearity the same stream up to rounding, from the same draws.  A
-    caller whose target and leading symbols stay fixed over many calls
-    shapes them once this way.
+    Only the window a receiver reads is synthesized: the result is
+    rx[start : start + length] on dsp's clock, as for
+    ``synthesize_radar_rx_symbol_rate``.  The model holds at every sample,
+    so a window may start below 0 or run past the echoes.  Only the symbols
+    whose echoes reach the window are shaped: symbols[k0:k1], on a clock
+    k0 symbols late, are the stream's echo from k0 Q samples on, whose
+    Doppler ramp starts k0 Ts later.  They are added into one buffer that
+    spans the window and the ends of those echoes, at most span Q samples
+    before it and (span + 1) Q after it, and the window is returned.
+    ``rng`` draws the phases, then the noise over the window alone: every
+    real part, then every imaginary part.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
+    if length < 1:
+        raise ValueError(f"the read window must be nonempty, got length {length}")
     targets = list(targets)
     gains = _echo_gains(targets, cfg, beams, rng)
     q = spec.oversample
-    rate = symbol_rate * q
-    shifts = [int(np.round(t.delay() * rate)) for t in targets]
-    n_out = max(shifts, default=0) + (len(symbols) + spec.span) * q
-    if prefix_echo is None:
-        out = np.zeros(n_out, dtype=complex)
-        for t, h_p in zip(targets, gains):
-            apply_delay_doppler(out, symbols, spec, symbol_rate, t.delay(),
-                                t.doppler(cfg.wavelength), h_p)
-    else:
-        n, echo = prefix_echo
-        if len(targets) != 1 or len(echo) != n_out:
-            raise ValueError(f"a prefix echo needs one target and {n_out} samples, got "
-                             f"{len(targets)} targets and {len(echo)} samples")
-        (t,), (h_p,) = targets, gains
-        nu = t.doppler(cfg.wavelength)
-        out = h_p * echo
-        # symbols[n:] on the clock n Q samples on, whose Doppler ramp starts n Ts later
-        apply_delay_doppler(out[n * q :], symbols[n:], spec, symbol_rate, t.delay(), nu,
-                            h_p * np.exp(2j * np.pi * nu * n / symbol_rate))
-    _add_noise(out, sigma_cn2, rng)
-    return out
+    # an echo that reaches the window starts at most span Q samples before
+    # it and ends less than (span + 1) Q samples after it
+    pad = spec.span * q
+    out = np.zeros(pad + length + pad + q, dtype=complex)
+    for t, h_p in zip(targets, gains):
+        shift = int(np.round(t.delay() * symbol_rate * q))
+        # symbol k's echo covers the samples shift + k Q .. shift + (k + span) Q,
+        # so the symbols from ceil((start - shift) / Q) - span to before
+        # ceil((start + length - shift) / Q) reach the window
+        k0 = max(-((shift - start) // q) - spec.span, 0)
+        k1 = min(-((shift - start - length) // q), len(symbols))
+        if k1 > k0:
+            nu = t.doppler(cfg.wavelength)
+            apply_delay_doppler(out, symbols[k0:k1], spec, symbol_rate, t.delay(), nu,
+                                h_p * np.exp(2j * np.pi * nu * k0 / symbol_rate),
+                                start=start - pad - k0 * q)
+    rx = out[pad : pad + length]
+    _add_noise(rx, sigma_cn2, rng)
+    return rx
 
 
 def synthesize_radar_rx_symbol_rate(

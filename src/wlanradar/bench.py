@@ -37,7 +37,7 @@ from .airlink import (
     synthesize_radar_rx,
     synthesize_radar_rx_symbol_rate,
 )
-from .dsp import RrcSpec, _conj_spectrum, _lag_read, apply_delay_doppler, pulse_shape
+from .dsp import RrcSpec, _conj_spectrum, pulse_shape
 from .frame import (
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
@@ -110,6 +110,9 @@ class Scenario:
             raise ValueError("cpi_duration_s must be positive and finite")
         if not self.targets:
             raise ValueError("a scenario needs at least one target")
+        if self.detection_window_symbols < 0:
+            raise ValueError("detection_window_symbols must be >= 0, "
+                             f"got {self.detection_window_symbols}")
         # built once: RrcSpec, ArrayConfig and LinkBudget each refuse their bad fields
         self.rrc, self.array, self.link_budget
 
@@ -320,43 +323,25 @@ def _rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, point, trial])
 
 
-def _detection_trial(template, echo, window, scen, scnr_db, rng) -> float:
+def _detection_trial(template, window, scen, scnr_db, rng) -> float:
     """One end-to-end detection trial; returns its matched preamble statistic.
 
-    The statistic is the oversampled matched-filter correlation of the raw
+    The statistic is the oversampled matched-filter correlation of the
     received stream with ``template``, the preamble shaped at the
     scenario's oversampled rate, searched over ``window``, the lags of the
     scenario's delay uncertainty around the expected echo; the pipeline
-    compares it with the threshold.  ``echo`` is the preamble's unit-gain
-    echo from the target (``_preamble_echo``), so a trial shapes only its
-    payload.
+    compares it with the threshold.  Only the statistic's read, the lags
+    (lo, hi) and the template's length past them, is synthesized.
     """
+    lo, hi = window
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, scen.targets[:1],
                              sigma_cn2, scen.array, None, rng,
-                             prefix_echo=(PREAMBLE_LEN, echo))
-    stat, _ = matched_preamble_statistic(rx, template, window)
+                             start=lo, length=hi - lo + len(template) - 1)
+    stat, _ = matched_preamble_statistic(rx, template, (0, hi - lo))
     return stat
-
-
-def _preamble_echo(scen) -> np.ndarray:
-    """The unit-gain echo of the preamble from the scenario's first target,
-    shaped at its delay and Doppler into a zero buffer of a detection
-    trial's output length.
-
-    Every detection trial of a run has that target's delay and Doppler, so
-    its preamble echo is the same in each; range jitters the delay per trial.
-    """
-    target = scen.targets[0]
-    q = scen.oversample
-    # the synthesizer's own expression for the echo's first sample
-    shift = int(np.round(target.delay() * (scen.symbol_rate * q)))
-    echo = np.zeros(shift + (scen.detection_frame_k + scen.rrc_span) * q, dtype=complex)
-    apply_delay_doppler(echo, DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate,
-                        target.delay(), target.doppler(scen.wavelength))
-    return echo
 
 
 _RANGE_SEARCH = 384   # symbols the range search spans either side of the expected echo
@@ -368,7 +353,9 @@ def _range_trial(template, spectrum, scen, scnr_db, rng) -> tuple[float, float]:
     range errors in m^2 of the peak and of its parabola.
 
     The true range is jittered by up to half a range bin so the Monte Carlo
-    samples the sub-sample quantization error of the synchronizer.
+    samples the sub-sample quantization error of the synchronizer.  Only the
+    search's read is synthesized, and its lags are counted from the read's
+    start.
     """
     base = scen.targets[0]
     bin_m = SPEED_OF_LIGHT * scen.ts / 2
@@ -378,15 +365,15 @@ def _range_trial(template, spectrum, scen, scnr_db, rng) -> tuple[float, float]:
     layout = scen.layout(k=max(PREAMBLE_LEN + scen.header_len + 512, 5376))
     symbols = assemble_frame(layout, rng)
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
-    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
-                             scen.array, None, rng)
-
     q = scen.oversample
     expect = int(np.round(target.delay() / scen.ts)) * q
     # a target nearer than the search span searches from lag 0
-    window = (max(expect - _RANGE_SEARCH * q, 0), expect + _RANGE_SEARCH * q + 1)
-    lags = preamble_delay(rx, template, window, spectrum)
-    return tuple(float((estimate_range(lag / q, scen.ts) - rho) ** 2) for lag in lags)
+    lo, hi = max(expect - _RANGE_SEARCH * q, 0), expect + _RANGE_SEARCH * q + 1
+    rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, [target], sigma_cn2,
+                             scen.array, None, rng,
+                             start=lo, length=hi - lo + len(template) - 1)
+    lags = preamble_delay(rx, template, (0, hi - lo), spectrum)
+    return tuple(float((estimate_range((lo + lag) / q, scen.ts) - rho) ** 2) for lag in lags)
 
 
 _FINE_SEARCH = 32   # symbols the fine-timing search spans either side of the expected echo
@@ -523,17 +510,10 @@ def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
     template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
-    echo = _preamble_echo(scen)
     lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
-    window = (lag0 - w, lag0 + w + 1)
-    try:   # before any trial: a trial's stream is as long as the echo
-        _lag_read(echo, window, len(template))
-    except ValueError as e:
-        raise ValueError(f"the detection window of {scen.detection_window_symbols} symbols "
-                         f"either side of lag {lag0}: {e}") from None
-    # a (scen, value, rng) trial
-    trial = partial(_detection_trial, template, echo, window)
+    # a (scen, value, rng) trial; its window may start below lag 0
+    trial = partial(_detection_trial, template, (lag0 - w, lag0 + w + 1))
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
     stats = _monte_carlo(trial, spec, points, workers)
     for scnr_db, stat in zip(spec.sweep, stats):

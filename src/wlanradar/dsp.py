@@ -12,7 +12,8 @@ A delayed echo is shaped directly at its delay: the integer-sample part
 moves where it starts on the clock and the fractional part evaluates the
 analytic RRC on a shifted grid, so no stream is ever resampled.  Echoes
 are not streams of their own: apply_delay_doppler adds each one into a
-received buffer the caller owns, phase by phase.
+received buffer the caller owns, phase by phase, which may hold any stretch
+of the clock.
 
 The package's two correlation kernels live here too: a direct first-maximum
 search for the tens of lags of fine timing and detection, and one FFT
@@ -237,16 +238,19 @@ def apply_delay_doppler(
     delay: float,
     doppler: float,
     gain: complex = 1.0,
+    *,
+    start: int = 0,
 ) -> None:
     """Add one echo of the shaped symbols into ``out`` (stop-and-hop echo model).
 
     The echo is gain * x(t - delay) * exp(j 2 pi doppler t), where x is the
     RRC-shaped symbol stream; the symbols carry the amplitude (sqrt(Es)
-    included).  ``out`` is a complex buffer on the clock at rate
-    Q * symbol_rate, so the echo, shaped directly at its delay as by
-    pulse_shape, starts at sample round(delay rate) and runs for
-    (len(symbols) + span) Q samples; an echo that does not fit raises, as
-    do non-finite symbols, delay, Doppler or gain.
+    included).  ``out`` is a complex buffer holding the clock's samples
+    start .. start + len(out) - 1 at rate Q * symbol_rate, so the echo,
+    shaped directly at its delay as by pulse_shape, starts at sample
+    round(delay rate) and runs for (len(symbols) + span) Q samples; an echo
+    that does not fit raises, as do non-finite symbols, delay, Doppler or
+    gain.
 
     Echo sample j = Q m + p sits at t = t_e + j / rate, t_e its start time,
     so the Doppler ramp factors into a per-symbol term
@@ -266,9 +270,10 @@ def apply_delay_doppler(
         raise ValueError(f"echo gain must be finite, got {gain}")
     int_shift, taps = _delayed_taps(spec, rate, delay)
     n_rows = len(s) + spec.span
-    if int_shift + n_rows * q > len(out):
-        raise ValueError(f"an echo at sample {int_shift} runs past the "
-                         f"{len(out)}-sample output buffer")
+    first = int_shift - start
+    if not 0 <= first <= len(out) - n_rows * q:
+        raise ValueError(f"an echo over the samples [{int_shift}, {int_shift + n_rows * q}) "
+                         f"runs past the buffer's samples [{start}, {start + len(out)})")
     half = (len(taps) - 1) // 2
     t0 = (int_shift - half) / rate
     w = 2j * np.pi * doppler / rate
@@ -276,4 +281,4 @@ def apply_delay_doppler(
     ph = np.exp(w * np.arange(q))
     for p, y in _polyphase(s, taps, q):
         ramp = rows[: len(y)] * ph[p]
-        out[int_shift + p :: q][: len(y)] += np.multiply(y, ramp, out=ramp)
+        out[first + p :: q][: len(y)] += np.multiply(y, ramp, out=ramp)

@@ -92,10 +92,6 @@ class FrameLayout:
                 f"+ header ({self.header_len}) symbols"
             )
 
-    @property
-    def payload_len(self) -> int:
-        return self.k - PREAMBLE_LEN - self.header_len
-
 
 def assemble_frame(
     layout: FrameLayout,

@@ -381,7 +381,7 @@ def detection_probability(scnr: float, pfa: float, n_symbols: int) -> float:
     threshold: Pd = Q_1(sqrt(2 N zeta), sqrt(-2 ln pfa)) (Marcum Q form).
     It is the detection bench's reference column, not a ceiling: the bench
     takes the max over its 49 searched lags against a per-cell threshold,
-    so its Pd can sit above this one (0.8160 against 0.7852 at criterion
+    so its Pd can sit above this one (0.8135 against 0.7852 at criterion
     5a's point).
     """
     if not scnr > 0:   # NaN fails too

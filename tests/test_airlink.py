@@ -51,6 +51,15 @@ def _windows_of(x):
     return windows
 
 
+def _whole(symbols, targets, spec):
+    """The oversampled synthesizer's window that holds the whole stream: from
+    the clock's origin to the end of the latest echo, or of the undelayed
+    shaped stream without targets."""
+    q = spec.oversample
+    shifts = [int(np.round(t.delay() * W * q)) for t in targets]
+    return dict(start=0, length=max(shifts, default=0) + (len(symbols) + spec.span) * q)
+
+
 def _outer_product_reference(windows, targets, sigma_cn2, beams, seed, starts, length,
                              span=16, rolloff=0.25):
     """The symbol-rate synthesizer written with whole-matrix echoes and noise."""
@@ -241,7 +250,8 @@ def _matched_symbols(rx, spec):
 
 def _oversampled_echo(symbols, target, beams, rng):
     """The oversampled chain's noiseless symbol-rate matched output."""
-    rx = synthesize_radar_rx(symbols, RRC, W, [target], 0.0, CFG, beams, rng)
+    rx = synthesize_radar_rx(symbols, RRC, W, [target], 0.0, CFG, beams, rng,
+                             **_whole(symbols, [target], RRC))
     return _matched_symbols(rx, RRC)
 
 
@@ -270,15 +280,17 @@ class TestSynthesis:
 
     def test_noise_only_variance(self):
         frame = assemble_frame(FrameLayout(k=12800), seed=0)
-        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=8), W, [], 1.0, CFG, None,
-                                 np.random.default_rng(1))
+        spec = RrcSpec(span=16, oversample=8)
+        rx = synthesize_radar_rx(frame, spec, W, [], 1.0, CFG, None,
+                                 np.random.default_rng(1), **_whole(frame, [], spec))
         assert len(rx) >= 100_000
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_noise_circularity(self):
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=0)
-        rx = synthesize_radar_rx(frame, RrcSpec(span=16, oversample=4), W, [],
-                                 1.0, CFG, None, np.random.default_rng(2))
+        spec = RrcSpec(span=16, oversample=4)
+        rx = synthesize_radar_rx(frame, spec, W, [], 1.0, CFG, None,
+                                 np.random.default_rng(2), **_whole(frame, [], spec))
         re, im = rx.real, rx.imag
         assert np.var(re) == pytest.approx(np.var(im), rel=0.02)
         cross = np.mean(re * im) / np.sqrt(np.var(re) * np.var(im))
@@ -291,7 +303,8 @@ class TestSynthesis:
         assert t.doppler(CFG.wavelength) == pytest.approx(8005.5, abs=1.0)
 
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=3)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(4))
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(4),
+                                 **_whole(frame, [t], RRC))
         sym = _matched_symbols(rx, RRC)
         c = np.correlate(sym[:4500], DEFAULT_PREAMBLE.symbols.astype(complex), mode="valid")
         assert np.argmax(np.abs(c)) == 587
@@ -305,7 +318,7 @@ class TestSynthesis:
         for rho in (3.0, 9.5, 30.0, 95.0, 300.0):
             t = Target(range_m=rho, velocity_mps=0.0)
             rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, beams,
-                                     np.random.default_rng(6))
+                                     np.random.default_rng(6), **_whole(frame, [t], spec))
             energies.append(np.sum(np.abs(rx) ** 2))
             gains.append(radar_path_gain(t, CFG.wavelength))
         slope = np.polyfit(np.log10(gains), np.log10(energies), 1)[0]
@@ -317,7 +330,8 @@ class TestSynthesis:
         cpi = assemble_cpi(2, FrameLayout(k=k, header_len=0), [0], 2 * k, 7)[0]
         t = Target(range_m=2.0, velocity_mps=20.0)
         spec = RrcSpec(span=16, oversample=4)
-        rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None, np.random.default_rng(8))
+        rx = synthesize_radar_rx(cpi, spec, W, [t], 0.0, CFG, None, np.random.default_rng(8),
+                                 **_whole(cpi, [t], spec))
         sym = _matched_symbols(rx, spec)
         d = round(t.delay() / TS)
         p0 = sym[d : d + k]
@@ -336,7 +350,8 @@ class TestSynthesis:
         d = 100.7
         t = Target(range_m=d / rate * SPEED_OF_LIGHT / 2, velocity_mps=25.0)
         frame = assemble_frame(FrameLayout(k=3328, header_len=0), seed=12)
-        rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None, np.random.default_rng(13))
+        rx = synthesize_radar_rx(frame, spec, W, [t], 0.0, CFG, None, np.random.default_rng(13),
+                                 **_whole(frame, [t], spec))
         n_tx = len(frame) * spec.oversample + spec.span * spec.oversample
         assert len(rx) == n_tx + 101
 
@@ -368,28 +383,61 @@ class TestSynthesis:
         symbols = frame + 1j * np.roll(frame, 7) if complex_symbols else frame
         beams = select_beams(CFG, 90.0, 90.0) if steered else None
         rx = synthesize_radar_rx(symbols, spec, W, targets, sigma_cn2, CFG, beams,
-                                 np.random.default_rng(15))
+                                 np.random.default_rng(15), **_whole(symbols, targets, spec))
         ref = _whole_echo_reference(symbols, spec, targets, sigma_cn2, beams, 15)
         assert np.array_equal(rx, ref)
 
     def test_oversampled_peak_memory(self):
-        # a detection trial's call: besides the stream it returns, only one
-        # real noise buffer and per-phase pieces are alive at once (1.51x;
-        # 2.38x with a whole-stream echo, its ramp and its copy)
+        # a detection trial's call, the read of 49 lags of the 27 008-sample
+        # shaped preamble: besides the window it returns, only its buffer's
+        # echo ends, one real noise buffer and per-phase pieces are alive at
+        # once (1.54x; 1.53x for a whole-stream window)
+        t = Target(range_m=50.0, velocity_mps=20.0)
         frame = assemble_frame(FrameLayout(k=3840, header_len=0), seed=16)
+        lag0 = int(np.round(t.delay() * W * RRC.oversample))
+        n_ref = (PREAMBLE_LEN + RRC.span) * RRC.oversample
         tracemalloc.start()
         try:
-            rx = synthesize_radar_rx(frame, RRC, W, [Target(range_m=50.0, velocity_mps=20.0)],
-                                     0.1, CFG, None, np.random.default_rng(17))
+            rx = synthesize_radar_rx(frame, RRC, W, [t], 0.1, CFG, None,
+                                     np.random.default_rng(17), start=lag0 - 24,
+                                     length=49 + n_ref - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * rx.nbytes
 
+    def test_oversampled_windows_are_whole_stream_slices(self):
+        # noise off, two targets: each read window is the slice of the window
+        # that holds the whole stream, also where it starts below 0 or runs
+        # past the echoes, where the stream is zero; a call draws the phases
+        # and then exactly `length` complex noise samples
+        targets = [Target(range_m=12.71, velocity_mps=33.0),
+                   Target(range_m=30.2, velocity_mps=-12.0, azimuth_deg=100.0)]
+        frame = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), seed=9)
+        args = (frame, RRC16, W, targets, 0.0, CFG, select_beams(CFG, 90.0, 90.0))
+        whole = _whole(frame, targets, RRC16)
+        full = synthesize_radar_rx(*args, np.random.default_rng(4), **whole)
+        pad, length = 1000, 3000
+        padded = np.concatenate([np.zeros(pad), full, np.zeros(2 * length)])
+        peak = np.abs(full).max()
+        starts = (-700, 9000, whole["length"] - 400, whole["length"] + 50)
+        for start in starts:
+            rng = np.random.default_rng(4)
+            rx = synthesize_radar_rx(*args, rng, start=start, length=length)
+            want = padded[pad + start : pad + start + length]
+            assert rx.shape == want.shape
+            assert np.abs(rx - want).max() <= 1e-12 * peak
+            assert rx.any() == (start != starts[-1])   # the last window reaches no echo
+            draws = np.random.default_rng(4)
+            draws.uniform(size=len(targets))
+            draws.standard_normal(2 * length)
+            assert rng.bit_generator.state == draws.bit_generator.state
+
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=9)
-        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10))
+        rx = synthesize_radar_rx(frame, RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10),
+                                 **_whole(frame, [t], RRC))
         sym_full = _matched_symbols(rx, RRC)
         sym_fast = synthesize_radar_rx_symbol_rate(
             _windows_of(frame), RRC, W, [t], 0.0, CFG, None, np.random.default_rng(10),
@@ -474,33 +522,6 @@ class TestSynthesis:
                                             None, np.random.default_rng(0), starts=[0, 10],
                                             length=20)
 
-    def test_prefix_echo_equals_the_whole_echo(self):
-        # the unit-gain echo of the first 40 symbols, plus the rest shaped
-        # 40 Q samples on, is the whole frame's echo, from the same draws
-        frame = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), 3)
-        t = Target(range_m=12.3, velocity_mps=-90.0)
-        echo = np.zeros(int(np.round(t.delay() * W * RRC16.oversample))
-                        + (len(frame) + RRC16.span) * RRC16.oversample, dtype=complex)
-        apply_delay_doppler(echo, frame[:40], RRC16, W, t.delay(), t.doppler(CFG.wavelength))
-        kept = echo.copy()
-        rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
-        got = synthesize_radar_rx(frame, RRC16, W, [t], 1e-4, CFG, None, rng,
-                                  prefix_echo=(40, echo))
-        want = synthesize_radar_rx(frame, RRC16, W, [t], 1e-4, CFG, None, want_rng)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-        assert np.array_equal(echo, kept)   # callers share one echo across calls
-
-    def test_prefix_echo_needs_one_target_and_the_output_length(self):
-        frame = np.ones(64)
-        t = Target(range_m=3.0)
-        n_out = int(np.round(t.delay() * W * 8)) + (64 + RRC.span) * 8
-        for targets, length in (([t, t], n_out), ([], n_out), ([t], n_out - 1)):
-            with pytest.raises(ValueError, match="prefix echo"):
-                synthesize_radar_rx(frame, RRC, W, targets, 1.0, CFG, None,
-                                    np.random.default_rng(0),
-                                    prefix_echo=(10, np.zeros(length, dtype=complex)))
-
     @pytest.mark.parametrize("repeated, starts, targets, beams", [
         ((40, 240), [250, 1100, 1950], [Target(range_m=12.3, velocity_mps=-90.0)], False),
         ((100, 110), [250, 1100, 1950], [Target(range_m=12.3, velocity_mps=-90.0)], False),
@@ -537,12 +558,17 @@ class TestSynthesis:
             ends[max(a + k0 + RRC16.span, 0) : max(b + k0, 0)] = False
             assert np.array_equal(got[:, ends], want[:, ends])
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            synthesize_radar_rx(np.ones(64), RRC, W, [Target(range_m=3.0)], 1.0, CFG, None,
+                                np.random.default_rng(0), start=0, length=0)
+
     def test_negative_power_rejected(self):
         frame = np.ones(64)
         for sigma_cn2 in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma_cn2"):
                 synthesize_radar_rx(frame, RRC, W, [], sigma_cn2, CFG, None,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), start=0, length=20)
             with pytest.raises(ValueError, match="sigma_cn2"):
                 synthesize_radar_rx_symbol_rate(_windows_of(frame), RRC, W, [], sigma_cn2, CFG,
                                                 None, np.random.default_rng(0), starts=[0],

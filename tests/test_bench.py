@@ -207,24 +207,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="Moose span"):
             run_experiment(spec)
 
-    @pytest.mark.parametrize("scen", [
-        Scenario(detection_window_symbols=600),          # lag 4695 - 4800 < 0
-        Scenario(targets=(Target(range_m=0.1),)),        # lag 9 - 24 < 0
-        Scenario(detection_window_symbols=-2),
-        # lag 9393 + 4160 runs past the last lag, 9393 + 4096, where the template fits
-        Scenario(detection_window_symbols=520, targets=(Target(range_m=100.0),)),
+    @pytest.mark.parametrize("fields", [
+        dict(detection_window_symbols=600),                      # lags from 4697 - 4800
+        dict(targets=(Target(range_m=0.1),)),                    # lags from 9 - 24
+        dict(detection_window_symbols=-2),
+        # lags up to 9393 + 4160, past the stream's last full-template lag 9393 + 4096
+        dict(detection_window_symbols=520, targets=(Target(range_m=100.0),)),
     ], ids=["wide", "near-target", "negative", "past-the-stream"])
-    def test_detection_window_outside_the_stream_rejected(self, scen, monkeypatch):
-        # the search would clip the window and search fewer lags than its
-        # label says; nothing may run first
-        def no_trials(*args):
-            raise AssertionError("a trial ran")
+    def test_detection_window_outside_the_stream_rejected(self, fields, monkeypatch):
+        # a negative window is refused with its scenario, before any trial
+        # runs; a window that leaves the stream's lags reads the stream
+        # before 0 or past the echo, as the model allows, and searches every
+        # lag its label says, 2 w Q + 1
+        if fields.get("detection_window_symbols", 0) < 0:
+            with pytest.raises(ValueError, match="detection_window_symbols"):
+                Scenario(**fields)
+            return
+        windows = []
 
-        monkeypatch.setattr(bench, "_map_trials", no_trials)
-        spec = ExperimentSpec(kind="detection", scenario=scen, sweep=(-20.0,), trials=2)
-        n = scen.detection_window_symbols
-        with pytest.raises(ValueError, match=f"detection window of {n} symbols"):
-            run_experiment(spec)
+        def keep_window(rx, template, window):
+            windows.append(window)
+            return 0.0, 0
+
+        monkeypatch.setattr(bench, "matched_preamble_statistic", keep_window)
+        scen = Scenario(**fields)
+        run_experiment(ExperimentSpec(kind="detection", scenario=scen, sweep=(-20.0,),
+                                      trials=2))
+        n_lags = 2 * scen.detection_window_symbols * scen.oversample + 1
+        assert windows == [(0, n_lags)] * 2
 
     def test_ddmap_target_outside_cef_span_rejected(self):
         # the default Scenario's 50 m target lies past bin 511 (43.5 m)
@@ -263,10 +273,9 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_invariance(self):
-        # velocity trials return a float; range trials a pair, and the pool
-        # carries their bound shaped template; detection's pool carries the
-        # template and the preamble's echo; velocity's points carry their
-        # preambles' echo, a trade-off's one per frame count
+        # velocity trials return a float, range trials a pair; the range and
+        # detection pools carry their bound shaped template, and no point
+        # carries an array
         for spec in (
             ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                            sweep=(10.0,), trials=16, seed=3),
@@ -324,17 +333,17 @@ class TestDeterminism:
     @pytest.mark.parametrize("spec, digest", [
         (ExperimentSpec(kind="detection", sweep=(-24.0, -22.0), trials=40, seed=7,
                         pfa=1e-4),
-         "e274c0f6e2b53f4c71a008e953746f296e75b978b4fd49e0fb680adb39c298fb"),
+         "ca10b845decc52d95e108dce0c2bfd2f68cfa5b099c7db98ba8592bd908ce95a"),
         # an approaching target: the echo carries a -60 kHz Doppler ramp
         (ExperimentSpec(kind="detection", scenario=Scenario(targets=(
             Target(range_m=80.0, velocity_mps=-150.0),)), sweep=(-24.0,), trials=100,
             seed=3, pfa=1e-4),
-         "ca29c6c8f67bba1c6156296c744682e4810f6b36cf37b8e94601e6d0387005e8"),
+         "e47a0c09c69b42c4aed54f323d60cd1a2b836d5ad71d65f771dfc70eccf69a45"),
         (ExperimentSpec(kind="range-mse", sweep=(0.0, 10.0), trials=6, seed=6),
-         "b564a4dba21de873d9d55d1f6f3d1dc6bd13cfd2d175db45cb3b590ea120f0b6"),
+         "ebc1b70df35b6bd2c1844ab1b4b1922b9b89e8b0e743747812e468283005e3df"),
         # enough trials, down to -6 dB, to pin the joint search's phase choices
         (ExperimentSpec(kind="range-mse", sweep=(-6.0, 0.0, 10.0), trials=40, seed=6),
-         "52981bf96fcf31f54de296293f34a0df9ff2c1cccc753dd17bed4bf2b1c9f9c2"),
+         "4eda4955cc2175f95aa0f32302b1f94528e14f94882e13131ad17252f6a2bc41"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
          "b7e432e272d7c7559674ab2d15f4a1223ed7aff6f4443ea1590d821bfce343c7"),
@@ -394,26 +403,52 @@ class TestDetectionTrial:
         Target(range_m=1000.37 / (8 * W) * SPEED_OF_LIGHT / 2, velocity_mps=7.0),
     ], ids=["50m", "80m-approaching", "fractional"])
     def test_stream_equals_the_full_frame_synthesis(self, target, monkeypatch):
-        # the run-level preamble echo plus the trial's payload echo is the
-        # whole frame shaped in one call, from the same draws
-        streams = []
+        # the trial synthesizes the statistic's read of the whole frame's
+        # stream, the lags (lo, hi) and the template's length past them, and
+        # searches it from lag 0; its noise is drawn over that read alone
+        # (at 300 dB it is below the rounding)
+        reads = []
 
-        def keep_stream(rx, template, window):
-            streams.append(rx)
+        def keep_read(rx, template, window):
+            reads.append((rx, window))
             return 0.0, 0
 
-        monkeypatch.setattr(bench, "matched_preamble_statistic", keep_stream)
+        monkeypatch.setattr(bench, "matched_preamble_statistic", keep_read)
         scen = Scenario(targets=(target,))
-        rng, want_rng = bench._rng(5, 0, 1), bench._rng(5, 0, 1)
-        bench._detection_trial(None, bench._preamble_echo(scen), None, scen, 40.0, rng)
+        lag0 = round(target.delay() * W * scen.oversample)
+        lo, hi = lag0 - 24, lag0 + 25
+        template = np.ones((PREAMBLE_LEN + scen.rrc_span) * scen.oversample)
+        rng = bench._rng(5, 0, 1)
+        bench._detection_trial(template, (lo, hi), scen, 300.0, rng)
+        want_rng = bench._rng(5, 0, 1)
         symbols = assemble_frame(scen.layout(k=scen.detection_frame_k, header_len=0),
                                  want_rng)
-        want = synthesize_radar_rx(symbols, scen.rrc, W, [target], 1e-4, scen.array, None,
-                                   want_rng)
-        (got,) = streams
+        n_whole = lag0 + (len(symbols) + scen.rrc_span) * scen.oversample
+        whole = synthesize_radar_rx(symbols, scen.rrc, W, [target], 0.0, scen.array, None,
+                                    want_rng, start=0, length=n_whole)
+        ((got, window),) = reads
+        want = whole[lo : hi + len(template) - 1]
+        assert window == (0, hi - lo)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+        draws = bench._rng(5, 0, 1)
+        assemble_frame(scen.layout(k=scen.detection_frame_k, header_len=0), draws)
+        draws.uniform(size=1)
+        draws.standard_normal(2 * len(want))
+        assert rng.bit_generator.state == draws.bit_generator.state
+
+    def test_pickled_trial_is_small(self, monkeypatch):
+        # the pool pickles the trial callable once per chunk: it carries the
+        # 0.43 MB shaped template and no run-level echo
+        sizes = []
+
+        def no_trials(fn, jobs, workers):
+            sizes.append(len(pickle.dumps(fn)))
+            return [0.0] * len(jobs)
+
+        monkeypatch.setattr(bench, "_map_trials", no_trials)
+        run_experiment(ExperimentSpec(kind="detection", sweep=(-20.0,), trials=2))
+        assert sizes and sizes[0] < 0.5e6
 
 
 class TestVelocityTrial:

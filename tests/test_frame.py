@@ -81,8 +81,7 @@ class TestLayout:
     def test_bookkeeping(self):
         layout = FrameLayout(k=12800, header_len=1024)
         assert STF_LEN + CEF_LEN == PREAMBLE_LEN == 3328
-        assert layout.payload_len == 12800 - 3328 - 1024
-        assert PREAMBLE_LEN + layout.header_len + layout.payload_len == layout.k
+        assert len(assemble_frame(layout, seed=0)) == layout.k
 
     def test_too_small_k_rejected(self):
         with pytest.raises(ValueError):

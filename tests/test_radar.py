@@ -78,19 +78,20 @@ def _lag_loop_statistic(rx, template, lags):
 class TestMatchedPreambleStatistic:
     def test_equals_lag_loop_on_noisy_echoes(self):
         # the detection bench's chain: a shaped preamble echo at -22 dB SCNR,
-        # searched +-3 symbols around the expected lag
+        # its read of +-3 symbols around the expected lag searched from lag 0
         scen = Scenario()
         template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W)
         target = scen.targets[0]
         layout = FrameLayout(k=scen.detection_frame_k, header_len=0)
         w = scen.detection_window_symbols * scen.oversample
+        lag0 = int(np.round(target.delay() * W * scen.oversample))
         for seed in range(8):
             rng = np.random.default_rng([7, 0, seed])
             rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
-                                     10 ** 2.2, scen.array, None, rng)
-            lag0 = int(np.round(target.delay() * W * scen.oversample))
-            got = matched_preamble_statistic(rx, template, (lag0 - w, lag0 + w + 1))
-            assert got == _lag_loop_statistic(rx, template, lag0 + np.arange(-w, w + 1))
+                                     10 ** 2.2, scen.array, None, rng, start=lag0 - w,
+                                     length=2 * w + len(template))
+            got = matched_preamble_statistic(rx, template, (0, 2 * w + 1))
+            assert got == _lag_loop_statistic(rx, template, np.arange(2 * w + 1))
 
     def test_window_leaving_the_stream_rejected(self):
         # the template fits at lags 0-260 of the 300 samples; a window is
@@ -217,8 +218,9 @@ class TestRangeEstimate:
         q = rrc.oversample
         target = Target(range_m=50.0, velocity_mps=0.0)
         frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
-        rx = synthesize_radar_rx(frame, rrc, W, [target], 0.0,
-                                 Scenario().array, None, np.random.default_rng(1))
+        rx = synthesize_radar_rx(frame, rrc, W, [target], 0.0, Scenario().array, None,
+                                 np.random.default_rng(1), start=0,
+                                 length=(587 + len(frame) + rrc.span) * q)
         template = pulse_shape(DEFAULT_PREAMBLE.symbols, rrc, W)
         lag, _ = preamble_delay(rx, template, ((587 - 384) * q, (587 + 384) * q + 1))
         rho_hat = estimate_range(lag / q, TS)

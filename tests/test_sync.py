@@ -369,7 +369,10 @@ class TestPipeline:
             target = Target(range_m=d_symbols * TS * SPEED_OF_LIGHT / 2)
             frame = assemble_frame(FrameLayout(k=4352, header_len=0), rng)
             # sigma_cn^2 = 1: SCNR = 0 dB with unit gain
-            rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None, rng)
+            # the window from the clock's origin to the echo's end
+            n_out = int(np.round(target.delay() * W * Q)) + (len(frame) + RRC.span) * Q
+            rx = synthesize_radar_rx(frame, RRC, W, [target], 1.0, scen.array, None, rng,
+                                     start=0, length=n_out)
             lag, _ = preamble_delay(rx, TEMPLATE, ((587 - 384) * Q, (587 + 384) * Q + 1))
             err = abs(lag / Q - d_symbols)
             hits += err <= 1 + 1 / (2 * Q)
@@ -414,7 +417,8 @@ class TestPipeline:
         # a noiseless echo 587 symbols out, through the radar channel model
         target = Target(range_m=587 * TS * SPEED_OF_LIGHT / 2)
         rx = synthesize_radar_rx(frame, RRC, W, [target], 0.0, Scenario().array, None,
-                                 np.random.default_rng(18))
+                                 np.random.default_rng(18), start=0,
+                                 length=(587 + len(frame) + RRC.span) * Q)
         template = pulse_shape(p.symbols, RRC, W)
         lag, _ = preamble_delay(rx, template, ((587 - 384) * Q, (587 + 384) * Q + 1))
         assert lag == 587 * Q

@@ -39,6 +39,7 @@ from .airlink import (
 )
 from .dsp import RrcSpec, _conj_spectrum, pulse_shape
 from .frame import (
+    BLOCK_LEN,
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
@@ -49,6 +50,7 @@ from .frame import (
 )
 from .golay import GolayPair, golay_pair_correlate
 from .radar import (
+    PreambleTemplate,
     build_delay_doppler_map,
     cfar_threshold,
     crlb_range,
@@ -328,10 +330,10 @@ def _detection_trial(template, window, scen, scnr_db, rng) -> float:
 
     The statistic is the oversampled matched-filter correlation of the
     received stream with ``template``, the preamble shaped at the
-    scenario's oversampled rate, searched over ``window``, the lags of the
-    scenario's delay uncertainty around the expected echo; the pipeline
-    compares it with the threshold.  Only the statistic's read, the lags
-    (lo, hi) and the template's length past them, is synthesized.
+    scenario's oversampled rate in block form, searched over ``window``, the
+    lags of the scenario's delay uncertainty around the expected echo; the
+    pipeline compares it with the threshold.  Only the statistic's read, the
+    lags (lo, hi) and the template's length past them, is synthesized.
     """
     lo, hi = window
     layout = scen.layout(k=scen.detection_frame_k, header_len=0)
@@ -339,7 +341,7 @@ def _detection_trial(template, window, scen, scnr_db, rng) -> float:
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     rx = synthesize_radar_rx(symbols, scen.rrc, scen.symbol_rate, scen.targets[:1],
                              sigma_cn2, scen.array, None, rng,
-                             start=lo, length=hi - lo + len(template) - 1)
+                             start=lo, length=hi - lo + template.length - 1)
     stat, _ = matched_preamble_statistic(rx, template, (0, hi - lo))
     return stat
 
@@ -509,7 +511,15 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, scen.symbol_rate)
+    p = DEFAULT_PREAMBLE
+    # the trials correlate with the shaped a and b alone; the whole shaped
+    # preamble is built once here for its energy, on one BLAS thread as the
+    # trials run: a threaded dot this long leaves OpenBLAS's workers spinning
+    whole, a, b = (pulse_shape(s, scen.rrc, scen.symbol_rate)
+                   for s in (p.symbols, p.pair128.a, p.pair128.b))
+    with _one_blas_thread():
+        energy = float(np.real(np.vdot(whole, whole)))
+    template = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * scen.oversample, energy)
     lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
     # a (scen, value, rng) trial; its window may start below lag 0

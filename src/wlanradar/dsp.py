@@ -15,10 +15,15 @@ are not streams of their own: apply_delay_doppler adds each one into a
 received buffer the caller owns, phase by phase, which may hold any stretch
 of the clock.
 
-The package's two correlation kernels live here too: a direct first-maximum
-search for the tens of lags of fine timing and detection, and one FFT
-correlation for the thousands of lags of range timing and the sliding
-Golay CEF correlator.  Every search reads its lag window through ``_lag_read``.
+The package's two correlation kernels live here too.  ``_folded_peak`` is
+the first-maximum search for the tens of lags of fine timing and
+detection: their template, the preamble, is 26 blocks of +-a or +-b, so
+the read is folded onto the blocks and correlated with a and b alone, 2 L
+multiply-adds per lag for L-sample references instead of the whole
+template's length.  ``_fft_correlate`` is one FFT correlation for the
+thousands of lags of range timing and the sliding Golay CEF correlator;
+folding those would move range and map digits.  Every search reads its lag
+window through ``_lag_read``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 
 __all__ = [
@@ -186,19 +192,40 @@ def _lag_read(y: np.ndarray, window: tuple[int, int], n_ref: int) -> np.ndarray:
     return y[..., lo : hi + n_ref - 1]
 
 
-def _xcorr_peak(y: np.ndarray, template: np.ndarray,
-                window: tuple[int, int]) -> tuple[int, complex]:
-    """argmax_l |sum_n template*[n] y[l+n]|^2 over l in [window), first index wins.
+def _folded_peak(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: int,
+                 window: tuple[int, int]) -> tuple[int, complex]:
+    """argmax_l |c[l]|^2 over l in [window), first index wins, for the correlation
+    c[l] = sum_n T*[n] y[l + n] with the block template
+    T = sum_i sum_k blocks[k, i] refs[k] delayed by stride i samples.
 
-    The direct search of fine timing and detection: at their few lags it beats an FFT.
+    The search of fine timing and detection.  T, n_ref = stride (n_blocks - 1)
+    + L samples for L-sample references, is never built: the read of the lags
+    [lo, hi) is folded first, F_k[j] = sum_i blocks[k, i] y[lo + stride i + j]
+    for the hi - lo + L - 1 samples j that one reference reads, and then
+    c = sum_k correlate(F_k, refs[k]).  A lag then costs K L multiply-adds
+    instead of n_ref, and folding n_blocks K per read sample.  The weights in
+    ``blocks`` (K x n_blocks) are real.  A non-finite sample in the read
+    raises ValueError.
     """
-    c = np.correlate(_lag_read(y, window, len(template)), template, mode="valid")
+    refs = np.asarray(refs)
+    lo, hi = window
+    n_ref = stride * (blocks.shape[1] - 1) + refs.shape[1]
+    span = hi - lo + refs.shape[1] - 1
+    read = np.ascontiguousarray(_lag_read(y, window, n_ref), dtype=complex).view(float)
+    # row i: samples [stride i, stride i + span) of the read as (re, im) pairs, a view
+    rows = sliding_window_view(read, 2 * span)[:: 2 * stride]
+    folded = np.empty((len(blocks), 2 * span))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # rows overlap, so BLAS takes them a stride-wide column block at a time
+        for j in range(0, 2 * span, 2 * stride):
+            np.matmul(blocks, rows[:, j : j + 2 * stride], out=folded[:, j : j + 2 * stride])
+        c = sum(np.correlate(f, r, mode="valid") for f, r in zip(folded.view(complex), refs))
     # argmax returns the first maximum, or the first NaN: a non-finite sample
-    # in the searched span leaves the peak non-finite
+    # in the read leaves the peak non-finite
     peak = int(np.argmax(np.abs(c) ** 2))
     if not np.isfinite(c[peak]):
         raise ValueError("the searched span contains non-finite samples")
-    return window[0] + peak, c[peak]
+    return lo + peak, c[peak]
 
 
 def _conj_spectrum(ref: np.ndarray, length: int) -> np.ndarray:

@@ -9,6 +9,10 @@ CEF  = [Gu_512, Gv_512, Gv_128] from the same pair (802.11ad): Gu_512 =
        [-b, -a, b, -a], Gv_512 = [-b, a, -b, -a], Gv_128 = -b.  The STF's
        -a_128 and Gu_512's tail are the two fields' cyclic prefixes.
 
+The preamble is thus 26 blocks of 128 symbols, each +-a_128 or +-b_128
+(``Preamble.blocks``), which is what lets a receiver correlate against it
+block by block.
+
 A coherent processing interval (CPI) is M frames of identical length K;
 the preamble is bit-identical in every frame while header/payload symbols
 are drawn fresh per frame.
@@ -24,6 +28,7 @@ import numpy as np
 from .golay import GolayPair, generate_golay_pair
 
 __all__ = [
+    "BLOCK_LEN",
     "STF_LEN",
     "CEF_LEN",
     "PREAMBLE_LEN",
@@ -35,10 +40,14 @@ __all__ = [
     "assemble_cpi",
 ]
 
+BLOCK_LEN = 128             # the preamble's blocks are the 128 pair's sequences
 STF_LEN = 17 * 128          # 16 x a_128 then -a_128
 CEF_LEN = 512 + 512 + 128   # Gu_512, Gv_512, Gv_128
 PREAMBLE_LEN = STF_LEN + CEF_LEN
 CEF_PEAK_BIN = 256          # on-target channel-estimate bin when synchronized
+
+# the preamble's blocks in order: the STF, then Gu_512, Gv_512 and Gv_128
+_BLOCK_RECIPE = ["a"] * 16 + ["-a"] + ["-b", "-a", "b", "-a"] + ["-b", "a", "-b", "-a"] + ["-b"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,22 +60,30 @@ class Preamble:
     correlate against the sequences.  ``stf``, ``cef``, ``symbols`` (STF
     then CEF) and ``cef_pair`` (Gu_512, Gv_512) are read-only.  Equality is
     identity: the fields are arrays.
+
+    ``blocks`` is the block form ``symbols`` is built from: the read-only
+    2 x 26 matrix of 0/+-1 weights with which block i of BLOCK_LEN symbols
+    is blocks[0, i] a + blocks[1, i] b, one weight of each column nonzero.
     """
 
     pair128: GolayPair = field(default_factory=lambda: generate_golay_pair(128))
     stf: np.ndarray = field(init=False, repr=False)
     cef: np.ndarray = field(init=False, repr=False)
     symbols: np.ndarray = field(init=False, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False)
     cef_pair: GolayPair = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.pair128) != 128 or not self.pair128.is_complementary():
             raise ValueError("pair128 must be a complementary pair of length 128")
+        blocks = np.zeros((2, len(_BLOCK_RECIPE)))
+        for i, name in enumerate(_BLOCK_RECIPE):
+            blocks["ab".index(name[-1]), i] = -1.0 if name[0] == "-" else 1.0
         a, b = self.pair128.a, self.pair128.b
-        symbols = np.concatenate(
-            [np.tile(a, 16), -a, -b, -a, b, -a, -b, a, -b, -a, -b]
-        ).astype(float)
-        symbols.flags.writeable = False
+        symbols = np.concatenate([wa * a + wb * b for wa, wb in blocks.T])
+        for arr in (blocks, symbols):
+            arr.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "stf", symbols[:STF_LEN])
         object.__setattr__(self, "cef", symbols[STF_LEN:])

@@ -9,7 +9,9 @@ chi_D = -noise_var * ln(P_FA) exact:
 
 * preamble statistic: squared magnitude of the cross-correlation between the
   received stream and the transmitted preamble at the timing peak, divided by
-  the template energy -> background variance sigma_cn^2, signal N * Es|h0|^2;
+  the template energy -> background variance sigma_cn^2, signal N * Es|h0|^2.
+  The template is held in the preamble's block form (PreambleTemplate): two
+  references, the shaped a_128 and b_128, and the 26 blocks' weights;
 * CEF statistic: |h_hat[peak bin]|^2 -> background variance sigma_cn^2 / (2P)
   with P = 512.
 
@@ -34,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import SPEED_OF_LIGHT
-from .dsp import _xcorr_peak
+from .dsp import _folded_peak
 
 __all__ = [
     "DelayDopplerMap",
     "MapDetection",
     "cfar_threshold",
+    "PreambleTemplate",
     "matched_preamble_statistic",
     "estimate_range",
     "estimate_velocity_moose",
@@ -66,25 +69,46 @@ def cfar_threshold(noise_var: float, pfa: float) -> float:
     return -noise_var * np.log(pfa)
 
 
+@dataclass(frozen=True, eq=False)
+class PreambleTemplate:
+    """A preamble template in block form, as the matched statistic correlates it.
+
+    The template is T = sum_i sum_k blocks[k, i] refs[k] delayed by stride i
+    samples, ``length`` samples long, and ``energy`` is sum |T|^2.  For the
+    shaped preamble at Q samples per symbol, ``refs`` are pulse_shape(a) and
+    pulse_shape(b) of the 128 pair, ``blocks`` is ``Preamble.blocks`` and
+    ``stride`` is 128 Q: shaping is linear, so T is the whole shaped preamble.
+    """
+
+    refs: np.ndarray
+    blocks: np.ndarray
+    stride: int
+    energy: float
+
+    @property
+    def length(self) -> int:
+        return self.stride * (self.blocks.shape[1] - 1) + self.refs.shape[1]
+
+
 def matched_preamble_statistic(
     rx: np.ndarray,
-    template: np.ndarray,
+    template: PreambleTemplate,
     window: tuple[int, int],
 ) -> tuple[float, int]:
     """Preamble detection statistic: peak |cross-correlation|^2 / template energy.
 
-    ``rx`` is the received stream and ``template`` the shaped transmitted
-    preamble at its rate; the statistic background on white noise of
-    per-sample variance sigma^2 is an exponential with mean sigma^2, so
+    ``rx`` is the received stream and ``template`` the transmitted preamble
+    at its rate; the statistic background on white noise of per-sample
+    variance sigma^2 is an exponential with mean sigma^2, so
     cfar_threshold(sigma_cn^2, pfa) applies directly.  The peak is searched
-    over every lag l in the window [lo, hi), the first lag winning a tie; a
-    window with a lag at which the template does not fit inside the stream
-    (``dsp._lag_read``), or a non-finite sample in the searched span, raises
-    ValueError.  Returns (statistic, lag of the peak).
+    over every lag l in the window [lo, hi) by dsp's block-folded correlator
+    (``dsp._folded_peak``), the first lag winning a tie; a window with a lag
+    at which the template does not fit inside the stream (``dsp._lag_read``),
+    or a non-finite sample in the searched span, raises ValueError.  Returns
+    (statistic, lag of the peak).
     """
-    t = np.asarray(template, dtype=complex)
-    lag, c = _xcorr_peak(rx, t, window)
-    return float(np.abs(c) ** 2 / np.real(np.vdot(t, t))), lag
+    lag, c = _folded_peak(rx, template.refs, template.blocks, template.stride, window)
+    return float(np.abs(c) ** 2 / template.energy), lag
 
 
 def estimate_range(delay_symbols: float, ts: float) -> float:

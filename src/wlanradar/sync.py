@@ -5,11 +5,12 @@ The chain reuses a conventional SC PHY receiver's preamble pieces:
 1. range timing: one FFT correlation of the oversampled stream with the
    shaped preamble, phase and lag searched jointly, refined by a parabola,
 2. fine timing from the amplitude peak of the full-preamble correlation,
-   a direct search over its few lags,
+   searched over its few lags by dsp's block-folded correlator: the read
+   is folded onto the preamble's 26 blocks of a_128 / b_128 and
+   correlated with a and b alone,
 3. CEF channel estimation through the complementary Golay correlator.
 
-Both correlations are dsp's kernels; the sliding Golay correlator runs
-the same FFT correlation as range timing.
+The sliding Golay correlator runs the same FFT correlation as range timing.
 
 The radar is monostatic and knows when it transmitted, so the comm
 receiver's coarse STF frame search is not needed: timing searches a
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import _conj_spectrum, _fft_correlate, _lag_read, _xcorr_peak
-from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
+from .dsp import _conj_spectrum, _fft_correlate, _folded_peak, _lag_read
+from .frame import BLOCK_LEN, CEF_PEAK_BIN, DEFAULT_PREAMBLE, PREAMBLE_LEN, Preamble
 from .golay import golay_pair_correlate
 
 __all__ = [
@@ -65,16 +66,17 @@ def fine_timing_preamble(y, window: tuple[int, int],
                          preamble: Preamble = DEFAULT_PREAMBLE) -> tuple[int, complex]:
     """Fine timing against the full 3328-symbol preamble (STF and CEF jointly).
 
-    Searches every lag of ``window``; a lag leaving ``y`` raises ValueError
-    (``dsp._lag_read``).  Returns (peak index, correlation / preamble length).
+    Searches every lag of ``window`` for the first maximum, folding the read
+    onto the preamble's blocks (``dsp._folded_peak``); a lag leaving ``y``
+    (``dsp._lag_read``) or a non-finite sample read raises ValueError.
+    Returns (peak index, correlation / preamble length).
     """
-    y = np.asarray(y, dtype=complex)
-    template = preamble.symbols.astype(complex)
-    idx, val = _xcorr_peak(y, template, window)
-    return idx, val / len(template)
+    pair = np.stack([preamble.pair128.a, preamble.pair128.b])
+    idx, val = _folded_peak(y, pair, preamble.blocks, BLOCK_LEN, window)
+    return idx, val / PREAMBLE_LEN
 
 
-def estimate_channel_cef(y, start: int, gated: bool = True,
+def estimate_channel_cef(y, start: int, *, gated: bool,
                          preamble: Preamble = DEFAULT_PREAMBLE) -> np.ndarray:
     """512-bin channel estimate from the CEF's (Gu_512, Gv_512) correlation.
 
@@ -82,13 +84,14 @@ def estimate_channel_cef(y, start: int, gated: bool = True,
     on-target bin for a target aligned to it, and a target d samples later
     peaks at bin 256 + d.
 
-    gated=True is the standard's cyclic estimate: each 512-symbol field is
-    correlated circularly, so a noiseless echo within 128 samples of
-    ``start`` (its fields' cyclic prefixes) reads an exact delta.  gated=False
-    slides [Gu Gv] over the stream, which keeps the noise floor uniform
-    across bins for the map's wide delay span; a noiseless echo reads exact
-    zeros within 128 bins of its peak and cross terms with the surrounding
-    symbols beyond.  The sliding mode also takes stacked rows (..., L) and
+    ``gated`` has no default: the two modes read different spans and
+    answer different questions.  gated=True is the standard's cyclic
+    estimate: each 512-symbol field is correlated circularly, so a
+    noiseless echo within 128 samples of ``start`` (its fields' cyclic
+    prefixes) reads an exact delta.  gated=False slides [Gu Gv] over the
+    stream, which keeps the noise floor uniform across bins for the map's
+    wide delay span; a noiseless echo reads exact zeros within 128 bins of
+    its peak and cross terms with the surrounding symbols beyond.  The sliding mode also takes stacked rows (..., L) and
     returns (..., 512): one estimate per row, e.g. per frame.
 
     Bins 0..511 are the lag window (start - 256, start + 256) of

@@ -69,7 +69,7 @@ def test_criterion_2_cef_delta():
     h0 = 0.8 - 0.3j
     frame = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0)
     y = np.sqrt(es) * h0 * frame.astype(complex)
-    h = estimate_channel_cef(y, start=2176)
+    h = estimate_channel_cef(y, start=2176, gated=True)
     peak_err = abs(h[256] - np.sqrt(es) * h0)
     off = np.abs(np.delete(h, 256)).max()
     elapsed = time.time() - t0

@@ -22,7 +22,14 @@ from wlanradar.bench import (
     run_manifest,
     two_vehicle_scenario,
 )
-from wlanradar.frame import DEFAULT_PREAMBLE, PREAMBLE_LEN, assemble_cpi, assemble_frame
+from wlanradar.frame import (
+    BLOCK_LEN,
+    DEFAULT_PREAMBLE,
+    PREAMBLE_LEN,
+    assemble_cpi,
+    assemble_frame,
+)
+from wlanradar.radar import PreambleTemplate
 
 W = 1.76e9
 TS = 1 / W
@@ -417,7 +424,10 @@ class TestDetectionTrial:
         scen = Scenario(targets=(target,))
         lag0 = round(target.delay() * W * scen.oversample)
         lo, hi = lag0 - 24, lag0 + 25
-        template = np.ones((PREAMBLE_LEN + scen.rrc_span) * scen.oversample)
+        q = scen.oversample
+        template = PreambleTemplate(np.ones((2, (BLOCK_LEN + scen.rrc_span) * q)),
+                                    DEFAULT_PREAMBLE.blocks, BLOCK_LEN * q, 1.0)
+        assert template.length == (PREAMBLE_LEN + scen.rrc_span) * q
         rng = bench._rng(5, 0, 1)
         bench._detection_trial(template, (lo, hi), scen, 300.0, rng)
         want_rng = bench._rng(5, 0, 1)
@@ -427,7 +437,7 @@ class TestDetectionTrial:
         whole = synthesize_radar_rx(symbols, scen.rrc, W, [target], 0.0, scen.array, None,
                                     want_rng, start=0, length=n_whole)
         ((got, window),) = reads
-        want = whole[lo : hi + len(template) - 1]
+        want = whole[lo : hi + template.length - 1]
         assert window == (0, hi - lo)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -439,7 +449,8 @@ class TestDetectionTrial:
 
     def test_pickled_trial_is_small(self, monkeypatch):
         # the pool pickles the trial callable once per chunk: it carries the
-        # 0.43 MB shaped template and no run-level echo
+        # template's two shaped 1 408-sample references (46 465 B with the
+        # pickled scenario and block weights), never the whole shaped preamble
         sizes = []
 
         def no_trials(fn, jobs, workers):
@@ -448,7 +459,7 @@ class TestDetectionTrial:
 
         monkeypatch.setattr(bench, "_map_trials", no_trials)
         run_experiment(ExperimentSpec(kind="detection", sweep=(-20.0,), trials=2))
-        assert sizes and sizes[0] < 0.5e6
+        assert sizes and sizes[0] < 47_000
 
 
 class TestVelocityTrial:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wlanradar.frame import (
+    BLOCK_LEN,
     CEF_LEN,
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
@@ -11,7 +12,7 @@ from wlanradar.frame import (
     assemble_cpi,
     assemble_frame,
 )
-from wlanradar.golay import GolayPair, generate_golay_pair, golay_pair_correlate
+from wlanradar.golay import GolayPair, generate_golay_pair, golay_pair_correlate, load_golay_pair
 
 
 class TestStf:
@@ -116,9 +117,27 @@ class TestAssembly:
 
 class TestPreamble:
     def test_arrays_read_only(self):
-        for arr in (DEFAULT_PREAMBLE.stf, DEFAULT_PREAMBLE.cef, DEFAULT_PREAMBLE.symbols):
+        for arr in (DEFAULT_PREAMBLE.stf, DEFAULT_PREAMBLE.cef, DEFAULT_PREAMBLE.symbols,
+                    DEFAULT_PREAMBLE.blocks):
             with pytest.raises(ValueError):
                 arr[0] = 5.0
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["default", "loaded"])
+    def test_blocks_rebuild_the_symbols(self, loaded, tmp_path):
+        # block i is blocks[0, i] a + blocks[1, i] b, one weight of each
+        # column +-1 and the other 0; the loaded pair is the default one
+        # reversed and swapped, complementary too
+        p = DEFAULT_PREAMBLE
+        if loaded:
+            pa, pb = tmp_path / "a128.txt", tmp_path / "b128.txt"
+            pa.write_text("\n".join(str(int(v)) for v in p.pair128.b[::-1]))
+            pb.write_text("\n".join(str(int(v)) for v in p.pair128.a[::-1]))
+            p = Preamble(pair128=load_golay_pair(pa, pb))
+            assert not np.array_equal(p.symbols, DEFAULT_PREAMBLE.symbols)
+        assert p.blocks.shape == (2, PREAMBLE_LEN // BLOCK_LEN)
+        assert np.array_equal(np.sort(np.abs(p.blocks), axis=0), [[0] * 26, [1] * 26])
+        rebuilt = np.concatenate([w[0] * p.pair128.a + w[1] * p.pair128.b for w in p.blocks.T])
+        assert np.array_equal(rebuilt, p.symbols)
 
     def test_wrong_length_pair_rejected(self):
         for n in (256, 512):

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario, _mainlobe_widths
 from wlanradar.dsp import pulse_shape
-from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
+from wlanradar.frame import BLOCK_LEN, DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 from wlanradar.radar import (
     DelayDopplerMap,
     MapDetection,
+    PreambleTemplate,
     build_delay_doppler_map,
     cfar_threshold,
     crlb_range,
@@ -75,23 +78,86 @@ def _lag_loop_statistic(rx, template, lags):
     return float(best_val), best_lag
 
 
+def _single_block(t) -> PreambleTemplate:
+    """The template t as one block of itself."""
+    t = np.asarray(t, dtype=complex)
+    return PreambleTemplate(t[None], np.ones((1, 1)), 1, float(np.real(np.vdot(t, t))))
+
+
+def _unfolded(template: PreambleTemplate) -> np.ndarray:
+    """The whole template: each block's weighted references added at its stride."""
+    t = np.zeros(template.length, dtype=complex)
+    for i, w in enumerate(template.blocks.T):
+        t[i * template.stride : i * template.stride + template.refs.shape[1]] += w @ template.refs
+    return t
+
+
+def _shaped_template(scen) -> tuple[PreambleTemplate, np.ndarray]:
+    """The detection bench's block-form template, and the whole shaped preamble."""
+    p = DEFAULT_PREAMBLE
+    whole, a, b = (pulse_shape(s, scen.rrc, W) for s in (p.symbols, p.pair128.a, p.pair128.b))
+    template = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * scen.oversample,
+                                float(np.real(np.vdot(whole, whole))))
+    return template, whole
+
+
+def _detection_read(target, seed):
+    """A detection trial's read at -22 dB SCNR: +-3 symbols of lags around
+    the expected echo, searched from lag 0, and its template."""
+    scen = Scenario(targets=(target,))
+    template, whole = _shaped_template(scen)
+    layout = FrameLayout(k=scen.detection_frame_k, header_len=0)
+    w = scen.detection_window_symbols * scen.oversample
+    lag0 = int(np.round(target.delay() * W * scen.oversample))
+    rng = np.random.default_rng([7, 0, seed])
+    rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
+                             10 ** 2.2, scen.array, None, rng, start=lag0 - w,
+                             length=2 * w + len(whole))
+    return rx, template, whole, (0, 2 * w + 1)
+
+
+DETECTION_TARGETS = [
+    Scenario().targets[0],
+    Target(range_m=80.0, velocity_mps=-150.0),
+    # 1000.37 samples at 8 x 1.76 GHz: the delay's taps are shifted by 0.37
+    Target(range_m=1000.37 / (8 * W) * SPEED_OF_LIGHT / 2, velocity_mps=7.0),
+]
+
+
 class TestMatchedPreambleStatistic:
+    def test_template_is_the_shaped_preamble(self):
+        # shaping is linear: the shaped blocks, added at 128 Q, are the
+        # shaped preamble to the rounding
+        template, whole = _shaped_template(Scenario())
+        assert template.length == len(whole) == 27008
+        assert template.refs.shape == (2, 1408)
+        assert np.max(np.abs(_unfolded(template) - whole)) <= 1e-12 * np.max(np.abs(whole))
+
     def test_equals_lag_loop_on_noisy_echoes(self):
-        # the detection bench's chain: a shaped preamble echo at -22 dB SCNR,
-        # its read of +-3 symbols around the expected lag searched from lag 0
-        scen = Scenario()
-        template = pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W)
-        target = scen.targets[0]
-        layout = FrameLayout(k=scen.detection_frame_k, header_len=0)
-        w = scen.detection_window_symbols * scen.oversample
-        lag0 = int(np.round(target.delay() * W * scen.oversample))
-        for seed in range(8):
-            rng = np.random.default_rng([7, 0, seed])
-            rx = synthesize_radar_rx(assemble_frame(layout, rng), scen.rrc, W, [target],
-                                     10 ** 2.2, scen.array, None, rng, start=lag0 - w,
-                                     length=2 * w + len(template))
-            got = matched_preamble_statistic(rx, template, (0, 2 * w + 1))
-            assert got == _lag_loop_statistic(rx, template, np.arange(2 * w + 1))
+        # the fold sums in another order than the lag loop: the same lag, and
+        # the statistic to 1e-12 relative
+        for target, seed in itertools.product(DETECTION_TARGETS, range(4)):
+            rx, template, whole, window = _detection_read(target, seed)
+            stat, lag = matched_preamble_statistic(rx, template, window)
+            want_stat, want_lag = _lag_loop_statistic(rx, whole, np.arange(*window))
+            assert lag == want_lag
+            assert stat == pytest.approx(want_stat, rel=1e-12)
+
+    @pytest.mark.parametrize("stride, n_blocks, n", [(7, 5, 9), (12, 4, 5), (3, 1, 40)],
+                             ids=["overlapping", "gapped", "one-block"])
+    def test_any_block_template_equals_lag_loop(self, stride, n_blocks, n):
+        # complex references and 0/+-1 weights, blocks overlapping or apart
+        rng = np.random.default_rng(stride)
+        refs = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        blocks = rng.integers(-1, 2, (2, n_blocks)).astype(float)
+        whole = _unfolded(PreambleTemplate(refs, blocks, stride, 1.0))
+        t = PreambleTemplate(refs, blocks, stride, float(np.real(np.vdot(whole, whole))))
+        y = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        for window in ((0, 1), (3, 60), (0, 201 - t.length)):
+            stat, lag = matched_preamble_statistic(y, t, window)
+            want_stat, want_lag = _lag_loop_statistic(y, whole, np.arange(*window))
+            assert lag == want_lag
+            assert stat == pytest.approx(want_stat, rel=1e-12)
 
     def test_window_leaving_the_stream_rejected(self):
         # the template fits at lags 0-260 of the 300 samples; a window is
@@ -99,33 +165,48 @@ class TestMatchedPreambleStatistic:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         t = rng.standard_normal(40)
-        got = matched_preamble_statistic(y, t, (0, 261))
-        assert got == _lag_loop_statistic(y, t, np.arange(0, 261))
+        stat, lag = matched_preamble_statistic(y, _single_block(t), (0, 261))
+        want_stat, want_lag = _lag_loop_statistic(y, t, np.arange(0, 261))
+        assert lag == want_lag and stat == pytest.approx(want_stat, rel=1e-12)
         for window in ((-20, 290), (-1, 5), (0, 262), (250, 290)):
             with pytest.raises(ValueError, match="leaves"):
-                matched_preamble_statistic(y, t, window)
+                matched_preamble_statistic(y, _single_block(t), window)
 
     def test_first_lag_wins_a_tie(self):
         # lags 0 and 3 both see the full template
         rx = np.array([1, 1, 0, 1, 1], dtype=complex)
         t = np.ones(2)
-        assert matched_preamble_statistic(rx, t, (0, 4)) == (2.0, 0)
+        assert matched_preamble_statistic(rx, _single_block(t), (0, 4)) == (2.0, 0)
         assert _lag_loop_statistic(rx, t, np.arange(4)) == (2.0, 0)
-        assert matched_preamble_statistic(rx, t, (1, 4)) == (2.0, 3)
+        assert matched_preamble_statistic(rx, _single_block(t), (1, 4)) == (2.0, 3)
 
     @pytest.mark.parametrize("window", [(-10, 0), (299, 310), (5, 5)])
     def test_no_admissible_lag_rejected(self, window):
         with pytest.raises(ValueError):
-            matched_preamble_statistic(np.ones(300, dtype=complex), np.ones(2), window)
+            matched_preamble_statistic(np.ones(300, dtype=complex), _single_block(np.ones(2)),
+                                       window)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_sample_in_the_span_rejected(self, bad):
         # a caller's stream is checked where the search reads it
         rx = np.ones(300, dtype=complex)
         rx[280] = bad
-        assert matched_preamble_statistic(rx, np.ones(2), (0, 200)) == (2.0, 0)
+        t = _single_block(np.ones(2))
+        assert matched_preamble_statistic(rx, t, (0, 200)) == (2.0, 0)
         with pytest.raises(ValueError, match="non-finite"):
-            matched_preamble_statistic(rx, np.ones(2), (0, 290))
+            matched_preamble_statistic(rx, t, (0, 290))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_in_any_block_rejected(self, bad):
+        # the first, a middle and the last sample each block's fold reads
+        rx, template, whole, window = _detection_read(DETECTION_TARGETS[0], 0)
+        span = window[1] + template.refs.shape[1] - 1
+        for i in range(template.blocks.shape[1]):
+            for j in (0, span // 2, span - 1):
+                y = rx.copy()
+                y[i * template.stride + j] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    matched_preamble_statistic(y, template, window)
 
 
 class TestMoose:

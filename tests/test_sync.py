@@ -8,6 +8,7 @@ from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
 from wlanradar.dsp import RrcSpec, _conj_spectrum, apply_delay_doppler, pulse_shape, rrc_taps
 from wlanradar.frame import (
+    BLOCK_LEN,
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
     STF_LEN,
@@ -16,6 +17,7 @@ from wlanradar.frame import (
     assemble_frame,
 )
 from wlanradar.golay import generate_golay_pair, load_golay_pair
+from wlanradar.radar import PreambleTemplate, matched_preamble_statistic
 from wlanradar.sync import estimate_channel_cef, fine_timing_preamble, preamble_delay
 
 W = 1.76e9
@@ -193,6 +195,32 @@ class TestFineTiming:
         with pytest.raises(ValueError, match="non-finite"):
             fine_timing_preamble(y, (587 - 384, 587 + 384))
 
+    def test_equals_direct_correlation_at_every_lag(self):
+        # the velocity trial's search: 65 lags of a 3 392-symbol row at 0 dB;
+        # the folded search sums in another order than np.correlate
+        rng = np.random.default_rng(12)
+        y = _noisy_frame_symbols(32, 0.0, rng, k=3328)[: 64 + 3328]
+        c = np.correlate(y, DEFAULT_PREAMBLE.symbols, mode="valid") / 3328
+        assert len(c) == 65
+        for lag in range(65):
+            idx, val = fine_timing_preamble(y, (lag, lag + 1))
+            assert idx == lag
+            assert abs(val - c[lag]) <= 1e-12 * abs(c[lag])
+        idx, val = fine_timing_preamble(y, (0, 65))
+        assert idx == np.argmax(np.abs(c) ** 2) == 32
+        assert val == pytest.approx(c[32], rel=1e-12)
+
+    def test_nonfinite_sample_in_any_block_rejected(self):
+        # the first and last sample each block's fold reads
+        y = np.zeros(64 + 3328, complex)
+        y[32 : 32 + 3328] = DEFAULT_PREAMBLE.symbols
+        for i in range(26):
+            for j in (0, 64 + 127):
+                bad = y.copy()
+                bad[128 * i + j] = np.nan
+                with pytest.raises(ValueError, match="non-finite"):
+                    fine_timing_preamble(bad, (0, 65))
+
 
 class TestChannelEstimate:
     def test_clean_delta(self):
@@ -201,7 +229,7 @@ class TestChannelEstimate:
         rng = np.random.default_rng(11)
         y = _noisy_frame_symbols(0, 500.0, rng, h0=h0)
         y = h0 * assemble_frame(FrameLayout(k=4352, header_len=0), np.random.default_rng(0)).astype(complex)
-        h = estimate_channel_cef(y, 2176)
+        h = estimate_channel_cef(y, 2176, gated=True)
         assert abs(h[256] - h0) < 1e-10
         off = np.abs(np.delete(h, 256))
         assert off.max() < 1e-10
@@ -216,7 +244,7 @@ class TestChannelEstimate:
             y[d : d + 4352] = frame
             expected = np.zeros(512, dtype=complex)
             expected[CEF_PEAK_BIN + d] = h0
-            h = estimate_channel_cef(y, STF_LEN, preamble=p)
+            h = estimate_channel_cef(y, STF_LEN, gated=True, preamble=p)
             assert np.abs(h - expected).max() <= 1e-12, d
 
     def test_sliding_estimate_has_a_zero_correlation_zone(self, pair128):
@@ -234,7 +262,7 @@ class TestChannelEstimate:
 
     def test_delayed_three_samples(self):
         y = np.concatenate([np.zeros(3), DEFAULT_PREAMBLE.symbols, np.zeros(64)]).astype(complex)
-        h = estimate_channel_cef(y, 2176)
+        h = estimate_channel_cef(y, 2176, gated=True)
         assert np.argmax(np.abs(h)) == 259
 
     def test_override_pair_exact_delta(self, reversed_preamble):
@@ -242,11 +270,11 @@ class TestChannelEstimate:
         p = reversed_preamble
         y = assemble_frame(FrameLayout(k=4352, header_len=0), seed=0,
                            preamble=p).astype(complex)
-        h = estimate_channel_cef(y, STF_LEN, preamble=p)
+        h = estimate_channel_cef(y, STF_LEN, gated=True, preamble=p)
         assert h[256] == 1.0
         assert np.abs(np.delete(h, 256)).max() == 0.0
         # the standard receiver does not see the substituted CEF
-        assert abs(estimate_channel_cef(y, STF_LEN)[256]) < 0.5
+        assert abs(estimate_channel_cef(y, STF_LEN, gated=True)[256]) < 0.5
 
     def test_noise_only_bin_variance(self):
         # background variance sigma^2/(2*512) at the synchronized bin
@@ -257,7 +285,7 @@ class TestChannelEstimate:
             y = np.sqrt(sigma2 / 2) * (
                 rng.standard_normal(4500) + 1j * rng.standard_normal(4500)
             )
-            h = estimate_channel_cef(y, 2176)
+            h = estimate_channel_cef(y, 2176, gated=True)
             vals.append(h[256])
         var = np.var(vals)
         assert var == pytest.approx(sigma2 / 1024, rel=0.2)
@@ -298,7 +326,7 @@ class TestChannelEstimate:
 
     def test_gated_mode_rejects_stacked_rows(self):
         with pytest.raises(ValueError):
-            estimate_channel_cef(np.zeros((2, 4500), complex), 2176)
+            estimate_channel_cef(np.zeros((2, 4500), complex), 2176, gated=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sliding_mode_rejects_a_nonfinite_sample(self, bad):
@@ -321,10 +349,10 @@ class TestChannelEstimate:
         y[3200] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(estimate_channel_cef(y, 2176)).all()
+            assert np.isfinite(estimate_channel_cef(y, 2176, gated=True)).all()
             y[2500] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                estimate_channel_cef(y, 2176)
+                estimate_channel_cef(y, 2176, gated=True)
 
     def test_read_leaving_the_stream_raises(self):
         # either mode's read must lie inside the stream: no zeros are read
@@ -332,9 +360,9 @@ class TestChannelEstimate:
         assert estimate_channel_cef(y, 2176, gated=False).shape == (512,)
         with pytest.raises(ValueError, match="leaves"):
             estimate_channel_cef(y[:-1], 2176, gated=False)
-        assert estimate_channel_cef(y[:3200], 2176).shape == (512,)
+        assert estimate_channel_cef(y[:3200], 2176, gated=True).shape == (512,)
         with pytest.raises(ValueError, match="leaves"):
-            estimate_channel_cef(y[:3199], 2176)
+            estimate_channel_cef(y[:3199], 2176, gated=True)
 
     def test_peak_unbiased_in_noise(self):
         h0 = 1.0
@@ -344,7 +372,7 @@ class TestChannelEstimate:
         sigma2 = 1.0
         for _ in range(trials):
             y = _noisy_frame_symbols(0, 0.0, rng, k=4352, h0=h0)
-            vals.append(estimate_channel_cef(y, 2176)[256])
+            vals.append(estimate_channel_cef(y, 2176, gated=True)[256])
         mean = np.mean(vals)
         sigma_mean = np.sqrt(sigma2 / 1024 / trials)
         assert abs(mean - h0) < 3 * sigma_mean * 1.5
@@ -423,6 +451,18 @@ class TestPipeline:
         lag, _ = preamble_delay(rx, template, ((587 - 384) * Q, (587 + 384) * Q + 1))
         assert lag == 587 * Q
         start = lag // Q
-        h = estimate_channel_cef(_matched_symbols(rx), start + STF_LEN, preamble=p)
+        y = _matched_symbols(rx)
+        h = estimate_channel_cef(y, start + STF_LEN, gated=True, preamble=p)
         assert np.argmax(np.abs(h)) == 256
         assert abs(h[256]) == pytest.approx(1.0, abs=1e-3)
+        # fine timing and the detection statistic against the same preamble,
+        # each in block form, find the echo too
+        idx, val = fine_timing_preamble(y, (587 - 32, 587 + 33), preamble=p)
+        assert idx == 587 and abs(val) == pytest.approx(1.0, abs=1e-3)
+        assert abs(fine_timing_preamble(y, (587 - 32, 587 + 33))[1]) < 0.5
+        a, b = (pulse_shape(s, RRC, W) for s in (p.pair128.a, p.pair128.b))
+        detect = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * Q,
+                                  float(np.real(np.vdot(template, template))))
+        stat, lag = matched_preamble_statistic(rx, detect, ((587 - 3) * Q, (587 + 3) * Q + 1))
+        assert lag == 587 * Q
+        assert stat == pytest.approx(detect.energy, rel=1e-3)

@@ -39,7 +39,6 @@ from .airlink import (
 )
 from .dsp import RrcSpec, _conj_spectrum, pulse_shape
 from .frame import (
-    BLOCK_LEN,
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
@@ -511,15 +510,11 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    p = DEFAULT_PREAMBLE
-    # the trials correlate with the shaped a and b alone; the whole shaped
-    # preamble is built once here for its energy, on one BLAS thread as the
-    # trials run: a threaded dot this long leaves OpenBLAS's workers spinning
-    whole, a, b = (pulse_shape(s, scen.rrc, scen.symbol_rate)
-                   for s in (p.symbols, p.pair128.a, p.pair128.b))
+    # on one BLAS thread as the trials run: the template's energy is a dot
+    # over the whole shaped preamble, and a threaded one that long leaves
+    # OpenBLAS's workers spinning
     with _one_blas_thread():
-        energy = float(np.real(np.vdot(whole, whole)))
-    template = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * scen.oversample, energy)
+        template = PreambleTemplate.of(DEFAULT_PREAMBLE, scen.rrc, scen.symbol_rate)
     lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
     # a (scen, value, rng) trial; its window may start below lag 0

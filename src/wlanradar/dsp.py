@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sp_fft
 
 __all__ = [
@@ -204,22 +204,26 @@ def _folded_peak(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: in
     for the hi - lo + L - 1 samples j that one reference reads, and then
     c = sum_k correlate(F_k, refs[k]).  A lag then costs K L multiply-adds
     instead of n_ref, and folding n_blocks K per read sample.  The weights in
-    ``blocks`` (K x n_blocks) are real.  A non-finite sample in the read
-    raises ValueError.
+    ``blocks`` (K x n_blocks) are real.  Blocks may overlap or abut but not
+    leave gaps (stride <= L, else ValueError), so every sample of the read is
+    folded, and a non-finite one raises ValueError.
     """
     refs = np.asarray(refs)
+    if stride > refs.shape[1]:
+        raise ValueError(f"block stride {stride} leaves gaps between {refs.shape[1]}-sample blocks")
     lo, hi = window
     n_ref = stride * (blocks.shape[1] - 1) + refs.shape[1]
     span = hi - lo + refs.shape[1] - 1
     read = np.ascontiguousarray(_lag_read(y, window, n_ref), dtype=complex).view(float)
-    # row i: samples [stride i, stride i + span) of the read as (re, im) pairs, a view
-    rows = sliding_window_view(read, 2 * span)[:: 2 * stride]
-    folded = np.empty((len(blocks), 2 * span))
+    # row i: samples [stride i, stride i + span) of the read as (re, im) pairs,
+    # a read-only view whose last row ends at the read's end; einsum's own loop
+    # sums the overlapping rows without a copy and without BLAS, whose first
+    # level-3 product allocates a workspace
+    rows = as_strided(read, (blocks.shape[1], 2 * span), (2 * stride * read.itemsize, read.itemsize),
+                      writeable=False)
     with np.errstate(invalid="ignore", over="ignore"):
-        # rows overlap, so BLAS takes them a stride-wide column block at a time
-        for j in range(0, 2 * span, 2 * stride):
-            np.matmul(blocks, rows[:, j : j + 2 * stride], out=folded[:, j : j + 2 * stride])
-        c = sum(np.correlate(f, r, mode="valid") for f, r in zip(folded.view(complex), refs))
+        folded = np.einsum("ki,ij->kj", blocks, rows).view(complex)
+        c = sum(np.correlate(f, r, mode="valid") for f, r in zip(folded, refs))
     # argmax returns the first maximum, or the first NaN: a non-finite sample
     # in the read leaves the peak non-finite
     peak = int(np.argmax(np.abs(c) ** 2))

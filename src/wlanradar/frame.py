@@ -28,7 +28,6 @@ import numpy as np
 from .golay import GolayPair, generate_golay_pair
 
 __all__ = [
-    "BLOCK_LEN",
     "STF_LEN",
     "CEF_LEN",
     "PREAMBLE_LEN",
@@ -40,14 +39,18 @@ __all__ = [
     "assemble_cpi",
 ]
 
-BLOCK_LEN = 128             # the preamble's blocks are the 128 pair's sequences
 STF_LEN = 17 * 128          # 16 x a_128 then -a_128
 CEF_LEN = 512 + 512 + 128   # Gu_512, Gv_512, Gv_128
 PREAMBLE_LEN = STF_LEN + CEF_LEN
 CEF_PEAK_BIN = 256          # on-target channel-estimate bin when synchronized
 
-# the preamble's blocks in order: the STF, then Gu_512, Gv_512 and Gv_128
-_BLOCK_RECIPE = ["a"] * 16 + ["-a"] + ["-b", "-a", "b", "-a"] + ["-b", "a", "-b", "-a"] + ["-b"]
+# the preamble's 26 blocks of 128 symbols as weights of (a_128, b_128)
+_BLOCKS = np.array([
+    # STF: 16 x a, -a                                    Gu_512        Gv_512        Gv_128
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1,  0, -1, 0, -1,  0, 1,  0, -1,  0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  0, -1,  0, 1,  0, -1, 0, -1,  0, -1],
+], dtype=float)
+_BLOCKS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +65,8 @@ class Preamble:
     identity: the fields are arrays.
 
     ``blocks`` is the block form ``symbols`` is built from: the read-only
-    2 x 26 matrix of 0/+-1 weights with which block i of BLOCK_LEN symbols
-    is blocks[0, i] a + blocks[1, i] b, one weight of each column nonzero.
+    2 x 26 matrix of 0/+-1 weights with which block i of 128 symbols is
+    blocks[0, i] a + blocks[1, i] b, one weight of each column nonzero.
     """
 
     pair128: GolayPair = field(default_factory=lambda: generate_golay_pair(128))
@@ -76,14 +79,10 @@ class Preamble:
     def __post_init__(self):
         if len(self.pair128) != 128 or not self.pair128.is_complementary():
             raise ValueError("pair128 must be a complementary pair of length 128")
-        blocks = np.zeros((2, len(_BLOCK_RECIPE)))
-        for i, name in enumerate(_BLOCK_RECIPE):
-            blocks["ab".index(name[-1]), i] = -1.0 if name[0] == "-" else 1.0
         a, b = self.pair128.a, self.pair128.b
-        symbols = np.concatenate([wa * a + wb * b for wa, wb in blocks.T])
-        for arr in (blocks, symbols):
-            arr.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        symbols = np.concatenate([wa * a + wb * b for wa, wb in _BLOCKS.T])
+        symbols.flags.writeable = False
+        object.__setattr__(self, "blocks", _BLOCKS)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "stf", symbols[:STF_LEN])
         object.__setattr__(self, "cef", symbols[STF_LEN:])

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import SPEED_OF_LIGHT
-from .dsp import _folded_peak
+from .dsp import RrcSpec, _folded_peak, pulse_shape
+from .frame import Preamble
 
 __all__ = [
     "DelayDopplerMap",
@@ -71,19 +72,36 @@ def cfar_threshold(noise_var: float, pfa: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PreambleTemplate:
-    """A preamble template in block form, as the matched statistic correlates it.
+    """A preamble template in block form, as the preamble searches correlate it.
 
     The template is T = sum_i sum_k blocks[k, i] refs[k] delayed by stride i
-    samples, ``length`` samples long, and ``energy`` is sum |T|^2.  For the
-    shaped preamble at Q samples per symbol, ``refs`` are pulse_shape(a) and
-    pulse_shape(b) of the 128 pair, ``blocks`` is ``Preamble.blocks`` and
-    ``stride`` is 128 Q: shaping is linear, so T is the whole shaped preamble.
+    samples, ``length`` samples long, and ``energy`` is sum |T|^2.  Build it
+    with ``PreambleTemplate.of``.
     """
 
     refs: np.ndarray
     blocks: np.ndarray
     stride: int
     energy: float
+
+    @classmethod
+    def of(cls, preamble: Preamble, rrc: RrcSpec | None = None,
+           symbol_rate: float | None = None) -> PreambleTemplate:
+        """``preamble``'s symbols, or with ``rrc`` its waveform shaped at
+        ``symbol_rate`` (``dsp.pulse_shape``, Q = rrc.oversample samples per
+        symbol), in block form: the references are a_128 and b_128 (shaped),
+        the weights ``preamble.blocks`` and the stride 128 Q.  Shaping is
+        linear, so T is the whole shaped preamble; it is built here only for
+        its energy.
+        """
+        seqs = (preamble.symbols, preamble.pair128.a, preamble.pair128.b)
+        q = 1
+        if rrc is not None:
+            seqs = [pulse_shape(s, rrc, symbol_rate) for s in seqs]
+            q = rrc.oversample
+        whole, a, b = seqs
+        return cls(np.stack([a, b]), preamble.blocks, len(preamble.pair128) * q,
+                   float(np.real(np.vdot(whole, whole))))
 
     @property
     def length(self) -> int:

@@ -22,11 +22,14 @@ downstream).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .dsp import _conj_spectrum, _fft_correlate, _folded_peak, _lag_read
-from .frame import BLOCK_LEN, CEF_PEAK_BIN, DEFAULT_PREAMBLE, PREAMBLE_LEN, Preamble
+from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
+from .radar import PreambleTemplate
 
 __all__ = [
     "preamble_delay",
@@ -71,9 +74,16 @@ def fine_timing_preamble(y, window: tuple[int, int],
     (``dsp._lag_read``) or a non-finite sample read raises ValueError.
     Returns (peak index, correlation / preamble length).
     """
-    pair = np.stack([preamble.pair128.a, preamble.pair128.b])
-    idx, val = _folded_peak(y, pair, preamble.blocks, BLOCK_LEN, window)
-    return idx, val / PREAMBLE_LEN
+    t = _symbol_rate_template(preamble)
+    idx, val = _folded_peak(y, t.refs, t.blocks, t.stride, window)
+    return idx, val / t.length
+
+
+@lru_cache(maxsize=4)
+def _symbol_rate_template(preamble: Preamble) -> PreambleTemplate:
+    # once per preamble, not per search: fine timing runs in every velocity
+    # trial, where building the template (a stack and a dot) showed in its cost
+    return PreambleTemplate.of(preamble)
 
 
 def estimate_channel_cef(y, start: int, *, gated: bool,

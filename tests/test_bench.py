@@ -22,13 +22,7 @@ from wlanradar.bench import (
     run_manifest,
     two_vehicle_scenario,
 )
-from wlanradar.frame import (
-    BLOCK_LEN,
-    DEFAULT_PREAMBLE,
-    PREAMBLE_LEN,
-    assemble_cpi,
-    assemble_frame,
-)
+from wlanradar.frame import DEFAULT_PREAMBLE, PREAMBLE_LEN, assemble_cpi, assemble_frame
 from wlanradar.radar import PreambleTemplate
 
 W = 1.76e9
@@ -425,8 +419,8 @@ class TestDetectionTrial:
         lag0 = round(target.delay() * W * scen.oversample)
         lo, hi = lag0 - 24, lag0 + 25
         q = scen.oversample
-        template = PreambleTemplate(np.ones((2, (BLOCK_LEN + scen.rrc_span) * q)),
-                                    DEFAULT_PREAMBLE.blocks, BLOCK_LEN * q, 1.0)
+        template = PreambleTemplate(np.ones((2, (128 + scen.rrc_span) * q)),
+                                    DEFAULT_PREAMBLE.blocks, 128 * q, 1.0)
         assert template.length == (PREAMBLE_LEN + scen.rrc_span) * q
         rng = bench._rng(5, 0, 1)
         bench._detection_trial(template, (lo, hi), scen, 300.0, rng)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wlanradar.frame import (
-    BLOCK_LEN,
     CEF_LEN,
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
@@ -134,7 +133,7 @@ class TestPreamble:
             pb.write_text("\n".join(str(int(v)) for v in p.pair128.a[::-1]))
             p = Preamble(pair128=load_golay_pair(pa, pb))
             assert not np.array_equal(p.symbols, DEFAULT_PREAMBLE.symbols)
-        assert p.blocks.shape == (2, PREAMBLE_LEN // BLOCK_LEN)
+        assert p.blocks.shape == (2, PREAMBLE_LEN // 128)
         assert np.array_equal(np.sort(np.abs(p.blocks), axis=0), [[0] * 26, [1] * 26])
         rebuilt = np.concatenate([w[0] * p.pair128.a + w[1] * p.pair128.b for w in p.blocks.T])
         assert np.array_equal(rebuilt, p.symbols)

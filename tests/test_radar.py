@@ -6,7 +6,7 @@ import pytest
 from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario, _mainlobe_widths
 from wlanradar.dsp import pulse_shape
-from wlanradar.frame import BLOCK_LEN, DEFAULT_PREAMBLE, FrameLayout, assemble_frame
+from wlanradar.frame import DEFAULT_PREAMBLE, FrameLayout, assemble_frame
 from wlanradar.radar import (
     DelayDopplerMap,
     MapDetection,
@@ -94,11 +94,8 @@ def _unfolded(template: PreambleTemplate) -> np.ndarray:
 
 def _shaped_template(scen) -> tuple[PreambleTemplate, np.ndarray]:
     """The detection bench's block-form template, and the whole shaped preamble."""
-    p = DEFAULT_PREAMBLE
-    whole, a, b = (pulse_shape(s, scen.rrc, W) for s in (p.symbols, p.pair128.a, p.pair128.b))
-    template = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * scen.oversample,
-                                float(np.real(np.vdot(whole, whole))))
-    return template, whole
+    template = PreambleTemplate.of(DEFAULT_PREAMBLE, scen.rrc, W)
+    return template, pulse_shape(DEFAULT_PREAMBLE.symbols, scen.rrc, W)
 
 
 def _detection_read(target, seed):
@@ -130,23 +127,29 @@ class TestMatchedPreambleStatistic:
         # shaped preamble to the rounding
         template, whole = _shaped_template(Scenario())
         assert template.length == len(whole) == 27008
-        assert template.refs.shape == (2, 1408)
+        assert template.refs.shape == (2, 1408) and template.stride == 1024
+        assert template.energy == np.real(np.vdot(whole, whole))
         assert np.max(np.abs(_unfolded(template) - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_symbol_rate_template_is_the_preamble(self):
+        template = PreambleTemplate.of(DEFAULT_PREAMBLE)
+        assert template.stride == 128 and template.energy == 3328.0
+        assert np.array_equal(_unfolded(template), DEFAULT_PREAMBLE.symbols)
 
     def test_equals_lag_loop_on_noisy_echoes(self):
         # the fold sums in another order than the lag loop: the same lag, and
         # the statistic to 1e-12 relative
-        for target, seed in itertools.product(DETECTION_TARGETS, range(4)):
+        for target, seed in itertools.product(DETECTION_TARGETS, range(8)):
             rx, template, whole, window = _detection_read(target, seed)
             stat, lag = matched_preamble_statistic(rx, template, window)
             want_stat, want_lag = _lag_loop_statistic(rx, whole, np.arange(*window))
             assert lag == want_lag
             assert stat == pytest.approx(want_stat, rel=1e-12)
 
-    @pytest.mark.parametrize("stride, n_blocks, n", [(7, 5, 9), (12, 4, 5), (3, 1, 40)],
-                             ids=["overlapping", "gapped", "one-block"])
+    @pytest.mark.parametrize("stride, n_blocks, n", [(7, 5, 9), (5, 4, 5), (3, 1, 40)],
+                             ids=["overlapping", "abutting", "one-block"])
     def test_any_block_template_equals_lag_loop(self, stride, n_blocks, n):
-        # complex references and 0/+-1 weights, blocks overlapping or apart
+        # complex references and 0/+-1 weights, blocks overlapping or abutting
         rng = np.random.default_rng(stride)
         refs = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         blocks = rng.integers(-1, 2, (2, n_blocks)).astype(float)
@@ -165,9 +168,8 @@ class TestMatchedPreambleStatistic:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         t = rng.standard_normal(40)
-        stat, lag = matched_preamble_statistic(y, _single_block(t), (0, 261))
-        want_stat, want_lag = _lag_loop_statistic(y, t, np.arange(0, 261))
-        assert lag == want_lag and stat == pytest.approx(want_stat, rel=1e-12)
+        got = matched_preamble_statistic(y, _single_block(t), (0, 261))
+        assert got == _lag_loop_statistic(y, t, np.arange(0, 261))
         for window in ((-20, 290), (-1, 5), (0, 262), (250, 290)):
             with pytest.raises(ValueError, match="leaves"):
                 matched_preamble_statistic(y, _single_block(t), window)
@@ -179,6 +181,13 @@ class TestMatchedPreambleStatistic:
         assert matched_preamble_statistic(rx, _single_block(t), (0, 4)) == (2.0, 0)
         assert _lag_loop_statistic(rx, t, np.arange(4)) == (2.0, 0)
         assert matched_preamble_statistic(rx, _single_block(t), (1, 4)) == (2.0, 3)
+
+    def test_gapped_blocks_rejected(self):
+        # a stride past the references' length leaves samples between blocks
+        # that no fold reads, so a non-finite one there could not be seen
+        t = PreambleTemplate(np.ones((2, 5)), np.ones((2, 4)), 6, 1.0)
+        with pytest.raises(ValueError, match="gaps"):
+            matched_preamble_statistic(np.ones(100, dtype=complex), t, (0, 10))
 
     @pytest.mark.parametrize("window", [(-10, 0), (299, 310), (5, 5)])
     def test_no_admissible_lag_rejected(self, window):

@@ -8,7 +8,6 @@ from wlanradar.airlink import SPEED_OF_LIGHT, Target, synthesize_radar_rx
 from wlanradar.bench import Scenario
 from wlanradar.dsp import RrcSpec, _conj_spectrum, apply_delay_doppler, pulse_shape, rrc_taps
 from wlanradar.frame import (
-    BLOCK_LEN,
     CEF_PEAK_BIN,
     DEFAULT_PREAMBLE,
     STF_LEN,
@@ -460,9 +459,7 @@ class TestPipeline:
         idx, val = fine_timing_preamble(y, (587 - 32, 587 + 33), preamble=p)
         assert idx == 587 and abs(val) == pytest.approx(1.0, abs=1e-3)
         assert abs(fine_timing_preamble(y, (587 - 32, 587 + 33))[1]) < 0.5
-        a, b = (pulse_shape(s, RRC, W) for s in (p.pair128.a, p.pair128.b))
-        detect = PreambleTemplate(np.stack([a, b]), p.blocks, BLOCK_LEN * Q,
-                                  float(np.real(np.vdot(template, template))))
+        detect = PreambleTemplate.of(p, RRC, W)
         stat, lag = matched_preamble_statistic(rx, detect, ((587 - 3) * Q, (587 + 3) * Q + 1))
         assert lag == 587 * Q
         assert stat == pytest.approx(detect.energy, rel=1e-3)

@@ -219,8 +219,8 @@ def _folded_peak(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: in
     # a read-only view whose last row ends at the read's end; einsum's own loop
     # sums the overlapping rows without a copy and without BLAS, whose first
     # level-3 product allocates a workspace
-    rows = as_strided(read, (blocks.shape[1], 2 * span), (2 * stride * read.itemsize, read.itemsize),
-                      writeable=False)
+    step = read.itemsize
+    rows = as_strided(read, (blocks.shape[1], 2 * span), (2 * stride * step, step), writeable=False)
     with np.errstate(invalid="ignore", over="ignore"):
         folded = np.einsum("ki,ij->kj", blocks, rows).view(complex)
         c = sum(np.correlate(f, r, mode="valid") for f, r in zip(folded, refs))

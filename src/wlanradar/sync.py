@@ -101,8 +101,9 @@ def estimate_channel_cef(y, start: int, *, gated: bool,
     prefixes) reads an exact delta.  gated=False slides [Gu Gv] over the
     stream, which keeps the noise floor uniform across bins for the map's
     wide delay span; a noiseless echo reads exact zeros within 128 bins of
-    its peak and cross terms with the surrounding symbols beyond.  The sliding mode also takes stacked rows (..., L) and
-    returns (..., 512): one estimate per row, e.g. per frame.
+    its peak and cross terms with the surrounding symbols beyond.  The
+    sliding mode also takes stacked rows (..., L) and returns (..., 512):
+    one estimate per row, e.g. per frame.
 
     Bins 0..511 are the lag window (start - 256, start + 256) of
     ``golay.golay_pair_correlate``: the gated mode reads y[start : start + 1024],

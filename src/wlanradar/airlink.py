@@ -232,8 +232,11 @@ def _add_noise(out: np.ndarray, sigma_cn2: float, rng: np.random.Generator) -> N
     """Add white clutter-plus-noise of variance sigma_cn2 to ``out`` in place.
 
     Every real part is drawn first, in ``out``'s row-major order, then every
-    imaginary part, into one real buffer of ``out``'s shape.
+    imaginary part, into one real buffer of ``out``'s shape.  Zero variance
+    draws nothing.
     """
+    if sigma_cn2 == 0:
+        return
     sigma = np.sqrt(sigma_cn2 / 2)
     noise = np.empty(out.shape)
     for part in (out.real, out.imag):
@@ -274,7 +277,8 @@ def synthesize_radar_rx(
     spans the window and the ends of those echoes, at most span Q samples
     before it and (span + 1) Q after it, and the window is returned.
     ``rng`` draws the phases, then the noise over the window alone: every
-    real part, then every imaginary part.
+    real part, then every imaginary part.  With ``sigma_cn2`` 0 it draws the
+    phases alone.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")
@@ -354,8 +358,9 @@ def synthesize_radar_rx_symbol_rate(
     Each target's echo is written into the result row by row, and later
     targets add theirs, so nothing else of the result's size is allocated
     besides one real noise buffer.  ``rng`` draws the echo phases, then the
-    noise: every real part, row-major, then every imaginary part.  This draw
-    order is part of the byte contract of the benches that call it.
+    noise: every real part, row-major, then every imaginary part; with
+    ``sigma_cn2`` 0 it draws the phases alone.  This draw order is part of
+    the byte contract of the benches that call it.
     """
     if not 0 <= sigma_cn2 < np.inf:   # NaN fails too
         raise ValueError(f"sigma_cn2 must be finite and >= 0, got {sigma_cn2}")

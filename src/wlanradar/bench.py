@@ -30,6 +30,7 @@ from .airlink import (
     ArrayConfig,
     LinkBudget,
     Target,
+    _add_noise,
     link_budget_sweep,
     radar_coupling,
     rician_snr_draws,
@@ -405,8 +406,17 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
     which costs ~10 log10(1 + (M-1)/(2 zeta)) dB at low SCNR.
 
     Every window holds its frame's preamble at the same column, so the
-    synthesizer convolves the preamble's echo once for all M rows.  Draws:
-    the CPI's seed integer, the echo phase, then the noise.
+    synthesizer convolves the preamble's echo once for all M rows, without
+    noise.  Fine timing reads every sample of frame 0's row, which gets its
+    white noise of variance sigma_cn^2 first.  Frames 1..M-1 are read only
+    through q_m = sum_k s_k y_m[fine + k], so their noise is drawn on q_m:
+    white noise on row m, independent of row 0, the symbols and the phase,
+    compresses through the real, unit-modulus preamble s into
+    CN(0, sigma_cn^2 ||s||^2), independent across m and of ``fine``, which
+    reads row 0 alone.  The joint law of row 0 and q_1..q_{M-1} is that of
+    noise drawn on every row.  Draws: the CPI's seed integer, the echo
+    phase, row 0's noise, then the noise of q_1..q_{M-1}; each noise draw
+    takes every real part, then every imaginary part.
     """
     target = scen.targets[0]
     m = scen.n_frames
@@ -415,16 +425,19 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
     sigma_cn2 = 1.0 / 10 ** (scnr_db / 10)
     starts, length = _velocity_windows(scen)
     rows = synthesize_radar_rx_symbol_rate(
-        symbol_windows, scen.rrc, scen.symbol_rate, [target], sigma_cn2, scen.array, None,
+        symbol_windows, scen.rrc, scen.symbol_rate, [target], 0.0, scen.array, None,
         rng, starts=starts, length=length, repeated=(-starts[0], PREAMBLE_LEN - starts[0]),
     )
+    _add_noise(rows[:1], sigma_cn2, rng)
 
     fine, _ = fine_timing_preamble(rows[0], (0, 2 * _FINE_SEARCH + 1))
     # compressed in place on the trial's own rows; an elementwise sum, not a
     # matrix product: OpenBLAS threads a gemv this size
+    s = DEFAULT_PREAMBLE.symbols
     train = rows[:, fine : fine + PREAMBLE_LEN]
-    train *= DEFAULT_PREAMBLE.symbols
+    train *= s
     q = train.sum(axis=1)
+    _add_noise(q[1:], sigma_cn2 * np.vdot(s, s).real, rng)
     v_hat = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
                                     ts=scen.ts, wavelength=scen.wavelength)
     return float((v_hat - target.velocity_mps) ** 2)

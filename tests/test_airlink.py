@@ -409,12 +409,14 @@ class TestSynthesis:
     def test_oversampled_windows_are_whole_stream_slices(self):
         # noise off, two targets: each read window is the slice of the window
         # that holds the whole stream, also where it starts below 0 or runs
-        # past the echoes, where the stream is zero; a call draws the phases
-        # and then exactly `length` complex noise samples
+        # past the echoes, where the stream is zero; with noise off a call
+        # draws the phases alone, and with noise on the phases and then
+        # exactly `length` complex noise samples
         targets = [Target(range_m=12.71, velocity_mps=33.0),
                    Target(range_m=30.2, velocity_mps=-12.0, azimuth_deg=100.0)]
         frame = assemble_frame(FrameLayout(k=PREAMBLE_LEN + 200, header_len=0), seed=9)
-        args = (frame, RRC16, W, targets, 0.0, CFG, select_beams(CFG, 90.0, 90.0))
+        beams = select_beams(CFG, 90.0, 90.0)
+        args = (frame, RRC16, W, targets, 0.0, CFG, beams)
         whole = _whole(frame, targets, RRC16)
         full = synthesize_radar_rx(*args, np.random.default_rng(4), **whole)
         pad, length = 1000, 3000
@@ -430,8 +432,12 @@ class TestSynthesis:
             assert rx.any() == (start != starts[-1])   # the last window reaches no echo
             draws = np.random.default_rng(4)
             draws.uniform(size=len(targets))
-            draws.standard_normal(2 * length)
             assert rng.bit_generator.state == draws.bit_generator.state
+            noisy = np.random.default_rng(4)
+            synthesize_radar_rx(frame, RRC16, W, targets, 1e-2, CFG, beams, noisy,
+                                start=start, length=length)
+            draws.standard_normal(2 * length)
+            assert noisy.bit_generator.state == draws.bit_generator.state
 
     def test_symbol_rate_path_matches_oversampled_chain(self):
         t = Target(range_m=12.71, velocity_mps=33.0)

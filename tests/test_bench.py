@@ -347,10 +347,10 @@ class TestDeterminism:
          "4eda4955cc2175f95aa0f32302b1f94528e14f94882e13131ad17252f6a2bc41"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
-         "b7e432e272d7c7559674ab2d15f4a1223ed7aff6f4443ea1590d821bfce343c7"),
+         "03c7586e428f2b6e4746d42c23b90e6bfb532f54f1bb2d4b491a1654123a7887"),
         # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
         (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
-         "b7cbb9288d1f98fcba5d8377492771792701a6783522876d6b72cc63e24964bd"),
+         "c64176c4a9a25289eae5fe289ae6a3da3c25e3f9976fe038e8bfb663d582e19d"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "2e5a3c53f17be4b4f96a4409f4f1eb5dc58a91e3bed222a6ad9b3b13c0e2f392"),
@@ -360,10 +360,10 @@ class TestDeterminism:
          "71725bd538954b7717a7a7e2fe6b6c1cad13598afe0d67457d9d1f9a4839daa3"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
-         "d094949b4f08e46f5f9f0d746979e893d2c3e440512acb12b06cd3deeddcb13f"),
+         "9b015736b0f39798385c88b1046e6cad0031950a04439fc56374c703592c2889"),
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
-         "8fdeb962823944c8f312727f065cf10fe8ee291443743d36b1d8bff6374604e1"),
+         "f9d0d29dbd0c8aa7973b05014a67de0d7a1f40f40bfe37764986da30b85f0d7e"),
     ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
             "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])
@@ -471,14 +471,15 @@ class TestVelocityTrial:
     ], ids=["default", "80m-approaching", "fractional", "2m", "tradeoff-no-header"])
     def test_rows_equal_the_full_window_synthesis(self, scen, monkeypatch):
         # the preamble's columns convolved once for all rows, and each row's
-        # ends from its own symbols, are one synthesis of the whole windows
-        # that repeats nothing, from the same draws
+        # ends from its own symbols, are one noiseless synthesis of the whole
+        # windows that repeats nothing; the trial then draws row 0's noise
+        # and one complex value per later frame
         kept = []
         synth = bench.synthesize_radar_rx_symbol_rate
 
         def keep_rows(*args, **kwargs):
             rows = synth(*args, **kwargs)
-            kept.append(rows.copy())   # the trial compresses its rows in place
+            kept.append(rows.copy())   # the trial adds noise and compresses in place
             return rows
 
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
@@ -488,12 +489,81 @@ class TestVelocityTrial:
         windows = partial(assemble_cpi, m, scen.layout(), seed=int(want_rng.integers(2**63)))
         lo = int(np.round(target.delay() / TS)) - 32
         want = synthesize_radar_rx_symbol_rate(
-            windows, scen.rrc, W, [target], 1e-4, scen.array, None, want_rng,
+            windows, scen.rrc, W, [target], 0.0, scen.array, None, want_rng,
             starts=lo + np.arange(m) * k, length=64 + PREAMBLE_LEN)
         (got,) = kept
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want_rng.standard_normal(2 * want.shape[1])
+        want_rng.standard_normal(2 * (m - 1))
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_later_frames_get_their_noise_on_the_compressed_value(self, m, monkeypatch):
+        # frames 1..M-1 are read only through q_m = sum_k s_k y_m[fine + k]:
+        # q_m is the noiseless row's compression plus the trial's last
+        # 2 (M - 1) normals, real parts first, scaled to variance sigma^2 ||s||^2
+        seen = {}
+        synth = bench.synthesize_radar_rx_symbol_rate
+        fine_timing = bench.fine_timing_preamble
+
+        def keep_rows(*args, **kwargs):
+            seen["rows"] = synth(*args, **kwargs).copy()
+            return seen["rows"].copy()
+
+        def keep_fine(y, window):
+            found = fine_timing(y, window)
+            seen["fine"] = found[0]
+            return found
+
+        def keep_q(q, **kwargs):
+            seen["q"] = q.copy()
+            return 0.0
+
+        monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
+        monkeypatch.setattr(bench, "fine_timing_preamble", keep_fine)
+        monkeypatch.setattr(bench, "estimate_velocity_moose", keep_q)
+        scen, scnr_db = Scenario(n_frames=m), 3.0
+        rng = bench._rng(8, 1, 2)
+        bench._velocity_trial(scen, scnr_db, rng)
+        rows, fine, q = seen["rows"], seen["fine"], seen["q"]
+        s = DEFAULT_PREAMBLE.symbols
+        compressed = (rows[1:, fine : fine + PREAMBLE_LEN] * s).sum(axis=1)
+
+        draws = bench._rng(8, 1, 2)
+        draws.integers(2**63)
+        draws.uniform(size=1)
+        draws.standard_normal(2 * rows.shape[1])
+        # ||s||^2 = P: the preamble is +-1
+        z = draws.standard_normal(2 * (m - 1)) * np.sqrt(10 ** (-scnr_db / 10) * PREAMBLE_LEN / 2)
+        noise = z[: m - 1] + 1j * z[m - 1 :]
+        np.testing.assert_allclose(q[1:] - compressed, noise, rtol=0, atol=1e-9)
+        assert rng.bit_generator.state == draws.bit_generator.state
+
+    def test_compressed_noise_has_the_correlation_domain_law(self, monkeypatch):
+        # with no echo, q_1..q_{M-1} are the noise alone: real and imaginary
+        # parts each of variance sigma^2 ||s||^2 / 2, uncorrelated
+        scen, scnr_db = Scenario(), 5.0
+        kept = []
+
+        def no_echo(*args, starts, length, **kwargs):
+            return np.zeros((len(starts), length), dtype=complex)
+
+        def keep_q(q, **kwargs):
+            kept.append(q[1:].copy())
+            return 0.0
+
+        monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", no_echo)
+        monkeypatch.setattr(bench, "estimate_velocity_moose", keep_q)
+        for j in range(500):
+            bench._velocity_trial(scen, scnr_db, bench._rng(13, 0, j))
+        q = np.concatenate(kept)
+        assert len(q) == 500 * (scen.n_frames - 1)
+        s = DEFAULT_PREAMBLE.symbols
+        half = 10 ** (-scnr_db / 10) * np.vdot(s, s).real / 2
+        for part in (q.real, q.imag):
+            assert abs(np.var(part) / half - 1) < 0.1
+        assert abs(np.corrcoef(q.real, q.imag)[0, 1]) < 0.06
 
     def test_near_target_searches_every_lag(self, monkeypatch):
         # a 2 m target sits ~23 symbols out: fine timing still searches the

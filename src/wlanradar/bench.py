@@ -14,11 +14,9 @@ same per-symbol SNR.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 
@@ -456,40 +454,6 @@ def _map_trials(fn, args_list, workers: int):
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without it."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get, set_threads
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread, then restore it.
-
-    Trials call BLAS on vectors too short to gain from threads, and the
-    process pool is the only parallelism; forked workers inherit the count.
-    Without the bundled library this does nothing.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_threads = blas
-    before = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _seeded_trial(trial, points, seed: int, job):
     k, j = job
     i, *args = points[k]
@@ -501,11 +465,10 @@ def _monte_carlo(trial, spec: ExperimentSpec, points, workers: int) -> list:
     (trials, n) array) of ``trial(*args, rng)``, in trial order; trial j
     draws from _rng(seed, i, j).  The args are ``(scen, value)``.
 
-    All points' trials share one process pool, and run on one BLAS thread.
+    All points' trials share one process pool.
     """
     jobs = [(k, j) for k in range(len(points)) for j in range(spec.trials)]
-    with _one_blas_thread():
-        values = _map_trials(partial(_seeded_trial, trial, points, spec.seed), jobs, workers)
+    values = _map_trials(partial(_seeded_trial, trial, points, spec.seed), jobs, workers)
     return [np.array(values[k * spec.trials : (k + 1) * spec.trials])
             for k in range(len(points))]
 
@@ -523,11 +486,7 @@ def _mean_halfwidth(values: np.ndarray) -> float:
 def _run_detection(spec: ExperimentSpec, workers: int) -> ResultTable:
     table = ResultTable()
     scen = spec.scenario
-    # on one BLAS thread as the trials run: the template's energy is a dot
-    # over the whole shaped preamble, and a threaded one that long leaves
-    # OpenBLAS's workers spinning
-    with _one_blas_thread():
-        template = PreambleTemplate.of(DEFAULT_PREAMBLE, scen.rrc, scen.symbol_rate)
+    template = PreambleTemplate.of(DEFAULT_PREAMBLE, scen.rrc, scen.symbol_rate)
     lag0 = int(np.round(scen.targets[0].delay() * scen.symbol_rate * scen.oversample))
     w = scen.detection_window_symbols * scen.oversample
     # a (scen, value, rng) trial; its window may start below lag 0

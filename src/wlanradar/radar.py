@@ -85,23 +85,18 @@ class PreambleTemplate:
     energy: float
 
     @classmethod
-    def of(cls, preamble: Preamble, rrc: RrcSpec | None = None,
-           symbol_rate: float | None = None) -> PreambleTemplate:
-        """``preamble``'s symbols, or with ``rrc`` its waveform shaped at
-        ``symbol_rate`` (``dsp.pulse_shape``, Q = rrc.oversample samples per
-        symbol), in block form: the references are a_128 and b_128 (shaped),
-        the weights ``preamble.blocks`` and the stride 128 Q.  Shaping is
-        linear, so T is the whole shaped preamble; it is built here only for
-        its energy.
+    def of(cls, preamble: Preamble, rrc: RrcSpec, symbol_rate: float) -> PreambleTemplate:
+        """``preamble``'s waveform shaped at ``symbol_rate`` (``dsp.pulse_shape``,
+        Q = rrc.oversample samples per symbol) in block form: the references are
+        the shaped a_128 and b_128, the weights ``preamble.blocks`` and the stride
+        128 Q.  Shaping is linear, so T is the whole shaped preamble; it is built
+        here only for its energy, an elementwise sum rather than a BLAS dot,
+        which would thread over its 27 008 samples.
         """
-        seqs = (preamble.symbols, preamble.pair128.a, preamble.pair128.b)
-        q = 1
-        if rrc is not None:
-            seqs = [pulse_shape(s, rrc, symbol_rate) for s in seqs]
-            q = rrc.oversample
-        whole, a, b = seqs
-        return cls(np.stack([a, b]), preamble.blocks, len(preamble.pair128) * q,
-                   float(np.real(np.vdot(whole, whole))))
+        whole, a, b = (pulse_shape(s, rrc, symbol_rate)
+                       for s in (preamble.symbols, preamble.pair128.a, preamble.pair128.b))
+        return cls(np.stack([a, b]), preamble.blocks, len(preamble.pair128) * rrc.oversample,
+                   float(np.sum(whole.real**2 + whole.imag**2)))
 
     @property
     def length(self) -> int:
@@ -171,6 +166,8 @@ def estimate_velocity_moose(
     p = np.asarray(p, dtype=complex)
     if m < 1 or p_len < 1 or len(p) != m * p_len:
         raise ValueError("stacked vector length must equal M * P")
+    if n_d < 1:
+        raise ValueError(f"N_D must be at least one sample, got {n_d}")
     if m > 1:
         blocks = p.reshape(m, p_len)
         lag1 = np.angle(np.sum(blocks[1:] * np.conj(blocks[:-1]), axis=1))
@@ -178,8 +175,8 @@ def estimate_velocity_moose(
         w = 1.5 * m / (m**2 - 1) * (1 - ((t - (m / 2 - 1)) / (m / 2)) ** 2)
         phase = np.dot(w, lag1)
     else:
-        if not (0 < n_d < p_len):
-            raise ValueError("single-frame mode needs 0 < N_D < P")
+        if n_d >= p_len:
+            raise ValueError("single-frame mode needs N_D < P")
         phase = np.angle(np.sum(p[n_d:] * np.conj(p[:-n_d])))
     t_d = n_d * ts
     nu = float(phase / (2 * np.pi * t_d))
@@ -352,8 +349,8 @@ def crlb_range(scnr: float, p: int = 2048, bandwidth: float = 1.76e9,
     The spectrum is a raised cosine of ``rolloff`` (0: flat), whose
     eta^2 = (2 pi)^2 (1/12 + rolloff^2 (1/4 - 2/pi^2)).
     """
-    if not scnr > 0:   # NaN fails too
-        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
+    if not 0 < scnr < np.inf:   # NaN fails too
+        raise ValueError(f"SCNR must be positive and finite (linear), got {scnr}")
     if p < 1:
         raise ValueError(f"P must be at least one symbol, got {p}")
     eta2 = _ETA2 + 4 * np.pi**2 * rolloff**2 * (1 / 4 - 2 / np.pi**2)
@@ -383,8 +380,8 @@ def crlb_velocity(
 
     With M > 1 the training blocks must not overlap: K >= P.
     """
-    if not scnr > 0:   # NaN fails too
-        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
+    if not 0 < scnr < np.inf:   # NaN fails too
+        raise ValueError(f"SCNR must be positive and finite (linear), got {scnr}")
     if p < 1:
         raise ValueError(f"P must be at least one symbol, got {p}")
     if mode in ("multi", "exact") and m > 1 and k < p:
@@ -411,8 +408,8 @@ def crlb_velocity(
 
 def resolutions(bandwidth: float, t_int: float, wavelength: float) -> tuple[float, float]:
     """(range resolution c/(2W), velocity resolution lambda/(2 T_int))."""
-    if bandwidth <= 0 or t_int <= 0 or wavelength <= 0:
-        raise ValueError("arguments must be positive")
+    if not all(0 < x < np.inf for x in (bandwidth, t_int, wavelength)):   # NaN fails too
+        raise ValueError("arguments must be positive and finite")
     return SPEED_OF_LIGHT / (2 * bandwidth), wavelength / (2 * t_int)
 
 
@@ -426,8 +423,8 @@ def detection_probability(scnr: float, pfa: float, n_symbols: int) -> float:
     so its Pd can sit above this one (0.8135 against 0.7852 at criterion
     5a's point).
     """
-    if not scnr > 0:   # NaN fails too
-        raise ValueError(f"SCNR must be positive (linear), got {scnr}")
+    if not 0 < scnr < np.inf:   # NaN fails too
+        raise ValueError(f"SCNR must be positive and finite (linear), got {scnr}")
     if not (0 < pfa < 1):
         raise ValueError("pfa must lie in (0, 1)")
     from scipy.stats import ncx2   # loaded only by the runs that report pd_theory

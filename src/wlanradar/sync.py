@@ -22,14 +22,11 @@ downstream).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .dsp import _conj_spectrum, _fft_correlate, _folded_peak, _lag_read
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
-from .radar import PreambleTemplate
 
 __all__ = [
     "preamble_delay",
@@ -69,21 +66,16 @@ def fine_timing_preamble(y, window: tuple[int, int],
                          preamble: Preamble = DEFAULT_PREAMBLE) -> tuple[int, complex]:
     """Fine timing against the full 3328-symbol preamble (STF and CEF jointly).
 
-    Searches every lag of ``window`` for the first maximum, folding the read
-    onto the preamble's blocks (``dsp._folded_peak``); a lag leaving ``y``
-    (``dsp._lag_read``) or a non-finite sample read raises ValueError.
-    Returns (peak index, correlation / preamble length).
+    Searches every lag of ``window`` for the first maximum with dsp's
+    block-folded correlator (``dsp._folded_peak``): the read is folded onto
+    ``preamble.blocks``, the 26 blocks' weights, and correlated with the
+    preamble's a_128 and b_128, so the whole preamble is never built.  A lag
+    leaving ``y`` (``dsp._lag_read``) or a non-finite sample read raises
+    ValueError.  Returns (peak index, correlation / preamble length).
     """
-    t = _symbol_rate_template(preamble)
-    idx, val = _folded_peak(y, t.refs, t.blocks, t.stride, window)
-    return idx, val / t.length
-
-
-@lru_cache(maxsize=4)
-def _symbol_rate_template(preamble: Preamble) -> PreambleTemplate:
-    # once per preamble, not per search: fine timing runs in every velocity
-    # trial, where building the template (a stack and a dot) showed in its cost
-    return PreambleTemplate.of(preamble)
+    pair = preamble.pair128
+    idx, val = _folded_peak(y, (pair.a, pair.b), preamble.blocks, len(pair), window)
+    return idx, val / len(preamble.symbols)
 
 
 def estimate_channel_cef(y, start: int, *, gated: bool,

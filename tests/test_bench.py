@@ -33,10 +33,6 @@ def _draw(scen, value, rng):
     return value + rng.random()
 
 
-def _blas_threads(scen, value, rng):
-    return bench._openblas_threads()[0]()
-
-
 class TestAmbiguity:
     def setup_method(self):
         # the bench's pair: the CEF's (Gu512, Gv512), periodic complementary
@@ -299,23 +295,6 @@ class TestDeterminism:
         want = [[v + np.random.default_rng([4, i, j]).random() for j in range(5)]
                 for i, _, v in points]
         assert [list(g) for g in got] == want
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_trials_run_on_one_blas_thread(self, workers):
-        # the pool is the only parallelism; the caller's BLAS count comes back
-        blas = bench._openblas_threads()
-        if blas is None:
-            pytest.skip("numpy has no bundled scipy-openblas")
-        get, set_threads = blas
-        before = get()
-        set_threads(2)
-        try:
-            spec = ExperimentSpec(kind="crlb", sweep=(0.0,), trials=4, seed=4)
-            got = bench._monte_carlo(_blas_threads, spec, [(0, None, 0.0)], workers)
-            assert list(got[0]) == [1, 1, 1, 1]
-            assert get() == 2
-        finally:
-            set_threads(before)
 
     def test_one_pool_per_monte_carlo_call(self, monkeypatch):
         pools = []

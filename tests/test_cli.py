@@ -42,10 +42,16 @@ class TestCrlbCommand:
         # two training blocks of P = 2048 symbols cannot sit 100 symbols apart
         ("--eq velocity --mode exact --frames 2 --frame-symbols 100", "K=100"),
         ("--eq velocity --mode multi --frames 2 --frame-symbols 100", "K=100"),
+        ("--eq range --scnr inf", "SCNR must be positive and finite (linear), got inf"),
+        ("--eq velocity --mode exact --frames 4 --scnr inf",
+         "SCNR must be positive and finite (linear), got inf"),
+        ("--eq resolution --tint nan", "arguments must be positive and finite"),
+        ("--eq resolution --tint inf", "arguments must be positive and finite"),
     ])
     def test_bad_bound_input_fails_loudly(self, argv, match, capsys):
         # these gave ZeroDivisionError or ValueError tracebacks, or printed a
-        # negative or overlapping-block bound with exit 0
+        # negative or overlapping-block bound, 0 m^2, nan (m/s)^2 or a NaN or
+        # zero velocity resolution with exit 0
         assert main(["crlb", *argv.split()]) == 1
         out, err = capsys.readouterr()
         assert out == ""

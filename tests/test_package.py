@@ -184,3 +184,66 @@ def test_no_module_level_mutable_state():
     for key, obj in before.items():
         assert after[key] is obj, f"{key} was rebound"
         assert _same(obj, snapshots[key]), f"{key} was mutated"
+
+
+def test_no_pipeline_leaves_blas_threads_spinning():
+    # a fresh interpreter: a BLAS call long enough to thread leaves OpenBLAS's
+    # workers spinning after it returns, which shows as CPU time beyond the
+    # wall time of a one-worker run; a threaded dot over the 27 008-sample
+    # shaped preamble read 1.6-2.1 on a 2-vCPU machine, against 1.0 without it
+    code = """
+import time
+from wlanradar.bench import ExperimentSpec, Scenario, run_experiment
+specs = [
+    ExperimentSpec(kind="detection", sweep=(-22.0,), trials=8, seed=1, pfa=1e-2),
+    ExperimentSpec(kind="range-mse", sweep=(0.0,), trials=8, seed=1),
+    ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2), sweep=(10.0,),
+                   trials=8, seed=1),
+]
+for spec in specs:
+    run_experiment(spec, workers=1)
+for spec in specs:
+    wall, cpu = time.perf_counter(), time.process_time()
+    run_experiment(spec, workers=1)
+    print(spec.kind, (time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    ratios = dict(line.split() for line in r.stdout.splitlines())
+    assert ratios.keys() == {"detection", "range-mse", "velocity-mse"}
+    for kind, ratio in ratios.items():
+        assert float(ratio) <= 1.3, f"{kind}: CPU time {ratio} x the wall time"
+
+
+def _process_wide_state(path) -> list[int]:
+    """Lines of ``path`` that import ctypes or use functools' cache decorators."""
+    import ast
+
+    tree = ast.parse(path.read_text())
+    cache_names = {"cache", "lru_cache"}
+    local = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names if a.name in cache_names}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for a in node.names if a.name.split(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in local:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in cache_names
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_src_sets_no_process_wide_state():
+    # no ctypes call into a shared library's settings, and no module-level
+    # cache: a pipeline's result and cost depend on its arguments alone
+    from pathlib import Path
+
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "wlanradar").glob("*.py"))
+    assert len(paths) == len(MODULES)
+    found = {p.name: lines for p in paths if (lines := _process_wide_state(p))}
+    assert found == {}

@@ -128,13 +128,8 @@ class TestMatchedPreambleStatistic:
         template, whole = _shaped_template(Scenario())
         assert template.length == len(whole) == 27008
         assert template.refs.shape == (2, 1408) and template.stride == 1024
-        assert template.energy == np.real(np.vdot(whole, whole))
+        assert template.energy == np.sum(whole.real**2 + whole.imag**2)
         assert np.max(np.abs(_unfolded(template) - whole)) <= 1e-12 * np.max(np.abs(whole))
-
-    def test_symbol_rate_template_is_the_preamble(self):
-        template = PreambleTemplate.of(DEFAULT_PREAMBLE)
-        assert template.stride == 128 and template.energy == 3328.0
-        assert np.array_equal(_unfolded(template), DEFAULT_PREAMBLE.symbols)
 
     def test_equals_lag_loop_on_noisy_echoes(self):
         # the fold sums in another order than the lag loop: the same lag, and
@@ -289,6 +284,14 @@ class TestMoose:
             estimate_velocity_moose(np.zeros(8), n_d=16, p_len=8, m=1,
                                     ts=TS, wavelength=LAM60)
 
+    @pytest.mark.parametrize("n_d", [0, -12800])
+    def test_nonpositive_spacing_rejected_at_every_m(self, n_d):
+        # at M = 4 a negative spacing flipped the velocity's sign and zero
+        # divided by zero
+        p = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="N_D must be at least one sample"):
+            estimate_velocity_moose(p, n_d=n_d, p_len=1, m=4, ts=TS, wavelength=LAM60)
+
 
 class TestRangeEstimate:
     def test_conversion(self):
@@ -370,11 +373,14 @@ class TestCrlb:
         assert a == pytest.approx(b, rel=0.01)
 
     def test_nonpositive_scnr_rejected(self):
-        for scnr in (0.0, -1.0, np.nan):   # NaN fails too
-            with pytest.raises(ValueError, match="SCNR"):
+        # NaN fails too; an infinite SCNR gave 0 m^2 for range and NaN for
+        # the exact velocity bound
+        for scnr in (0.0, -1.0, np.nan, np.inf):
+            msg = rf"SCNR must be positive and finite \(linear\), got {scnr}"
+            with pytest.raises(ValueError, match=msg):
                 crlb_range(scnr)
             for mode in ("single", "multi", "exact"):
-                with pytest.raises(ValueError, match="SCNR"):
+                with pytest.raises(ValueError, match=msg):
                     crlb_velocity(scnr, mode, m=2, k=12800)
 
     @pytest.mark.parametrize("mode", ["single", "multi", "exact"])
@@ -409,6 +415,15 @@ class TestResolutions:
     def test_positive_args(self):
         with pytest.raises(ValueError):
             resolutions(0.0, 1.0, 0.005)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_nonfinite_args_rejected(self, arg, bad):
+        # a NaN integration time gave a NaN resolution, an infinite one 0 m/s
+        args = [1.76e9, 1.0, 0.005]
+        args[arg] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            resolutions(*args)
 
 
 def _single_target_channel_matrix(m, k, delay_bins, nu, h=1.0, sigma=0.0, seed=0):
@@ -645,9 +660,10 @@ class TestMapDetection:
 
 
 class TestDetectionTheory:
-    @pytest.mark.parametrize("scnr", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("scnr", [0.0, -1.0, np.nan, np.inf])   # inf gave NaN
     def test_nonpositive_scnr_rejected(self, scnr):
-        with pytest.raises(ValueError, match="SCNR"):
+        msg = rf"SCNR must be positive and finite \(linear\), got {scnr}"
+        with pytest.raises(ValueError, match=msg):
             detection_probability(scnr, 1e-6, 3328)
 
     def test_monotone_in_scnr(self):

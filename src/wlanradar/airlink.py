@@ -245,6 +245,46 @@ def _add_noise(out: np.ndarray, sigma_cn2: float, rng: np.random.Generator) -> N
         part += noise
 
 
+def _matched_noise_factor(symbols, n_lags: int) -> np.ndarray:
+    """Lower Cholesky factor L of R_s, the n_lags x n_lags Toeplitz matrix of
+    the real ``symbols``' aperiodic autocorrelation R_s(d) = sum_k s_k s_{k+d}
+    at lags d = 0 .. n_lags - 1.
+
+    White noise of variance sigma^2 correlated with s at n_lags consecutive
+    lags, sum_k s_k w[l + k], has covariance sigma^2 R_s: ``_matched_noise``
+    draws it from L.  The lags are n_lags dot products, not the whole
+    autocorrelation.  L is built column by column with matrix-vector
+    products, not by LAPACK, whose level-3 calls touch a BLAS workspace
+    that every forked worker would then carry.
+    """
+    s = np.asarray(symbols, dtype=float)
+    r = np.array([s[: len(s) - d] @ s[d:] for d in range(n_lags)])
+    d = np.arange(n_lags)
+    r_s = r[np.abs(d[:, None] - d)]
+    factor = np.zeros_like(r_s)
+    for j in range(n_lags):
+        col = r_s[j:, j] - factor[j:, :j] @ factor[j, :j]
+        factor[j:, j] = col / np.sqrt(col[0])
+    return factor
+
+
+def _matched_noise(factor: np.ndarray, sigma_cn2: float, rng: np.random.Generator) -> np.ndarray:
+    """Circular complex Gaussian noise of covariance sigma_cn2 factor factor^T:
+    sqrt(sigma_cn2 / 2) factor (z_re + j z_im) for standard normal z, every
+    real part drawn first, as ``_add_noise`` draws.  With the factor of
+    ``_matched_noise_factor`` it is the noise of a matched filter's outputs
+    at consecutive lags, drawn without the noise on its input."""
+    n = len(factor)
+    z = rng.standard_normal(2 * n)
+    z *= np.sqrt(sigma_cn2 / 2)
+    noise = np.empty(n, dtype=complex)
+    # two matrix-vector products: a matrix product would be level-3 BLAS,
+    # whose first call allocates a workspace in every worker
+    noise.real = factor @ z[:n]
+    noise.imag = factor @ z[n:]
+    return noise
+
+
 def synthesize_radar_rx(
     symbols,
     spec: RrcSpec,

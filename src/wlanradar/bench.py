@@ -29,6 +29,8 @@ from .airlink import (
     LinkBudget,
     Target,
     _add_noise,
+    _matched_noise,
+    _matched_noise_factor,
     link_budget_sweep,
     radar_coupling,
     rician_snr_draws,
@@ -179,6 +181,21 @@ def two_vehicle_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def _scnr_linear(scnr_db: float) -> float:
+    """10^(SCNR / 10), refused (ValueError) unless it and the noise variance of
+    a unit echo, its reciprocal, are positive and finite."""
+    try:
+        zeta = 10 ** (float(scnr_db) / 10)
+    except OverflowError:
+        zeta = np.inf
+    if not 0 < zeta < np.inf:
+        raise ValueError(f"SCNR must be positive and finite (linear), got {zeta:g} "
+                         f"at {scnr_db:g} dB")
+    if 1 / zeta == np.inf:
+        raise ValueError(f"SCNR {scnr_db:g} dB leaves an infinite noise variance")
+    return zeta
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: experiment kind, scenario, sweep axis, trial budget."""
@@ -206,6 +223,11 @@ class ExperimentSpec:
         for name in ("sweep", "doppler_grid", "tradeoff_scnr_db"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} values must be finite, got {getattr(self, name)}")
+        # every SCNR a pipeline converts, refused before any trial runs
+        scnrs = {"tradeoff": (self.tradeoff_scnr_db,), "linkbudget": (),
+                 "ambiguity": ()}.get(self.kind, self.sweep)
+        for scnr_db in scnrs:
+            _scnr_linear(scnr_db)
         # the Moose estimate needs two frames: refuse one before any trial runs
         if self.kind == "velocity-mse" and self.scenario.n_frames < 2:
             raise ValueError("velocity-mse needs M >= 2 frames per CPI, "
@@ -392,7 +414,13 @@ def _velocity_windows(scen) -> tuple[np.ndarray, int]:
     return starts, 2 * _FINE_SEARCH + PREAMBLE_LEN
 
 
-def _velocity_trial(scen, scnr_db, rng) -> float:
+def _fine_noise_factor() -> np.ndarray:
+    """The Cholesky factor of the fine-timing search's matched-output noise,
+    built once per run: L L^T = R_s over the search's 2 _FINE_SEARCH + 1 lags."""
+    return _matched_noise_factor(DEFAULT_PREAMBLE.symbols, 2 * _FINE_SEARCH + 1)
+
+
+def _velocity_trial(factor, scen, scnr_db, rng) -> float:
     """One multi-frame velocity trial at symbol rate; returns squared error.
 
     Each frame's window reads the fine-timing search span and the preamble.
@@ -405,16 +433,22 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
 
     Every window holds its frame's preamble at the same column, so the
     synthesizer convolves the preamble's echo once for all M rows, without
-    noise.  Fine timing reads every sample of frame 0's row, which gets its
-    white noise of variance sigma_cn^2 first.  Frames 1..M-1 are read only
-    through q_m = sum_k s_k y_m[fine + k], so their noise is drawn on q_m:
-    white noise on row m, independent of row 0, the symbols and the phase,
-    compresses through the real, unit-modulus preamble s into
-    CN(0, sigma_cn^2 ||s||^2), independent across m and of ``fine``, which
-    reads row 0 alone.  The joint law of row 0 and q_1..q_{M-1} is that of
-    noise drawn on every row.  Draws: the CPI's seed integer, the echo
-    phase, row 0's noise, then the noise of q_1..q_{M-1}; each noise draw
-    takes every real part, then every imaginary part.
+    noise; no row gets noise.  Each frame is read only through matched
+    outputs, q_m = sum_k s_k y_m[fine + k] for the real, unit-modulus
+    preamble s, so the noise is drawn on those.  White noise of variance
+    sigma_cn^2 on row 0 would reach fine timing's full-preamble correlation
+    c(l), l = 0 .. 2 _FINE_SEARCH, as nu ~ CN(0, sigma_cn^2 R_s), R_s the
+    Toeplitz matrix of the preamble's aperiodic autocorrelation at those
+    lags, independent of the symbols and the phase: ``factor``, its
+    Cholesky factor bound by the pipeline, draws nu (``_matched_noise``).
+    fine is the first argmax of |c + nu|^2 and q_0 = (c + nu)(fine), exactly
+    what noise on row 0 gives, since nu is that noise's fold.  Rows 1..M-1
+    are independent of row 0, so q_1..q_{M-1} get their noise as before:
+    CN(0, sigma_cn^2 ||s||^2), independent across m and of ``fine``.  The
+    joint law of (fine, q_0 .. q_{M-1}) is that of noise drawn on every row.
+    Draws: the CPI's seed integer, the echo phase, nu, then the noise of
+    q_1..q_{M-1}; each noise draw takes every real part, then every
+    imaginary part.
     """
     target = scen.targets[0]
     m = scen.n_frames
@@ -426,15 +460,16 @@ def _velocity_trial(scen, scnr_db, rng) -> float:
         symbol_windows, scen.rrc, scen.symbol_rate, [target], 0.0, scen.array, None,
         rng, starts=starts, length=length, repeated=(-starts[0], PREAMBLE_LEN - starts[0]),
     )
-    _add_noise(rows[:1], sigma_cn2, rng)
-
-    fine, _ = fine_timing_preamble(rows[0], (0, 2 * _FINE_SEARCH + 1))
+    s = DEFAULT_PREAMBLE.symbols
+    q = np.empty(m, dtype=complex)
+    fine, q[0] = fine_timing_preamble(rows[0], (0, 2 * _FINE_SEARCH + 1),
+                                      noise=_matched_noise(factor, sigma_cn2, rng))
+    q[0] *= len(s)   # fine timing returns the correlation over the preamble length
     # compressed in place on the trial's own rows; an elementwise sum, not a
     # matrix product: OpenBLAS threads a gemv this size
-    s = DEFAULT_PREAMBLE.symbols
-    train = rows[:, fine : fine + PREAMBLE_LEN]
+    train = rows[1:, fine : fine + PREAMBLE_LEN]
     train *= s
-    q = train.sum(axis=1)
+    q[1:] = train.sum(axis=1)
     _add_noise(q[1:], sigma_cn2 * np.vdot(s, s).real, rng)
     v_hat = estimate_velocity_moose(q, n_d=k, p_len=1, m=m,
                                     ts=scen.ts, wavelength=scen.wavelength)
@@ -552,7 +587,8 @@ def _run_velocity_mse(spec: ExperimentSpec, workers: int) -> ResultTable:
     scen = spec.scenario
     _check_moose_span(scen, [scen.frame_k])
     points = [(i, scen, s) for i, s in enumerate(spec.sweep)]
-    errors = _monte_carlo(_velocity_trial, spec, points, workers)
+    # a (scen, value, rng) trial
+    errors = _monte_carlo(partial(_velocity_trial, _fine_noise_factor()), spec, points, workers)
     for scnr_db, sq in zip(spec.sweep, errors):
         table.add(scnr_db, "velocity_mse_m2s2", float(np.mean(sq)), spec.trials,
                   _mean_halfwidth(sq))
@@ -582,7 +618,8 @@ def _run_tradeoff(spec: ExperimentSpec, workers: int) -> ResultTable:
             if k > PREAMBLE_LEN + scen.header_len and k >= window}
     _check_moose_span(scen, [sub.frame_k for sub in subs.values()])
     points = [(i, sub, scnr_db) for i, sub in subs.items()]
-    errors = dict(zip(subs, _monte_carlo(_velocity_trial, spec, points, workers)))
+    trial = partial(_velocity_trial, _fine_noise_factor())   # a (scen, value, rng) trial
+    errors = dict(zip(subs, _monte_carlo(trial, spec, points, workers)))
     for i, (m_frames, k) in enumerate(zip(spec.sweep, ks)):
         m_frames = int(m_frames)
         if i not in errors:

@@ -25,6 +25,7 @@ from .airlink import Target
 from .bench import (
     ExperimentSpec,
     Scenario,
+    _scnr_linear,
     run_experiment,
     run_manifest,
     two_vehicle_scenario,
@@ -181,12 +182,12 @@ def _crlb_command(given: dict) -> int:
     try:
         if eq == "range":
             for s in scnr:
-                v = crlb_range(10 ** (s / 10), p=p)
+                v = crlb_range(_scnr_linear(s), p=p)
                 print(f"{v:.9g} m^2  (sigma = {np.sqrt(v) * 1e3:.6g} mm) at SCNR {s:g} dB")
             return 0
         if eq == "velocity":
             for s in scnr:
-                v = crlb_velocity(10 ** (s / 10), mode=given.get("mode", "single"), p=p,
+                v = crlb_velocity(_scnr_linear(s), mode=given.get("mode", "single"), p=p,
                                   m=given.get("frames", 1),
                                   k=given.get("frame_symbols", 12800))
                 print(f"{v:.9g} (m/s)^2  (sigma = {np.sqrt(v):.6g} m/s) at SCNR {s:g} dB")

@@ -15,12 +15,12 @@ are not streams of their own: apply_delay_doppler adds each one into a
 received buffer the caller owns, phase by phase, which may hold any stretch
 of the clock.
 
-The package's two correlation kernels live here too.  ``_folded_peak`` is
-the first-maximum search for the tens of lags of fine timing and
-detection: their template, the preamble, is 26 blocks of +-a or +-b, so
-the read is folded onto the blocks and correlated with a and b alone, 2 L
-multiply-adds per lag for L-sample references instead of the whole
-template's length.  ``_fft_correlate`` is one FFT correlation for the
+The package's two correlation kernels live here too.  ``_folded_correlate``
+is the correlation over the tens of lags of fine timing and detection,
+which ``_first_peak`` searches: their template, the preamble, is 26 blocks
+of +-a or +-b, so the read is folded onto the blocks and correlated with a
+and b alone, 2 L multiply-adds per lag for L-sample references instead of
+the whole template's length.  ``_fft_correlate`` is one FFT correlation for the
 thousands of lags of range timing and the sliding Golay CEF correlator;
 folding those would move range and map digits.  Every search reads its lag
 window through ``_lag_read``.
@@ -192,21 +192,21 @@ def _lag_read(y: np.ndarray, window: tuple[int, int], n_ref: int) -> np.ndarray:
     return y[..., lo : hi + n_ref - 1]
 
 
-def _folded_peak(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: int,
-                 window: tuple[int, int]) -> tuple[int, complex]:
-    """argmax_l |c[l]|^2 over l in [window), first index wins, for the correlation
-    c[l] = sum_n T*[n] y[l + n] with the block template
-    T = sum_i sum_k blocks[k, i] refs[k] delayed by stride i samples.
+def _folded_correlate(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: int,
+                      window: tuple[int, int]) -> np.ndarray:
+    """c[l - lo] = sum_n T*[n] y[l + n] for every l in [window), with the block
+    template T = sum_i sum_k blocks[k, i] refs[k] delayed by stride i samples.
 
-    The search of fine timing and detection.  T, n_ref = stride (n_blocks - 1)
-    + L samples for L-sample references, is never built: the read of the lags
-    [lo, hi) is folded first, F_k[j] = sum_i blocks[k, i] y[lo + stride i + j]
-    for the hi - lo + L - 1 samples j that one reference reads, and then
-    c = sum_k correlate(F_k, refs[k]).  A lag then costs K L multiply-adds
-    instead of n_ref, and folding n_blocks K per read sample.  The weights in
-    ``blocks`` (K x n_blocks) are real.  Blocks may overlap or abut but not
-    leave gaps (stride <= L, else ValueError), so every sample of the read is
-    folded, and a non-finite one raises ValueError.
+    The correlation of fine timing and detection.  T, n_ref = stride
+    (n_blocks - 1) + L samples for L-sample references, is never built: the
+    read of the lags [lo, hi) is folded first, F_k[j] = sum_i blocks[k, i]
+    y[lo + stride i + j] for the hi - lo + L - 1 samples j that one reference
+    reads, and then c = sum_k correlate(F_k, refs[k]).  A lag then costs K L
+    multiply-adds instead of n_ref, and folding n_blocks K per read sample.
+    The weights in ``blocks`` (K x n_blocks) are real.  Blocks may overlap or
+    abut but not leave gaps (stride <= L, else ValueError), so every sample of
+    the read is folded: a non-finite one leaves c non-finite, which
+    ``_first_peak`` refuses.
     """
     refs = np.asarray(refs)
     if stride > refs.shape[1]:
@@ -223,13 +223,17 @@ def _folded_peak(y: np.ndarray, refs: np.ndarray, blocks: np.ndarray, stride: in
     rows = as_strided(read, (blocks.shape[1], 2 * span), (2 * stride * step, step), writeable=False)
     with np.errstate(invalid="ignore", over="ignore"):
         folded = np.einsum("ki,ij->kj", blocks, rows).view(complex)
-        c = sum(np.correlate(f, r, mode="valid") for f, r in zip(folded, refs))
-    # argmax returns the first maximum, or the first NaN: a non-finite sample
-    # in the read leaves the peak non-finite
+        return sum(np.correlate(f, r, mode="valid") for f, r in zip(folded, refs))
+
+
+def _first_peak(c: np.ndarray) -> tuple[int, complex]:
+    """(l, c[l]) for the first l maximizing |c[l]|^2; ValueError if c[l] is
+    not finite, as it is when c holds a non-finite value."""
+    # argmax returns the first maximum, or the first NaN
     peak = int(np.argmax(np.abs(c) ** 2))
     if not np.isfinite(c[peak]):
         raise ValueError("the searched span contains non-finite samples")
-    return lo + peak, c[peak]
+    return peak, c[peak]
 
 
 def _conj_spectrum(ref: np.ndarray, length: int) -> np.ndarray:

@@ -150,7 +150,7 @@ def assemble_cpi(
     k = layout.k
     per_frame = k - PREAMBLE_LEN
     out = np.zeros((len(starts), length))
-    # (first and end index into the CPI's payload draw, row, column) of each piece
+    # (first and end index into the CPI's payload draw, flat index into out) of each piece
     pieces = []
     for r, lo in enumerate(np.asarray(starts, dtype=int).tolist()):
         a, b = max(lo, 0), min(lo + length, m * k)
@@ -163,19 +163,37 @@ def assemble_cpi(
             if v > PREAMBLE_LEN:
                 p0 = max(u, PREAMBLE_LEN)
                 i0 = f * per_frame + p0 - PREAMBLE_LEN
-                pieces.append((i0, i0 + v - p0, r, f * k + p0 - lo))
+                pieces.append((i0, i0 + v - p0, r * length + f * k + p0 - lo))
+    if not pieces:
+        return out
 
     # integers(0, 2) reads one 32-bit half of a PCG64 output per symbol, low
     # half first, and returns its top bit: payload symbol i sits in output
-    # i // 2, which PCG64.advance reaches without drawing the ones before it
-    bitgen, pos = None, 0
-    for i0, i1, r, col in sorted(pieces):
-        j0, j1 = i0 // 2, (i1 + 1) // 2
-        if bitgen is None or j0 < pos:   # the first piece, or one overlapping the last
-            bitgen, pos = np.random.PCG64(seed), 0
+    # i // 2, which PCG64.advance reaches without drawing the ones before it.
+    # Pieces that overlap or abut in the draw, as frame r - 1's payload tail
+    # and frame r's header do, form one run, read with one draw; the runs are
+    # disjoint and sorted, so the generator only moves forward.
+    pieces.sort()
+    runs, src, base = [], [], 0   # src: where each piece starts in the runs' values
+    for i0, i1, _ in pieces:
+        if runs and i0 <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], i1)
+        else:
+            base += runs[-1][1] - runs[-1][0] if runs else 0
+            runs.append([i0, i1])
+        src.append(base + i0 - runs[-1][0])
+    bitgen, pos, halves = np.random.PCG64(seed), 0, []
+    for lo, hi in runs:
+        j0, j1 = lo // 2, (hi + 1) // 2
         bitgen.advance(j0 - pos)
         raw = bitgen.random_raw(j1 - j0).astype("<u8", copy=False)
-        halves = raw.view("<u4")[i0 - 2 * j0 : i1 - 2 * j0]
-        out[r, col : col + i1 - i0] = (halves >> 31) * 2.0 - 1.0
+        halves.append(raw.view("<u4")[lo - 2 * j0 : hi - 2 * j0])
         pos = j1
+    values = (np.concatenate(halves) >> 31) * 2.0 - 1.0
+    # every piece's symbols in one scatter: piece p's run of values from
+    # src[p] goes to out.flat from dest[p]
+    i0, i1, dest = np.array(pieces).T
+    n = i1 - i0
+    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    out.reshape(-1)[np.repeat(dest, n) + step] = values[np.repeat(src, n) + step]
     return out

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import SPEED_OF_LIGHT
-from .dsp import RrcSpec, _folded_peak, pulse_shape
+from .dsp import RrcSpec, _first_peak, _folded_correlate, pulse_shape
 from .frame import Preamble
 
 __all__ = [
@@ -114,14 +114,15 @@ def matched_preamble_statistic(
     at its rate; the statistic background on white noise of per-sample
     variance sigma^2 is an exponential with mean sigma^2, so
     cfar_threshold(sigma_cn^2, pfa) applies directly.  The peak is searched
-    over every lag l in the window [lo, hi) by dsp's block-folded correlator
-    (``dsp._folded_peak``), the first lag winning a tie; a window with a lag
+    over every lag l in the window [lo, hi) of dsp's block-folded correlation
+    (``dsp._folded_correlate``), the first lag winning a tie; a window with a lag
     at which the template does not fit inside the stream (``dsp._lag_read``),
     or a non-finite sample in the searched span, raises ValueError.  Returns
     (statistic, lag of the peak).
     """
-    lag, c = _folded_peak(rx, template.refs, template.blocks, template.stride, window)
-    return float(np.abs(c) ** 2 / template.energy), lag
+    peak, c = _first_peak(_folded_correlate(rx, template.refs, template.blocks,
+                                            template.stride, window))
+    return float(np.abs(c) ** 2 / template.energy), window[0] + peak
 
 
 def estimate_range(delay_symbols: float, ts: float) -> float:

@@ -7,7 +7,8 @@ The chain reuses a conventional SC PHY receiver's preamble pieces:
 2. fine timing from the amplitude peak of the full-preamble correlation,
    searched over its few lags by dsp's block-folded correlator: the read
    is folded onto the preamble's 26 blocks of a_128 / b_128 and
-   correlated with a and b alone,
+   correlated with a and b alone; noise modelled on those matched outputs
+   is added before the search,
 3. CEF channel estimation through the complementary Golay correlator.
 
 The sliding Golay correlator runs the same FFT correlation as range timing.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import _conj_spectrum, _fft_correlate, _folded_peak, _lag_read
+from .dsp import _conj_spectrum, _fft_correlate, _first_peak, _folded_correlate, _lag_read
 from .frame import CEF_PEAK_BIN, DEFAULT_PREAMBLE, Preamble
 from .golay import golay_pair_correlate
 
@@ -63,19 +64,27 @@ def preamble_delay(rx, template: np.ndarray, window: tuple[int, int],
 
 
 def fine_timing_preamble(y, window: tuple[int, int],
-                         preamble: Preamble = DEFAULT_PREAMBLE) -> tuple[int, complex]:
+                         preamble: Preamble = DEFAULT_PREAMBLE,
+                         noise: np.ndarray | None = None) -> tuple[int, complex]:
     """Fine timing against the full 3328-symbol preamble (STF and CEF jointly).
 
-    Searches every lag of ``window`` for the first maximum with dsp's
-    block-folded correlator (``dsp._folded_peak``): the read is folded onto
-    ``preamble.blocks``, the 26 blocks' weights, and correlated with the
-    preamble's a_128 and b_128, so the whole preamble is never built.  A lag
-    leaving ``y`` (``dsp._lag_read``) or a non-finite sample read raises
-    ValueError.  Returns (peak index, correlation / preamble length).
+    Searches every lag of ``window`` for the first maximum of the full-preamble
+    correlation c, computed by dsp's block-folded correlator
+    (``dsp._folded_correlate``): the read is folded onto ``preamble.blocks``,
+    the 26 blocks' weights, and correlated with the preamble's a_128 and
+    b_128, so the whole preamble is never built.  ``noise``, one value per
+    lag, is added to c before the search: a caller that models the noise on
+    the matched outputs rather than on ``y`` passes it here.  A lag leaving
+    ``y`` (``dsp._lag_read``) or a non-finite sample read raises ValueError.
+    Returns (peak index, (correlation + noise) / preamble length) at the
+    peak.
     """
     pair = preamble.pair128
-    idx, val = _folded_peak(y, (pair.a, pair.b), preamble.blocks, len(pair), window)
-    return idx, val / len(preamble.symbols)
+    c = _folded_correlate(y, (pair.a, pair.b), preamble.blocks, len(pair), window)
+    if noise is not None:
+        c += noise
+    peak, val = _first_peak(c)
+    return window[0] + peak, val / len(preamble.symbols)
 
 
 def estimate_channel_cef(y, start: int, *, gated: bool,

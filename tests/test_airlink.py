@@ -12,6 +12,8 @@ from wlanradar.airlink import (
     LinkBudget,
     Target,
     _add_noise,
+    _matched_noise,
+    _matched_noise_factor,
     beam_coupling,
     dft_codebook,
     link_budget_sweep,
@@ -23,7 +25,14 @@ from wlanradar.airlink import (
     synthesize_radar_rx_symbol_rate,
     upa_steering,
 )
-from wlanradar.dsp import RrcSpec, apply_delay_doppler, pulse_shape, rc_pulse, rrc_taps
+from wlanradar.dsp import (
+    RrcSpec,
+    _folded_correlate,
+    apply_delay_doppler,
+    pulse_shape,
+    rc_pulse,
+    rrc_taps,
+)
 from wlanradar.frame import (
     DEFAULT_PREAMBLE,
     PREAMBLE_LEN,
@@ -579,6 +588,53 @@ class TestSynthesis:
                 synthesize_radar_rx_symbol_rate(_windows_of(frame), RRC, W, [], sigma_cn2, CFG,
                                                 None, np.random.default_rng(0), starts=[0],
                                                 length=20)
+
+
+class TestMatchedNoise:
+    def test_factor_squares_to_the_autocorrelation_toeplitz(self):
+        s = DEFAULT_PREAMBLE.symbols
+        r = np.correlate(s, s, "full")[len(s) - 1 : len(s) + 64]
+        factor = _matched_noise_factor(s, 65)
+        lag = np.abs(np.subtract.outer(np.arange(65), np.arange(65)))
+        assert np.array_equal(np.tril(factor), factor)
+        np.testing.assert_allclose(factor @ factor.T, r[lag], rtol=0, atol=1e-9 * r[0])
+
+    def test_law_is_that_of_the_fold_of_white_noise(self):
+        # fine timing's 65-lag full-preamble correlation of white CN(0, sigma^2)
+        # noise on a 3 392-sample row, and the generator's draws, both have
+        # covariance sigma^2 R_s and no pseudo-covariance: checked on the
+        # diagonal, at lags 1 and 64, and at lag 51, R_s's largest sidelobe
+        # in the window (439 against R_s(0) = 3 328)
+        p = DEFAULT_PREAMBLE
+        s, n_lags, sigma2, n = p.symbols, 65, 0.5, 3000
+        r = np.correlate(s, s, "full")[len(s) - 1 : len(s) - 1 + n_lags]
+        rng = np.random.default_rng(23)
+        folds = np.empty((n, n_lags), dtype=complex)
+        row = np.empty(len(s) + n_lags - 1, dtype=complex)
+        for i in range(n):
+            row[:] = 0
+            _add_noise(row, sigma2, rng)
+            folds[i] = _folded_correlate(row, (p.pair128.a, p.pair128.b), p.blocks, 128,
+                                         (0, n_lags))
+        factor = _matched_noise_factor(s, n_lags)
+        draws = np.array([_matched_noise(factor, sigma2, rng) for _ in range(n)])
+        for nu in (folds, draws):
+            cov = nu.T @ nu.conj() / n      # cov[i, j]: mean of nu_i conj(nu_j)
+            pseudo = nu.T @ nu / n
+            for d in (0, 1, 51, 64):
+                # the mean of the n_lags - d entries cov[i, i + d], each of
+                # standard error about sigma^2 R_s(0) / sqrt(n)
+                se = sigma2 * r[0] / np.sqrt(n * (n_lags - d))
+                assert abs(np.diagonal(cov, d).mean() - sigma2 * r[d]) < 4 * se, d
+                assert abs(np.diagonal(pseudo, d).mean()) < 4 * se, d
+
+    def test_draws_every_real_part_first(self):
+        factor = _matched_noise_factor(DEFAULT_PREAMBLE.symbols, 65)
+        rng, draws = np.random.default_rng(4), np.random.default_rng(4)
+        nu = _matched_noise(factor, 2.0, rng)
+        z = draws.standard_normal(130)
+        np.testing.assert_allclose(nu, factor @ (z[:65] + 1j * z[65:]), rtol=1e-12)
+        assert rng.bit_generator.state == draws.bit_generator.state
 
 
 class TestLinkBudget:

@@ -326,10 +326,10 @@ class TestDeterminism:
          "4eda4955cc2175f95aa0f32302b1f94528e14f94882e13131ad17252f6a2bc41"),
         (ExperimentSpec(kind="velocity-mse", scenario=Scenario(n_frames=2),
                         sweep=(0.0, 10.0), trials=6, seed=3),
-         "03c7586e428f2b6e4746d42c23b90e6bfb532f54f1bb2d4b491a1654123a7887"),
+         "dfb2ca7d9c952ceb2a9097d1f9ff0cac34376a3c5dde2edcafc3ad7a5e15e3df"),
         # the velocity bench's own scale: the default Scenario, M = 10, K = 12 800
         (ExperimentSpec(kind="velocity-mse", sweep=(0.0, 20.0), trials=6, seed=3),
-         "c64176c4a9a25289eae5fe289ae6a3da3c25e3f9976fe038e8bfb663d582e19d"),
+         "67caa5a378ad23f4acf00a734adb6f74fe05a455df9365ac57202a1ff91861a0"),
         (ExperimentSpec(kind="ddmap", scenario=two_vehicle_scenario(), sweep=(20.0,),
                         trials=1, seed=3, pfa=1e-4),
          "2e5a3c53f17be4b4f96a4409f4f1eb5dc58a91e3bed222a6ad9b3b13c0e2f392"),
@@ -339,10 +339,10 @@ class TestDeterminism:
          "71725bd538954b7717a7a7e2fe6b6c1cad13598afe0d67457d9d1f9a4839daa3"),
         # M = 32 leaves no room for data symbols: the infeasible row
         (ExperimentSpec(kind="tradeoff", sweep=(2, 4, 32), trials=4, seed=2),
-         "9b015736b0f39798385c88b1046e6cad0031950a04439fc56374c703592c2889"),
+         "e26a104ad143874ec5154bfb6e009c4ddcd9b390687090f30034d54e69a818a5"),
         # the infeasible M = 32 sits between two run points: M = 4 keeps index 2
         (ExperimentSpec(kind="tradeoff", sweep=(2, 32, 4), trials=4, seed=2),
-         "f9d0d29dbd0c8aa7973b05014a67de0d7a1f40f40bfe37764986da30b85f0d7e"),
+         "f1dcd7b0f36c25cf1ca3172c43222c789e6d71df700240910fe69c9a5d93636c"),
     ], ids=["detection", "detection-doppler", "range-mse", "range-mse-40", "velocity-mse",
             "velocity-m10",
             "ddmap", "ddmap-m64", "tradeoff", "tradeoff-gap"])
@@ -451,8 +451,8 @@ class TestVelocityTrial:
     def test_rows_equal_the_full_window_synthesis(self, scen, monkeypatch):
         # the preamble's columns convolved once for all rows, and each row's
         # ends from its own symbols, are one noiseless synthesis of the whole
-        # windows that repeats nothing; the trial then draws row 0's noise
-        # and one complex value per later frame
+        # windows that repeats nothing; the trial then draws the noise of
+        # frame 0's 65 matched outputs and one complex value per later frame
         kept = []
         synth = bench.synthesize_radar_rx_symbol_rate
 
@@ -463,7 +463,7 @@ class TestVelocityTrial:
 
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
         rng, want_rng = bench._rng(5, 0, 1), bench._rng(5, 0, 1)
-        bench._velocity_trial(scen, 40.0, rng)
+        bench._velocity_trial(bench._fine_noise_factor(), scen, 40.0, rng)
         target, m, k = scen.targets[0], scen.n_frames, scen.frame_k
         windows = partial(assemble_cpi, m, scen.layout(), seed=int(want_rng.integers(2**63)))
         lo = int(np.round(target.delay() / TS)) - 32
@@ -473,7 +473,7 @@ class TestVelocityTrial:
         (got,) = kept
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        want_rng.standard_normal(2 * want.shape[1])
+        want_rng.standard_normal(2 * 65)
         want_rng.standard_normal(2 * (m - 1))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -491,8 +491,8 @@ class TestVelocityTrial:
             seen["rows"] = rows.copy()   # the trial adds noise and compresses in place
             return rows
 
-        def keep_fine(y, window):
-            found = fine_timing(y, window)
+        def keep_fine(y, window, noise):
+            found = fine_timing(y, window, noise=noise)
             seen["fine"] = found[0]
             return found
 
@@ -505,7 +505,7 @@ class TestVelocityTrial:
         monkeypatch.setattr(bench, "estimate_velocity_moose", keep_q)
         scen, scnr_db = Scenario(n_frames=m), 3.0
         rng = bench._rng(8, 1, 2)
-        bench._velocity_trial(scen, scnr_db, rng)
+        bench._velocity_trial(bench._fine_noise_factor(), scen, scnr_db, rng)
         rows, fine, q = seen["rows"], seen["fine"], seen["q"]
         s = DEFAULT_PREAMBLE.symbols
         compressed = (rows[1:, fine : fine + PREAMBLE_LEN] * s).sum(axis=1)
@@ -513,12 +513,60 @@ class TestVelocityTrial:
         draws = bench._rng(8, 1, 2)
         draws.integers(2**63)
         draws.uniform(size=1)
-        draws.standard_normal(2 * rows.shape[1])
+        draws.standard_normal(2 * 65)
         # ||s||^2 = P: the preamble is +-1
         z = draws.standard_normal(2 * (m - 1)) * np.sqrt(10 ** (-scnr_db / 10) * PREAMBLE_LEN / 2)
         noise = z[: m - 1] + 1j * z[m - 1 :]
         np.testing.assert_allclose(q[1:] - compressed, noise, rtol=0, atol=1e-9)
         assert rng.bit_generator.state == draws.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_frame_0_gets_its_noise_on_its_matched_outputs(self, m, monkeypatch):
+        # row 0 stays noiseless: fine timing adds nu, the next 2 x 65 normals
+        # (real parts first) through the factor, to the row's 65-lag
+        # full-preamble correlation c; fine is the first argmax of |c + nu|^2
+        # and q_0 = (c + nu)(fine)
+        seen = {}
+        synth = bench.synthesize_radar_rx_symbol_rate
+
+        def keep_rows(*args, **kwargs):
+            rows = synth(*args, **kwargs)
+            seen["row0"] = rows[0].copy()
+            return rows
+
+        def keep_q(q, **kwargs):
+            seen["q"] = q.copy()
+            return 0.0
+
+        monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_rows)
+        monkeypatch.setattr(bench, "estimate_velocity_moose", keep_q)
+        scen, scnr_db = Scenario(n_frames=m), -12.0
+        factor = bench._fine_noise_factor()
+        bench._velocity_trial(factor, scen, scnr_db, bench._rng(4, 0, 7))
+        c = np.correlate(seen["row0"], DEFAULT_PREAMBLE.symbols, mode="valid")
+        assert len(c) == 65
+
+        draws = bench._rng(4, 0, 7)
+        draws.integers(2**63)
+        draws.uniform(size=1)
+        z = draws.standard_normal(2 * 65) * np.sqrt(10 ** (-scnr_db / 10) / 2)
+        noisy = c + factor @ (z[:65] + 1j * z[65:])
+        fine = int(np.argmax(np.abs(noisy) ** 2))
+        assert seen["q"][0] == pytest.approx(noisy[fine], rel=1e-12)
+
+    def test_pickled_trial_is_small(self, monkeypatch):
+        # the pool pickles the trial callable once per chunk: it carries the
+        # 65 x 65 noise factor (33 800 B) and the pickled scenario, never a
+        # trial's rows
+        sizes = []
+
+        def no_trials(fn, jobs, workers):
+            sizes.append(len(pickle.dumps(fn)))
+            return [0.0] * len(jobs)
+
+        monkeypatch.setattr(bench, "_map_trials", no_trials)
+        run_experiment(ExperimentSpec(kind="velocity-mse", sweep=(10.0,), trials=2))
+        assert sizes and sizes[0] < 40_000
 
     def test_compressed_noise_has_the_correlation_domain_law(self, monkeypatch):
         # with no echo, q_1..q_{M-1} are the noise alone: real and imaginary
@@ -535,8 +583,9 @@ class TestVelocityTrial:
 
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", no_echo)
         monkeypatch.setattr(bench, "estimate_velocity_moose", keep_q)
+        trial = partial(bench._velocity_trial, bench._fine_noise_factor())
         for j in range(500):
-            bench._velocity_trial(scen, scnr_db, bench._rng(13, 0, j))
+            trial(scen, scnr_db, bench._rng(13, 0, j))
         q = np.concatenate(kept)
         assert len(q) == 500 * (scen.n_frames - 1)
         s = DEFAULT_PREAMBLE.symbols
@@ -556,14 +605,14 @@ class TestVelocityTrial:
             seen["start"] = starts[0]
             return synth(*args, starts=starts, **kwargs)
 
-        def keep_window(y, window):
+        def keep_window(y, window, noise):
             seen["window"], seen["len"] = window, len(y)
-            return fine(y, window)
+            return fine(y, window, noise=noise)
 
         monkeypatch.setattr(bench, "synthesize_radar_rx_symbol_rate", keep_start)
         monkeypatch.setattr(bench, "fine_timing_preamble", keep_window)
         scen = Scenario(targets=(Target(range_m=2.0, velocity_mps=20.0),))
-        bench._velocity_trial(scen, 20.0, bench._rng(1, 0, 0))
+        bench._velocity_trial(bench._fine_noise_factor(), scen, 20.0, bench._rng(1, 0, 0))
         expect = int(np.round(scen.targets[0].delay() / TS))
         lo, hi = seen["window"]
         assert (seen["start"] + lo, seen["start"] + hi) == (expect - 32, expect + 33)

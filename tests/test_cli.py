@@ -232,6 +232,25 @@ class TestErrors:
         assert err.startswith("error: ") and ("finite" in err or "SCNR" in err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "crlb --scnr 4000",
+        "crlb --eq range --scnr 4000",
+        "detect --scnr 4000 --trials 2",
+        "velocity --scnr -4000 --trials 2",
+    ])
+    def test_scnr_without_finite_linear_value_fails_before_any_trial(self, argv, monkeypatch,
+                                                                     capsys):
+        # 10^400 overflowed a float (OverflowError traceback) and 10^-400 gave
+        # a zero SCNR (ZeroDivisionError traceback)
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(bench, "_detection_trial", no_trial)
+        monkeypatch.setattr(bench, "_velocity_trial", no_trial)
+        assert main(argv.split()) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: SCNR must be positive and finite (linear), got ")
+
     def test_zero_tint_rejected(self):
         r = run_cli("crlb", "--eq", "resolution", "--tint", "0")
         assert r.returncode != 0
